@@ -12,9 +12,9 @@ one runs); an untraced run then fills the time left with set-up-only
 children (at least two) that sample `setup_s`.
 
 With --trace 0 the last stdout line carries the end-to-end metrics (medians
-over children).  With --trace 1 one untraced child runs first, then traced
-ones, and the line carries the per-layer metrics from the traced children,
-including the tracing overhead (traced minus untraced `solve_s`).
+over children).  With --trace 1 untraced and traced children alternate, and
+the line carries the per-layer metrics from the traced children, including
+the tracing overhead (median traced minus median untraced `solve_s`).
 `--workload all` runs every workload untraced and traced and prints a table.
 """
 
@@ -135,8 +135,8 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
             if done[-1].returncode is None:
                 return done
 
-    # A traced run measures one untraced child first, for the overhead.
-    children = loop(lambda i: "trace" if trace and i else "run", 2 if trace else 1, "child")
+    # A traced run alternates untraced and traced children, for the overhead.
+    children = loop(lambda i: "trace" if trace and i % 2 else "run", 2 if trace else 1, "child")
     probes = [] if trace else loop(lambda i: "setup", MIN_SETUP_PROBES, "setup")
 
     plain = [c for c in children if c.mode == "run" and c.ok]
@@ -154,8 +154,8 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
                      for c in probes + children],
         "attempted": attempted, "failed": failed,
         "fail_ratio": fail_ratio(attempted, failed),
-        "failures": {op: fails for c in children for op, fails in c.failures.items()
-                     if fails},
+        "failures": {f"child {i}: {op}": fails for i, c in enumerate(children)
+                     for op, fails in c.failures.items() if fails},
         "errors": [e for c in children for e in c.result.get("errors", [])],
         "fingerprint": next((c.fingerprint for c in children if c.fingerprint), {}),
         "libraries": next((c.result["libraries"] for c in children

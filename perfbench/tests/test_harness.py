@@ -181,3 +181,18 @@ def test_benchmark_json_matches_the_runner():
     assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == run.END_TO_END
     assert [(m["name"], m["unit"]) for m in spec["per_layer"]] == [
         (name, run.layer_unit(name)) for name in run.PER_LAYER]
+
+
+def test_spread_is_interquartile_range_over_median():
+    import statistics
+
+    import spread
+
+    values = [10.0, 11.0, 9.0, 10.5, 9.5, 10.2, 9.8, 12.0, 8.0, 10.0]
+    doc = {"runs": [{"result": {"metrics": {
+        name: {"value": v * (i + 1)} for i, name in enumerate(spread.BOUNDS)}}}
+        for v in values]}
+    s = spread.stats(doc)["setup_s"]
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    assert s["spread"] == pytest.approx((q3 - q1) / statistics.median(values))
+    assert s["n"] == 10
