@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
-"""Stress study on the two-dimensional model.
+"""Stress study on the two-dimensional model, run through the stslab CLI.
 
 Runs the time-convergence ladder for three upwinding policies with the damped
 Chebyshev scheme, extracts the spectrum of the scaled operator for the
 region-restricted and the global fitting policy, and compares delta slices
-near v = 0 across scheme families.  Writes plot-ready CSV files plus a JSON
-summary into the output directory.
+near v = 0 across scheme families.  Each run writes the CLI's CSV files,
+summary.json and run_log.jsonl into its own subdirectory of --out.
 """
 
 import argparse
@@ -13,102 +13,47 @@ import csv
 import json
 from pathlib import Path
 
-from stslab.experiments import (DEFAULT_LADDER, ConvergenceStudy, call,
-                                default_heston_params, foulon_grid_v,
-                                foulon_grid_x, run_delta_comparison,
-                                run_time_convergence)
-from stslab.operators import UpwindPolicy, assemble_heston, to_sparse
-from stslab.schemes import rkc
-from stslab.spectra import eigenvalues_dense, write_spectrum
+from stslab.cli import dispatch, parse_config
+from stslab.experiments import DEFAULT_LADDER
 
-POLICIES = (UpwindPolicy.FOULON_REGION, UpwindPolicy.PARTIAL_FITTING,
-            UpwindPolicy.OSULLIVAN)
-
-
-def slug(text: str) -> str:
-    return (text.replace("(", "_").replace(")", "").replace("=", "")
-            .replace(".", "p").replace(",", "_"))
-
-
-def write_rows(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+POLICIES = ("foulon-region-fitting", "partial-fitting", "osullivan-one-sided")
+FAMILIES = [{"family": "rkc", "eps": 10.0}, {"family": "rkl"}, {"family": "rkg", "g": 2.0}]
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", type=Path, default=Path("out/heston"))
-    ap.add_argument("--m", type=int, default=100,
-                    help="price-direction intervals")
-    ap.add_argument("--n", type=int, default=50,
-                    help="variance-direction intervals")
-    ap.add_argument("--l-ref", type=int, default=4000,
-                    help="steps for the Crank-Nicolson reference")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker threads per ladder")
-    ap.add_argument("--quick", action="store_true",
-                    help="small grids and a short ladder for a fast pass")
+    ap.add_argument("--m", type=int, default=100, help="price-direction intervals")
+    ap.add_argument("--n", type=int, default=50, help="variance-direction intervals")
+    ap.add_argument("--l-ref", type=int, default=4000, help="Crank-Nicolson reference steps")
+    ap.add_argument("--quick", action="store_true", help="small grids, short ladder")
     args = ap.parse_args(argv)
+    m, n, l_ref, ladder = ((40, 20, 400, [10, 20, 40, 80, 200]) if args.quick else
+                           (args.m, args.n, args.l_ref, list(DEFAULT_LADDER)))
 
-    params = default_heston_params()
-    if args.quick:
-        m, n, l_ref, ladder = 40, 20, 400, (10, 20, 40, 80, 200)
-    else:
-        m, n, l_ref, ladder = args.m, args.n, args.l_ref, DEFAULT_LADDER
-    gx = foulon_grid_x(params.strike, m)
-    gv = foulon_grid_v(n)
-    out = args.out
-    out.mkdir(parents=True, exist_ok=True)
-    summary: dict = {"grid": f"m={m},n={n}", "ladder": list(ladder)}
+    def run(cmd: str, name: str, **cfg) -> Path:
+        cfg["grid"] = {"x": {"m": m}, "v": {"m": n}}
+        dispatch(cmd, parse_config(json.dumps(cfg)), out_dir=str(args.out / name))
+        return args.out / name
 
     for policy in POLICIES:
-        study = ConvergenceStudy(
-            params=params, gx=gx, gv=gv, policy=policy, family=rkc(10.0),
-            payoff=call(params.strike), ladder=ladder, l_ref=l_ref,
-            validate_reference=True, grid_label=f"m={m},n={n}",
-            max_workers=args.threads)
-        res = run_time_convergence(study)
-        write_rows(out / f"convergence_{policy.value}.csv",
-                   ["l", "rms_error", "osc_metric", "exploded",
-                    "price_at_spot"],
-                   ((r.l, repr(r.rms_error), repr(r.osc_metric),
-                     str(r.exploded).lower(), repr(r.price_at_spot))
-                    for r in res.reports))
-        summary[policy.value] = {
-            "reference_check": res.reference_check,
-            "explosions": [r.l for r in res.reports if r.exploded],
-        }
-        print(f"{policy.value}:")
-        for r in res.reports:
-            flag = "  EXPLODED" if r.exploded else ""
-            print(f"  l={r.l:>5d}  rms={r.rms_error:.4e}  "
-                  f"osc={r.osc_metric:.4e}{flag}")
-
-    for policy in (UpwindPolicy.FOULON_REGION, UpwindPolicy.PARTIAL_FITTING):
-        op = assemble_heston(params, gx, gv, policy)
-        spec = eigenvalues_dense(to_sparse(op), scale=params.expiry / 16.0)
-        write_spectrum(spec, out / f"spectrum_{policy.value}.csv")
-        summary.setdefault("spectrum", {})[policy.value] = {
-            "max_real": spec.max_real, "max_abs_imag": spec.max_abs_imag}
-        print(f"spectrum {policy.value}: max Re = {spec.max_real:.3e}, "
-              f"max |Im| = {spec.max_abs_imag:.3e}")
-
-    deltas = run_delta_comparison(params, gx, gv,
-                                  UpwindPolicy.PARTIAL_FITTING, l=10)
-    summary["delta_osc"] = {}
-    for label, res in deltas.items():
-        write_rows(out / f"delta_{slug(label)}.csv", ["x", "delta"],
-                   ((repr(float(x)), repr(float(d)))
-                    for x, d in zip(gx.nodes, res["delta"])))
-        summary["delta_osc"][label] = res["osc"]
-        print(f"delta osc {label}: {res['osc']:.4e}")
-
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {out}")
+        out = run("converge", f"converge-{policy}", policy=policy, ladder=ladder,
+                  reference={"l_ref": l_ref})
+        print(f"{policy}:")
+        with open(out / "convergence_rkc_eps10.csv") as fh:
+            for r in csv.DictReader(fh):
+                flag = "  EXPLODED" if r["exploded"] == "true" else ""
+                print(f"  l={int(r['l']):>5d}  rms={float(r['rms_error']):.4e}  "
+                      f"osc={float(r['osc_metric']):.4e}{flag}")
+    for policy in POLICIES[:2]:
+        spec = json.loads((run("spectrum", f"spectrum-{policy}", policy=policy, l=16)
+                           / "spectrum.json").read_text())
+        print(f"spectrum {policy}: max Re = {spec['max_real']:.3e}, "
+              f"max |Im| = {spec['max_abs_imag']:.3e}")
+    out = run("delta", "delta", policy="partial-fitting", schemes=FAMILIES, l=10)
+    for label, osc in json.loads((out / "summary.json").read_text())["osc_metric"].items():
+        print(f"delta osc {label}: {osc:.4e}")
+    print(f"wrote {args.out}")
     return 0
 
 

@@ -12,7 +12,7 @@ from .grids import (Grid1D, StretchKind, StretchSpec, make_cubic, make_grid,
                     make_sinh, make_uniform)
 from .operators import (BsParams, HestonParams, StencilOperator, UpwindPolicy,
                         apply, assemble_bs, assemble_heston, fitting_factor,
-                        peclet, to_sparse, write_operator_csv)
+                        peclet, to_sparse)
 from .schemes import (ExplosionError, FamilyKind, InfeasibleStepError, RunLog,
                       SchemeFamily, StageCoefficients, explicit_euler,
                       make_coefficients, rkc, rkg, rkl, run_integrator,

@@ -180,7 +180,6 @@ class RunConfig:
     ladder: tuple[int, ...]
     l_ref: int
     validate_reference: bool
-    roi: tuple[float, float, float, float] | None
     payoff: Payoff
     l: int | None
     out_dir: str
@@ -205,8 +204,6 @@ class RunConfig:
             "schemes": [_scheme_dict(s) for s in self.schemes],
             "ladder": list(self.ladder),
             "reference": {"l_ref": self.l_ref, "validate": self.validate_reference},
-            "roi": None if self.roi is None else
-                   dict(zip(("x_low", "x_high", "v_low", "v_high"), self.roi)),
             "payoff": _payoff_dict(self.payoff),
             "l": self.l,
             "out_dir": self.out_dir,
@@ -241,7 +238,7 @@ def _payoff_dict(p: Payoff) -> dict:
 
 
 _TOP_KEYS = {"model", "params", "grid", "policy", "schemes", "ladder",
-             "reference", "roi", "payoff", "l", "out_dir"}
+             "reference", "payoff", "l", "out_dir"}
 _HESTON_PARAM_KEYS = {"v0", "theta", "kappa", "sigma", "rho", "r", "q",
                       "spot", "strike", "expiry"}
 _BS_PARAM_KEYS = {"sigma", "r", "q", "spot", "expiry"}
@@ -344,20 +341,6 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(validate, bool):
         raise ConfigError(f"reference.validate: expected a boolean, got {validate!r}")
 
-    roi_raw = raw.get("roi")
-    if roi_raw is None:
-        roi = None
-    else:
-        roi_raw = _mapping(roi_raw, "roi")
-        _check_keys(roi_raw, {"x_low", "x_high", "v_low", "v_high"}, "roi")
-        lvl = payoff_default.level
-        roi = (_num(roi_raw, "x_low", 0.5 * lvl, "roi"),
-               _num(roi_raw, "x_high", 1.5 * lvl, "roi"),
-               _num(roi_raw, "v_low", 0.0, "roi"),
-               _num(roi_raw, "v_high", 1.0, "roi"))
-        if not roi[0] < roi[1]:
-            raise ConfigError("roi: need x_low < x_high")
-
     payoff = _parse_payoff(raw.get("payoff"), payoff_default, "payoff")
 
     l = raw.get("l")
@@ -370,7 +353,7 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(model=model, params=params, grid_x=grid_x, grid_v=grid_v,
                      policy=policy, schemes=schemes, ladder=ladder, l_ref=l_ref,
-                     validate_reference=validate, roi=roi, payoff=payoff, l=l,
+                     validate_reference=validate, payoff=payoff, l=l,
                      out_dir=out_dir)
 
 
@@ -423,7 +406,7 @@ def _assemble(cfg: RunConfig):
     return gx, gv, op
 
 
-def _cmd_price(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[dict]]:
+def _cmd_price(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
     gx, gv, op = _assemble(cfg)
     l = cfg.l or 100
     y0 = payoff_eval(cfg.payoff, gx, gv)
@@ -450,7 +433,7 @@ def _cmd_price(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[dict]
     return (1 if exploded else 0), logs
 
 
-def _cmd_converge(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[dict]]:
+def _cmd_converge(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
     if cfg.model != "heston":
         raise ConfigError("converge drives the 2-D model; set model='heston'")
     gx, gv = cfg.build_grids()
@@ -462,11 +445,13 @@ def _cmd_converge(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[di
             params=cfg.params, gx=gx, gv=gv, policy=cfg.policy, family=fam,
             payoff=cfg.payoff, ladder=cfg.ladder, l_ref=cfg.l_ref,
             validate_reference=cfg.validate_reference,
-            grid_label=cfg.grid_label(), max_workers=threads)
+            grid_label=cfg.grid_label())
         result = run_time_convergence(study)
         tag = _sanitize(fam.label)
-        _write_csv(out / f"convergence_{tag}.csv", ["l", "rms_error", "exploded"],
-                   ((r.l, r.rms_error, r.exploded) for r in result.reports))
+        _write_csv(out / f"convergence_{tag}.csv",
+                   ["l", "rms_error", "exploded", "osc_metric", "price_at_spot"],
+                   ((r.l, r.rms_error, r.exploded, r.osc_metric, r.price_at_spot)
+                    for r in result.reports))
         logs.extend(result.logs)
         any_explosion |= any(r.exploded for r in result.reports)
         summary[fam.label] = {
@@ -479,7 +464,7 @@ def _cmd_converge(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[di
     return (1 if any_explosion else 0), logs
 
 
-def _cmd_spectrum(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[dict]]:
+def _cmd_spectrum(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
     gx, gv, op = _assemble(cfg)
     l = cfg.l or 16
     scale = cfg.params.expiry / l
@@ -489,7 +474,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[di
                 "max_real": spec.max_real, "max_abs_imag": spec.max_abs_imag}]
 
 
-def _cmd_delta(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[dict]]:
+def _cmd_delta(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
     if cfg.model != "heston":
         raise ConfigError("delta drives the 2-D model; set model='heston'")
     gx, gv = cfg.build_grids()
@@ -512,7 +497,7 @@ def _cmd_delta(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[dict]
     return (1 if exploded else 0), logs
 
 
-def _cmd_bs_demo(cfg: RunConfig, out: Path, threads: int) -> tuple[int, list[dict]]:
+def _cmd_bs_demo(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
     if cfg.model != "bs":
         raise ConfigError("bs-demo drives the 1-D model; set model='bs'")
     gx, _ = cfg.build_grids()
@@ -546,14 +531,14 @@ _COMMANDS = {
 
 
 def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
-             strict: bool = False, threads: int = 1) -> int:
+             strict: bool = False) -> int:
     """Run one subcommand; returns the process exit status."""
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}; "
                           f"expected one of {sorted(_COMMANDS)}")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    explosion_flag, logs = _COMMANDS[cmd](cfg, out, max(threads, 1))
+    explosion_flag, logs = _COMMANDS[cmd](cfg, out)
     _write_jsonl(out / "run_log.jsonl", logs)
     if explosion_flag and strict:
         print(f"{cmd}: explosion detected; failing due to --strict",
@@ -582,8 +567,6 @@ def main(argv: list[str] | None = None) -> int:
                        help="output directory (overrides config out_dir)")
         p.add_argument("--strict", action="store_true",
                        help="exit nonzero if any run explodes")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for ladder runs")
     args = parser.parse_args(argv)
     if args.config is not None:
         text = Path(args.config).read_text()
@@ -593,8 +576,7 @@ def main(argv: list[str] | None = None) -> int:
         text = "{}"
     try:
         cfg = parse_config(text)
-        return dispatch(args.cmd, cfg, out_dir=args.out, strict=args.strict,
-                        threads=args.threads)
+        return dispatch(args.cmd, cfg, out_dir=args.out, strict=args.strict)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -135,6 +135,7 @@ def make_cubic(a: float, b: float, spec: StretchSpec, m: int) -> Grid1D:
     ub = _solve_depressed_cubic(spec.alpha, b - spec.center)
     ga = ua * (ua * ua + spec.alpha)
     gb = ub * (ub * ub + spec.alpha)
+    # 1 up to the bisection error of ua, ub, which this factor cancels.
     lam_c = (b - a) / (gb - ga)
     u = np.linspace(ua, ub, m + 1)
     nodes = spec.center + lam_c * (u**3 + spec.alpha * u)

@@ -66,12 +66,6 @@ class BandedLU:
         return x
 
 
-def bandwidth_of(op: StencilOperator) -> int:
-    if op.is_1d:
-        return 1
-    return op.shape[1] + 1  # x neighbor offset n+1, cross terms n+2 - 1 + 1
-
-
 def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMatrix:
     """Band storage of alpha I + beta M for the vectorized operator."""
     if op.is_1d:

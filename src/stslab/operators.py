@@ -47,7 +47,6 @@ __all__ = [
     "assemble_bs",
     "apply",
     "to_sparse",
-    "write_operator_csv",
 ]
 
 
@@ -481,11 +480,3 @@ def to_sparse(op: StencilOperator) -> scipy.sparse.coo_matrix:
     mat.sum_duplicates()
     return mat
 
-
-def write_operator_csv(op: StencilOperator, path) -> None:
-    """Dump the operator as row,col,value triplets sorted by (row, col)."""
-    mat = to_sparse(op).tocsr().tocoo()
-    with open(path, "w") as fh:
-        fh.write("row,col,value\n")
-        for rr, cc, vv in zip(mat.row, mat.col, mat.data):
-            fh.write(f"{rr},{cc},{float(vv)!r}\n")

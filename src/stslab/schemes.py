@@ -28,7 +28,7 @@ bound so that dt times the bound fits inside the damped stability interval.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -354,26 +354,22 @@ def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
     return s
 
 
-def _as_linear_map(op, forcing):
+def _as_linear_map(op):
     if isinstance(op, StencilOperator):
-        base = lambda y: apply_operator(op, y)
-    elif callable(op):
-        base = op
-    else:
-        raise TypeError(f"expected StencilOperator or callable, got {type(op)!r}")
-    if forcing is None:
-        return base
-    return lambda y: base(y) + forcing
+        return lambda y: apply_operator(op, y)
+    if callable(op):
+        return op
+    raise TypeError(f"expected StencilOperator or callable, got {type(op)!r}")
 
 
-def super_step(coeffs: StageCoefficients, op, state: np.ndarray, dt: float,
-               forcing: np.ndarray | None = None) -> np.ndarray:
+def super_step(coeffs: StageCoefficients, op, state: np.ndarray,
+               dt: float) -> np.ndarray:
     """One macro-step of size dt of the stage recurrence; returns Y_s.
 
     Raises ExplosionError carrying the stage index as soon as any stage value
     turns non-finite.
     """
-    F = _as_linear_map(op, forcing)
+    F = _as_linear_map(op)
     y0 = np.asarray(state, dtype=float)
     # The isfinite checks below are the explosion detector; once a stage
     # diverges the overflow warnings on the way to inf carry no information.
@@ -410,21 +406,12 @@ class RunLog:
     explosion_step: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "eps_or_g": self.eps_or_g,
-            "l": self.l,
-            "s_per_step": list(self.s_per_step),
-            "wall_time": self.wall_time,
-            "exploded": self.exploded,
-            "explosion_step": self.explosion_step,
-        }
+        return asdict(self)
 
 
 def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
-                   l: int, rho: float | None = None, rho_estimator=None,
-                   forcing: np.ndarray | None = None):
-    """Integrate df/dt = M f (+ forcing) over [0, expiry] in l macro-steps.
+                   l: int, rho: float | None = None):
+    """Integrate df/dt = M f over [0, expiry] in l macro-steps.
 
     Returns (field, RunLog).  On explosion the last finite field is returned
     and the log carries the step index; the caller decides how to report it.
@@ -435,14 +422,11 @@ def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
     if not expiry > 0.0:
         raise ValueError(f"need expiry > 0, got {expiry!r}")
     if rho is None:
-        if rho_estimator is not None:
-            rho = float(rho_estimator(op))
-        elif isinstance(op, StencilOperator):
-            from .spectra import gershgorin_radius
+        if not isinstance(op, StencilOperator):
+            raise ValueError("need rho for a bare callable")
+        from .spectra import gershgorin_radius
 
-            rho = gershgorin_radius(op)
-        else:
-            raise ValueError("need rho or rho_estimator for a bare callable")
+        rho = gershgorin_radius(op)
     dt = expiry / l
     s = select_stage_count(family, dt, rho)
     coeffs = make_coefficients(family, s)
@@ -452,7 +436,7 @@ def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
     for step in range(l):
         log.s_per_step.append(s)
         try:
-            y = super_step(coeffs, op, y, dt, forcing=forcing)
+            y = super_step(coeffs, op, y, dt)
         except ExplosionError as exc:
             log.exploded = True
             log.explosion_step = step

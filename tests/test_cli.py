@@ -28,7 +28,7 @@ def test_empty_config_gives_heston_defaults():
     assert cfg.ladder == DEFAULT_LADDER
     assert cfg.l_ref == 4000 and cfg.validate_reference
     assert cfg.payoff.kind is PayoffKind.CALL and cfg.payoff.strike == 100.0
-    assert cfg.l is None and cfg.out_dir == "out" and cfg.roi is None
+    assert cfg.l is None and cfg.out_dir == "out"
 
 
 def test_bs_defaults():
@@ -58,7 +58,6 @@ def test_roundtrip_with_overrides():
         "schemes": [{"family": "rkl"}, {"family": "rkg", "g": 3.0}],
         "ladder": [4, 8],
         "reference": {"l_ref": 100, "validate": False},
-        "roi": {"x_low": 80.0, "x_high": 120.0},
         "payoff": {"kind": "put", "strike": 95.0},
         "l": 7,
         "out_dir": "elsewhere",
@@ -69,7 +68,6 @@ def test_roundtrip_with_overrides():
     assert cfg.policy is UpwindPolicy.FOULON_REGION
     assert [s.kind for s in cfg.schemes] == [FamilyKind.RKL, FamilyKind.RKG]
     assert cfg.schemes[1].g == 3.0
-    assert cfg.roi == (80.0, 120.0, 0.0, 1.0)
     assert cfg.payoff.kind is PayoffKind.PUT and cfg.payoff.strike == 95.0
     assert cfg.l == 7 and not cfg.validate_reference
     assert parse_config(cfg.to_json()) == cfg
@@ -98,7 +96,7 @@ def test_roundtrip_with_overrides():
     ('{"ladder": [10, 5.5]}', "list of integers"),
     ('{"reference": {"l_ref": 2}}', "reference.l_ref: need value >= 3"),
     ('{"reference": {"validate": 1}}', "reference.validate: expected a boolean"),
-    ('{"roi": {"x_low": 120, "x_high": 80}}', "roi: need x_low < x_high"),
+    ('{"roi": {"x_low": 80.0, "x_high": 120.0}}', "config: unknown key(s) roi"),
     ('{"payoff": {"kind": "binary"}}', "payoff.kind"),
     ('{"payoff": {"kind": "digital-range", "low": 9, "high": 2}}',
      "payoff: need low < high"),
@@ -174,7 +172,7 @@ def test_converge_smoke(tmp_path):
     cfg_path = write_config(tmp_path, payload)
     assert main(["converge", "--config", str(cfg_path), "--out", str(out)]) == 0
     lines = (out / "convergence_rkc_eps10.csv").read_text().splitlines()
-    assert lines[0] == "l,rms_error,exploded"
+    assert lines[0] == "l,rms_error,exploded,osc_metric,price_at_spot"
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "5" and float(first[1]) >= 0.0 and first[2] == "false"

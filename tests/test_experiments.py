@@ -11,11 +11,12 @@ from stslab.experiments import (BsScenario, ConvergenceStudy, bs_closed_form,
                                 default_heston_params, delta_surface,
                                 digital_range, foulon_grid_v, foulon_grid_x,
                                 oscillation_metric, payoff_eval, price_at_spot,
-                                put, rms_error, roi_mask, run_bs_study,
-                                run_delta_comparison, run_time_convergence)
+                                put, rms_error, roi_mask, run_and_score,
+                                run_bs_study, run_delta_comparison,
+                                run_time_convergence)
 from stslab.grids import Grid1D, make_uniform
-from stslab.operators import UpwindPolicy
-from stslab.schemes import rkc
+from stslab.operators import UpwindPolicy, assemble_bs, assemble_heston
+from stslab.schemes import rkc, rkl
 
 # --------------------------------------------------------------- oscillation
 
@@ -257,3 +258,31 @@ def test_bs_study_structure(bs_params):
     assert res.spectrum is not None and res.spectrum.n == 61
     assert len(res.logs) == 3
     assert not any(r.exploded for r in res.reports)
+
+
+@pytest.mark.parametrize("dim", [2, 1])
+def test_run_and_score_explosion(dim, heston_params, bs_params, gx_small, gv_small):
+    # rho = 1e-6 lets two stages through where the operator needs thousands,
+    # so the run blows up; the 2-D case carries a reference, the 1-D one not.
+    if dim == 2:
+        op = assemble_heston(heston_params, gx_small, gv_small,
+                             UpwindPolicy.PARTIAL_FITTING)
+        y0 = payoff_eval(call(100.0), gx_small, gv_small)
+        ref, roi = y0, roi_mask(gx_small, 50.0, 150.0, gv_small, 0.0, 1.0)
+        v0 = heston_params.v0
+    else:
+        op = assemble_bs(bs_params, bs_cubic_grid(m=100),
+                         UpwindPolicy.PARTIAL_FITTING)
+        y0 = payoff_eval(digital_range(10.0, 100.0), op.gx)
+        ref = roi = v0 = None
+    window = roi_mask(op.gx, 50.0, 150.0)
+    fld, osc_slice, rep, log = run_and_score(rkl(), op, y0, 1.0, 100, 1e-6, window,
+                                             100.0, v0, "tiny-rho", ref=ref, roi=roi)
+    assert rep.exploded and log["exploded"] and log["explosion_step"] is not None
+    assert rep.osc_metric == float("inf") and np.isnan(rep.price_at_spot)
+    if ref is None:
+        assert np.isnan(rep.rms_error)
+    else:
+        assert rep.rms_error == float("inf")
+    assert osc_slice.shape == (op.gx.m + 1,) and np.isfinite(osc_slice).all()
+    assert np.isfinite(fld).all() and fld.shape == y0.shape

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from stslab.grids import Grid1D, make_uniform
 from stslab.operators import (BsParams, HestonParams, UpwindPolicy, apply,
                               assemble_bs, assemble_heston, fitting_factor,
-                              peclet, to_sparse, write_operator_csv)
+                              peclet, to_sparse)
 
 ALL_POLICIES = list(UpwindPolicy)
 POLICIES_2D = ALL_POLICIES
@@ -422,18 +422,3 @@ def test_params_validation():
         BsParams(sigma=0.0, r=0.0, q=0.0, spot=1.0, expiry=1.0)
     with pytest.raises(ValueError, match="expiry"):
         BsParams(sigma=0.1, r=0.0, q=0.0, spot=1.0, expiry=0.0)
-
-
-# ------------------------------------------------------------------ export
-
-def test_operator_csv_roundtrip(bs_params, tmp_path):
-    g = make_uniform(0.0, 150.0, 12)
-    op = assemble_bs(bs_params, g, UpwindPolicy.PARTIAL_FITTING)
-    path = tmp_path / "op.csv"
-    write_operator_csv(op, path)
-    raw = np.loadtxt(path, delimiter=",", skiprows=1)
-    dense = np.zeros((13, 13))
-    dense[raw[:, 0].astype(int), raw[:, 1].astype(int)] = raw[:, 2]
-    assert np.array_equal(dense, to_sparse(op).toarray())
-    header = path.read_text().splitlines()[0]
-    assert header == "row,col,value"
