@@ -418,14 +418,8 @@ def _cmd_price(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
         tag = _sanitize(fam.label)
         _write_csv(out / f"price_{tag}.csv", ["x", "v", "value"],
                    _slice_rows(gx, gv, fld))
-        if not log.exploded:
-            if gv is None:
-                summary[fam.label] = price_at_spot(fld, gx, cfg.params.spot)
-            else:
-                summary[fam.label] = price_at_spot(fld, gx, cfg.params.spot,
-                                                   gv, cfg.params.v0)
-        else:
-            summary[fam.label] = None
+        summary[fam.label] = None if log.exploded else price_at_spot(
+            fld, op.gx, cfg.params.spot, op.gv, getattr(cfg.params, "v0", None))
     with open(out / "summary.json", "w") as fh:
         json.dump({"l": l, "price_at_spot": summary}, fh, indent=2, sort_keys=True)
         fh.write("\n")

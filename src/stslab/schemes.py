@@ -27,9 +27,11 @@ bound so that dt times the bound fits inside the damped stability interval.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -148,37 +150,18 @@ class StageCoefficients:
 
 
 def _recurrence_multipliers(family: SchemeFamily, s: int):
-    """A_j, B_j of Q_j(x) = A_j x Q_{j-1}(x) + B_j Q_{j-2}(x), and w0."""
-    kind = family.kind
-    if kind is FamilyKind.RKC:
-        def A(j):
-            return 2.0 if j >= 2 else 1.0
+    """A_j, B_j (j = 0..s) of Q_j(x) = A_j x Q_{j-1}(x) + B_j Q_{j-2}(x), and w0.
 
-        def B(j):
-            return -1.0
-
-        w0 = 1.0 + family.eps / s**2
-    elif kind is FamilyKind.RKL:
-        def A(j):
-            return (2.0 * j - 1.0) / j if j >= 2 else 1.0
-
-        def B(j):
-            return -(j - 1.0) / j
-
-        w0 = 1.0
-    elif kind is FamilyKind.RKG:
-        g = family.g
-
-        def A(j):
-            return 2.0 * (j - 1.0 + g) / j if j >= 2 else 2.0 * g
-
-        def B(j):
-            return -(j - 2.0 + 2.0 * g) / j
-
-        w0 = 1.0
-    else:
-        raise ValueError(f"no recurrence for {kind!r}")
-    return A, B, w0
+    Explicit Euler is the one-stage Chebyshev member (Q_1(x) = x) and Legendre
+    is the Gegenbauer index g = 1/2.  A_0, B_0 and B_1 are unused.
+    """
+    if family.kind in (FamilyKind.EULER, FamilyKind.RKC):
+        return ([1.0, 1.0] + [2.0] * (s - 1), [0.0, 0.0] + [-1.0] * (s - 1),
+                1.0 + family.eps / s**2)
+    g = 0.5 if family.kind is FamilyKind.RKL else family.g
+    js = range(2, s + 1)
+    return ([2.0 * g] * 2 + [2.0 * (j - 1.0 + g) / j for j in js],
+            [0.0, 0.0] + [-(j - 2.0 + 2.0 * g) / j for j in js], 1.0)
 
 
 def make_coefficients(family: SchemeFamily, s: int) -> StageCoefficients:
@@ -198,31 +181,25 @@ def make_coefficients(family: SchemeFamily, s: int) -> StageCoefficients:
         raise ValueError(f"stabilized families need s >= 2, got s={s}")
     A, B, w0 = _recurrence_multipliers(family, s)
     # Q_j(w0) and its first two derivatives, by differentiating the recurrence.
-    T = np.zeros(s + 1)
-    U = np.zeros(s + 1)
-    V = np.zeros(s + 1)
-    T[0] = 1.0
-    T[1] = A(1) * w0
-    U[1] = A(1)
+    T = [1.0, A[1] * w0] + [0.0] * (s - 1)
+    U = [0.0, A[1]] + [0.0] * (s - 1)
+    V = [0.0] * (s + 1)
     for j in range(2, s + 1):
-        T[j] = A(j) * w0 * T[j - 1] + B(j) * T[j - 2]
-        U[j] = A(j) * (T[j - 1] + w0 * U[j - 1]) + B(j) * U[j - 2]
-        V[j] = A(j) * (2.0 * U[j - 1] + w0 * V[j - 1]) + B(j) * V[j - 2]
+        T[j] = A[j] * w0 * T[j - 1] + B[j] * T[j - 2]
+        U[j] = A[j] * (T[j - 1] + w0 * U[j - 1]) + B[j] * U[j - 2]
+        V[j] = A[j] * (2.0 * U[j - 1] + w0 * V[j - 1]) + B[j] * V[j - 2]
+    w1 = U[s] / V[s]
+    T, U, V, A, B = map(np.array, (T, U, V, A, B))
     b = np.zeros(s + 1)
     b[2:] = V[2:] / U[2:] ** 2
     b[0] = b[1] = b[2]
     a = 1.0 - b * T
-    w1 = U[s] / V[s]
-    mu = np.zeros(s + 1)
-    nu = np.zeros(s + 1)
-    mt = np.zeros(s + 1)
-    gt = np.zeros(s + 1)
+    mu, nu, mt, gt = (np.zeros(s + 1) for _ in range(4))
     mt[1] = b[1] * U[1] * w1
-    for j in range(2, s + 1):
-        mu[j] = A(j) * w0 * b[j] / b[j - 1]
-        nu[j] = B(j) * b[j] / b[j - 2]
-        mt[j] = A(j) * w1 * b[j] / b[j - 1]
-        gt[j] = -a[j - 1] * mt[j]
+    mu[2:] = A[2:] * w0 * b[2:] / b[1:-1]
+    nu[2:] = B[2:] * b[2:] / b[:-2]
+    mt[2:] = A[2:] * w1 * b[2:] / b[1:-1]
+    gt[2:] = -a[1:-1] * mt[2:]
     return StageCoefficients(family, s, w0, w1, a, b, mu, nu, mt, gt)
 
 
@@ -238,8 +215,8 @@ def _poly_eval(coeffs: StageCoefficients, z):
     mu, nu = coeffs.mu, coeffs.nu
     mt, gt = coeffs.mu_tilde, coeffs.gamma_tilde
     # Outside the stability window the recurrence overflows by design; the
-    # resulting inf/nan is read as "unstable" by the extent scan, so the
-    # intermediate warnings carry no information.
+    # resulting inf/nan reads as "unstable", so the intermediate warnings
+    # carry no information.
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(2, coeffs.s + 1):
             y = (mu[j] * ym1 + nu[j] * ym2 + (1.0 - mu[j] - nu[j]) * y0
@@ -253,68 +230,90 @@ def stability_poly_eval(coeffs: StageCoefficients, z: float) -> float:
     return float(_poly_eval(coeffs, float(z)))
 
 
-_EXTENT_CACHE: dict[tuple[SchemeFamily, int], float] = {}
+def _q(A: list, B: list, w: float) -> float:
+    """Q_s(w), s = len(A) - 1, by the plain-float three-term recurrence."""
+    qm2, qm1 = 1.0, A[1] * w
+    for a_j, b_j in zip(A[2:], B[2:]):
+        qm2, qm1 = qm1, a_j * w * qm1 + b_j * qm2
+    return qm1
 
 
-def _analytic_extent(family: SchemeFamily, s: int) -> float:
-    """(1 + w0)/w1: the undamped-boundary estimate of the stability interval.
-
-    Exact for the even-s Chebyshev/Legendre cases; the scan in
-    stability_extent refines it where touch points or odd-s end behavior move
-    the true boundary.
-    """
-    if family.kind is FamilyKind.EULER:
-        return 2.0
+@lru_cache(maxsize=None)
+def _extent(family: SchemeFamily, s: int) -> float:
     coeffs = make_coefficients(family, s)
-    return (1.0 + coeffs.w0) / coeffs.w1
+    A, B, w0 = _recurrence_multipliers(family, s)
+    a, b, w1 = float(coeffs.a[s]), float(coeffs.b[s]), coeffs.w1
+    top = 1.0 + SCAN_TOL
+    # |Q_s| <= Q_s(w0) on [-w0, w0]: |T_s| <= 1 and, for g > 0, |C_s^g| <=
+    # C_s^g(1) on [-1, 1], and past 1 every zero lies behind.  P_s is affine in
+    # Q_s, so this bounds |P_s(-x)| on the stretch 0 <= x <= 2 w0/w1.
+    if not abs(a) + abs(b) * abs(_q(A, B, w0)) <= top:
+        raise RuntimeError(f"{family.label} s={s}: cannot certify |P_s| <= 1 "
+                           "on [0, 2 w0/w1]")
+
+    def inside(x):  # an overflowed (non-finite) value counts as outside
+        return abs(a + b * _q(A, B, w0 - w1 * x)) <= top
+
+    # Past w = -w0 P_s is monotone and crosses the band once: bracket by
+    # doubling steps, then bisect.
+    lo = 2.0 * w0 / w1
+    step = 1e-9 * max(lo, 1.0)
+    while inside(lo + step):
+        lo += step
+        step *= 2.0
+    hi = lo + step
+    while hi - lo > 1e-9 * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if inside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def stability_extent(coeffs: StageCoefficients) -> float:
     """Largest beta with |P_s(-x)| <= 1 + 1e-12 on all of [0, beta].
 
-    Found by scanning at resolution guess/1e4 and bisecting the first
-    violation to 1e-9 relative.  Results are cached per (family, s).
+    The stretch up to 2 w0/w1, where the argument w0 + w1 z of Q_s reaches
+    -w0, is certified by one bound on the table's a_s, b_s and Q_s(w0); the
+    single crossing past it is bisected to 1e-9 relative.  Raises
+    RuntimeError if the bound fails.  Cached per (family, s).
     """
-    key = (coeffs.family, coeffs.s)
-    hit = _EXTENT_CACHE.get(key)
-    if hit is not None:
-        return hit
-    guess = 1.05 * (1.0 + coeffs.w0) / coeffs.w1
-    step = guess / 1e4
-    lo = 0.0
-    hi = lo_good = None
-    while hi is None:
-        xs = np.arange(lo + step, lo + guess + step, step)
-        bad = np.nonzero(np.abs(_poly_eval(coeffs, -xs)) > 1.0 + SCAN_TOL)[0]
-        if len(bad):
-            if lo == 0.0 and bad[0] == 0:
-                raise RuntimeError(
-                    f"{coeffs.family.label} s={coeffs.s}: stability polynomial "
-                    "exceeds 1 immediately left of the origin")
-            hi = xs[bad[0]]
-            lo_good = hi - step
-        else:
-            lo += guess
-            if lo > 100.0 * guess:
-                raise RuntimeError("no stability boundary found within 100 windows")
-    while hi - lo_good > 1e-9 * max(hi, 1.0):
-        mid = 0.5 * (hi + lo_good)
-        if abs(stability_poly_eval(coeffs, -mid)) > 1.0 + SCAN_TOL:
-            hi = mid
-        else:
-            lo_good = mid
-    _EXTENT_CACHE[key] = lo_good
-    return lo_good
+    return _extent(coeffs.family, coeffs.s)
 
 
-def _scanned_extent(family: SchemeFamily, s: int) -> float:
-    return stability_extent(make_coefficients(family, s))
+def _closed_extent(family: SchemeFamily, s: float) -> float:
+    """2 w0/w1 = 2 w0 Q_s''(w0)/Q_s'(w0) in closed form, for real s.
+
+    This is the extent for even s; odd s crosses a little further out.
+    Chebyshev differentiates T_s(cosh t) = cosh(s t); Gegenbauer uses
+    d/dx C_n^g = 2g C_{n-1}^{g+1} at w0 = 1.
+    """
+    if family.kind is FamilyKind.RKC:
+        th = math.acosh(1.0 + family.eps / s**2)
+        if th == 0.0:
+            return 2.0 * (s * s - 1.0) / 3.0
+        w0, sh = math.cosh(th), math.sinh(th)
+        return 2.0 * w0 * (s / math.tanh(s * th) * sh - w0) / sh**2
+    g = 0.5 if family.kind is FamilyKind.RKL else family.g
+    return 2.0 * (s - 1.0) * (s + 2.0 * g + 1.0) / (2.0 * g + 3.0)
+
+
+def _smallest_covering(s: int, covers) -> int:
+    """Smallest s >= 2 with covers(s), walking from s; covers is monotone."""
+    while not covers(s):
+        s += 1
+    while s > 2 and covers(s - 1):
+        s -= 1
+    return s
 
 
 def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
     """Smallest s whose damped stability interval covers dt * rho.
 
     Uses the safety factor 0.95, i.e. requires 0.95 * extent(s) >= dt * rho.
+    The closed-form extent gives the starting s without building a table;
+    certified extents at s and s - 1 then settle minimality.
     Explicit Euler has no stage count to raise, so an uncoverable step raises
     InfeasibleStepError instead of being run unstably.
     """
@@ -330,28 +329,14 @@ def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
                 f"explicit Euler needs dt*rho <= {SAFETY * 2.0}, got {need:.6g};"
                 f" use at least {factor}x more steps or a stabilized family")
         return 1
-    if need <= SAFETY * _scanned_extent(family, 2):
-        return 2
-    # bracket with the cheap analytic extent, then settle minimality with the
-    # scanned one
-    s = 2
-    while SAFETY * _analytic_extent(family, s) < need:
-        s *= 2
-        if s > 10**6:
-            raise RuntimeError("stage count out of range")
-    lo, hi = s // 2, s
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if SAFETY * _analytic_extent(family, mid) < need:
-            lo = mid
-        else:
-            hi = mid
-    s = max(hi, 2)
-    while SAFETY * _scanned_extent(family, s) < need:
-        s += 1
-    while s > 2 and SAFETY * _scanned_extent(family, s - 1) >= need:
-        s -= 1
-    return s
+    # every family's extent grows like s^2; scale the undamped Chebyshev root
+    s0 = max(2.0, math.sqrt(1.5 * need / SAFETY))
+    guess = s0 * math.sqrt(need / (SAFETY * _closed_extent(family, s0)))
+    if not guess <= 10**6:
+        raise RuntimeError("stage count out of range")
+    s = _smallest_covering(max(2, math.ceil(guess)),
+                           lambda k: SAFETY * _closed_extent(family, k) >= need)
+    return _smallest_covering(s, lambda k: SAFETY * _extent(family, k) >= need)
 
 
 def _as_linear_map(op):
@@ -404,6 +389,11 @@ class RunLog:
     wall_time: float = 0.0
     exploded: bool = False
     explosion_step: int | None = None
+    explosion_stage: int | None = None
+    rho: float = 0.0
+    need: float = 0.0  # dt * rho
+    margin: float = math.inf  # 0.95 * extent(s) / need
+    t_select: float = 0.0
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -428,9 +418,14 @@ def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
 
         rho = gershgorin_radius(op)
     dt = expiry / l
+    t0 = time.perf_counter()
     s = select_stage_count(family, dt, rho)
+    log = RunLog(family=family.label, eps_or_g=family.eps_or_g, l=l,
+                 rho=float(rho), need=float(dt * rho),
+                 t_select=time.perf_counter() - t0)
     coeffs = make_coefficients(family, s)
-    log = RunLog(family=family.label, eps_or_g=family.eps_or_g, l=l)
+    if log.need > 0.0:
+        log.margin = SAFETY * stability_extent(coeffs) / log.need
     y = np.array(initial, dtype=float, copy=True)
     t0 = time.perf_counter()
     for step in range(l):
@@ -440,6 +435,7 @@ def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
         except ExplosionError as exc:
             log.exploded = True
             log.explosion_step = step
+            log.explosion_stage = exc.stage
             exc.step = step
             break
     log.wall_time = time.perf_counter() - t0

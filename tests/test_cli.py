@@ -155,6 +155,10 @@ def test_price_smoke_and_determinism(tmp_path):
     log = [json.loads(line) for line in
            (out1 / "run_log.jsonl").read_text().splitlines()]
     assert len(log) == 1 and not log[0]["exploded"]
+    rec = log[0]
+    assert rec["explosion_stage"] is None and rec["t_select"] >= 0.0
+    assert rec["need"] == pytest.approx(rec["rho"] * 1.0 / 5)
+    assert rec["margin"] >= 1.0
     # identical configs must produce byte-identical data files
     for name in ("price_rkc_eps10.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -239,6 +243,8 @@ def test_strict_flag_fails_on_explosion(tmp_path):
     log = [json.loads(line) for line in
            (out / "run_log.jsonl").read_text().splitlines()]
     assert log[0]["exploded"] and log[0]["explosion_step"] is not None
+    assert 1 <= log[0]["explosion_stage"] <= log[0]["s_per_step"][0]
+    assert log[0]["margin"] >= 1.0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["price_at_spot"]["rkl"] is None
     # without --strict the run is recorded but the exit status stays 0

@@ -1,5 +1,7 @@
 """Stage recurrences against closed-form polynomials, extents, stage selection."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -8,12 +10,54 @@ from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
-from stslab.schemes import (ExplosionError, FamilyKind, InfeasibleStepError,
-                            SchemeFamily, explicit_euler, make_coefficients,
-                            rkc, rkg, rkl, run_integrator, select_stage_count,
-                            stability_extent, stability_poly_eval, super_step)
+import stslab.schemes as schemes
+from stslab.schemes import (SCAN_TOL, ExplosionError, FamilyKind,
+                            InfeasibleStepError, SchemeFamily, _poly_eval,
+                            _recurrence_multipliers, explicit_euler,
+                            make_coefficients, rkc, rkg, rkl, run_integrator,
+                            select_stage_count, stability_extent,
+                            stability_poly_eval, super_step)
 
 FAMILIES = [rkc(0.0), rkc(10.0), rkl(), rkg(2.0), rkg(0.7)]
+
+
+def brute_force_extent(coeffs):
+    """Largest beta with |P_s(-x)| <= 1 + 1e-12 on [0, beta], by brute force.
+
+    Runs the stage recurrence itself on a 1e4-point scan per window of
+    1.05 (1 + w0)/w1 and bisects the first violation to 1e-9 relative; the
+    library's certified search must agree with it.
+    """
+    guess = 1.05 * (1.0 + coeffs.w0) / coeffs.w1
+    step = guess / 1e4
+    lo = 0.0
+    hi = lo_good = None
+    while hi is None:
+        xs = np.arange(lo + step, lo + guess + step, step)
+        bad = np.nonzero(np.abs(_poly_eval(coeffs, -xs)) > 1.0 + SCAN_TOL)[0]
+        if len(bad):
+            if lo == 0.0 and bad[0] == 0:
+                raise RuntimeError(
+                    f"{coeffs.family.label} s={coeffs.s}: stability polynomial "
+                    "exceeds 1 immediately left of the origin")
+            hi = xs[bad[0]]
+            lo_good = hi - step
+        else:
+            lo += guess
+            if lo > 100.0 * guess:
+                raise RuntimeError("no stability boundary found within 100 windows")
+    while hi - lo_good > 1e-9 * max(hi, 1.0):
+        mid = 0.5 * (hi + lo_good)
+        if abs(stability_poly_eval(coeffs, -mid)) > 1.0 + SCAN_TOL:
+            hi = mid
+        else:
+            lo_good = mid
+    return lo_good
+
+
+@lru_cache(maxsize=None)
+def oracle_extent(family, s):
+    return brute_force_extent(make_coefficients(family, s))
 
 
 def closed_form(coeffs, z):
@@ -40,6 +84,41 @@ def test_recurrence_matches_closed_form(family, s):
     got = np.array([stability_poly_eval(coeffs, zz) for zz in z])
     want = closed_form(coeffs, z)
     assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
+
+
+def loop_coefficients(family, s):
+    """make_coefficients written as one scalar loop per table, as reference."""
+    A, B, w0 = _recurrence_multipliers(family, s)
+    T, U, V = np.zeros(s + 1), np.zeros(s + 1), np.zeros(s + 1)
+    T[0], T[1], U[1] = 1.0, A[1] * w0, A[1]
+    for j in range(2, s + 1):
+        T[j] = A[j] * w0 * T[j - 1] + B[j] * T[j - 2]
+        U[j] = A[j] * (T[j - 1] + w0 * U[j - 1]) + B[j] * U[j - 2]
+        V[j] = A[j] * (2.0 * U[j - 1] + w0 * V[j - 1]) + B[j] * V[j - 2]
+    b = np.zeros(s + 1)
+    b[2:] = V[2:] / U[2:] ** 2
+    b[0] = b[1] = b[2]
+    a = 1.0 - b * T
+    w1 = U[s] / V[s]
+    mu, nu, mt, gt = (np.zeros(s + 1) for _ in range(4))
+    mt[1] = b[1] * U[1] * w1
+    for j in range(2, s + 1):
+        mu[j] = A[j] * w0 * b[j] / b[j - 1]
+        nu[j] = B[j] * b[j] / b[j - 2]
+        mt[j] = A[j] * w1 * b[j] / b[j - 1]
+        gt[j] = -a[j - 1] * mt[j]
+    return w0, w1, a, b, mu, nu, mt, gt
+
+
+@pytest.mark.parametrize("family", FAMILIES + [rkc(1000.0), rkg(1.5)],
+                         ids=lambda f: f.label)
+def test_coefficients_equal_scalar_loops(family):
+    # same operations in the same order, so the tables agree bit for bit
+    for s in list(range(2, 61)) + [500]:
+        c = make_coefficients(family, s)
+        got = (c.w0, c.w1, c.a, c.b, c.mu, c.nu, c.mu_tilde, c.gamma_tilde)
+        for x, y in zip(got, loop_coefficients(family, s)):
+            assert np.array_equal(x, y), (s, x, y)
 
 
 def test_rkl4_symbolic_expansion():
@@ -123,6 +202,27 @@ def test_extent_ordering_chebyshev_legendre_gegenbauer(s):
     assert e_c > e_l > e_g
 
 
+@pytest.mark.parametrize("family", FAMILIES + [rkc(1000.0), rkg(1.5)],
+                         ids=lambda f: f.label)
+def test_extent_matches_brute_force(family):
+    for s in range(2, 61):
+        want = oracle_extent(family, s)
+        got = stability_extent(make_coefficients(family, s))
+        assert abs(got - want) <= 2e-9 * want, (s, got, want)
+
+
+def test_extent_refuses_uncertified_table(monkeypatch):
+    def doubled_b(fam, s):
+        coeffs = make_coefficients(fam, s)
+        coeffs.b[s] *= 2.0  # P_s(0) = 1 + b_s Q_s(w0) > 1
+        return coeffs
+
+    schemes._extent.cache_clear()
+    monkeypatch.setattr(schemes, "make_coefficients", doubled_b)
+    with pytest.raises(RuntimeError, match="cannot certify"):
+        stability_extent(make_coefficients(rkl(), 7))
+
+
 def test_damping_interior():
     coeffs = make_coefficients(rkc(10.0), 30)
     beta = stability_extent(coeffs)
@@ -156,6 +256,44 @@ def test_select_stage_count_minimal(family, need):
     assert 0.95 * stability_extent(make_coefficients(family, s)) >= need
     if s > 2:
         assert 0.95 * stability_extent(make_coefficients(family, s - 1)) < need
+
+
+@given(need=st.floats(min_value=0.1, max_value=1e4),
+       family=st.sampled_from(FAMILIES))
+@settings(max_examples=40, deadline=None)
+def test_select_stage_count_minimal_against_brute_force(need, family):
+    # both extents are bisected to 1e-9 relative, so a need within that
+    # distance of a decision boundary may fall on either side of it
+    s = select_stage_count(family, 1.0, need)
+    assert 0.95 * oracle_extent(family, s) * (1.0 + 2e-9) >= need
+    if s > 2:
+        assert 0.95 * oracle_extent(family, s - 1) * (1.0 - 2e-9) < need
+
+
+def test_select_stage_count_benchmark_pins():
+    # dt * rho of the cubic-grid barrier study at l = 20
+    need = 8485549.492363814
+    assert select_stage_count(rkl(), 1.0, need) == 4227
+    assert select_stage_count(rkg(2.0), 1.0, need) == 5590
+    assert select_stage_count(rkc(10.0), 1.0, need) == 5072
+
+
+@pytest.mark.parametrize("family", FAMILIES + [rkc(1000.0), rkg(1.5)],
+                         ids=lambda f: f.label)
+def test_cold_selection_builds_few_tables(family, monkeypatch):
+    built = []
+
+    def counting(fam, s):
+        built.append(s)
+        return make_coefficients(fam, s)
+
+    monkeypatch.setattr(schemes, "make_coefficients", counting)
+    for need in (0.5, 3.0, 17.0, 240.0, 6100.0, 8485549.492363814):
+        schemes._extent.cache_clear()
+        built.clear()
+        s = select_stage_count(family, 1.0, need)
+        assert len(built) <= 3, (need, built)
+        assert s in built
 
 
 def test_select_euler():
@@ -236,9 +374,14 @@ def test_explosion_detection():
                             rho=1.0)
     assert log.exploded
     assert log.explosion_step == 0
+    assert log.explosion_stage == 2  # stage 1 stays finite, stage 2 overflows
     assert np.all(np.isfinite(y))  # last finite state is returned
     d = log.to_dict()
     assert d["exploded"] is True and d["explosion_step"] == 0
+    assert d["explosion_stage"] == 2
+    assert d["rho"] == 1.0 and d["need"] == 0.5 and d["s_per_step"] == [2]
+    assert d["margin"] == pytest.approx(0.95 * 2.0 / 0.5) and d["margin"] >= 1.0
+    assert d["t_select"] >= 0.0
 
 
 def test_run_integrator_guards():
