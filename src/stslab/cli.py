@@ -502,8 +502,7 @@ def _cmd_bs_demo(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
     for label, curve in result.curves.items():
         _write_csv(out / f"price_{_sanitize(label)}.csv", ["x", "v", "value"],
                    ((x, 0.0, val) for x, val in zip(gx.nodes, curve)))
-    if result.spectrum is not None:
-        write_spectrum(result.spectrum, out / "spectrum.csv")
+    write_spectrum(result.spectrum, out / "spectrum.csv")
     with open(out / "summary.json", "w") as fh:
         json.dump({
             "threshold": result.threshold,

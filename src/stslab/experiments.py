@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.stats import norm
 
 from .grids import Grid1D, StretchKind, StretchSpec, make_cubic, make_sinh, make_uniform
 from .implicit import crank_nicolson_run, trbdf2_run
@@ -129,22 +128,26 @@ def _d2(params: BsParams, level: float) -> float:
             + (params.mu - 0.5 * params.sigma**2) * params.expiry) / sig
 
 
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
+
 def bs_closed_form(params: BsParams, payoff: Payoff) -> float:
     """Analytic price at the spot under constant volatility."""
     t = params.expiry
     df_r = math.exp(-params.r * t)
     df_q = math.exp(-params.q * t)
     if payoff.kind is PayoffKind.DIGITAL_RANGE:
-        return df_r * (norm.cdf(_d2(params, payoff.low))
-                       - norm.cdf(_d2(params, payoff.high)))
+        return df_r * (_norm_cdf(_d2(params, payoff.low))
+                       - _norm_cdf(_d2(params, payoff.high)))
     k = payoff.strike
     sig = params.sigma * math.sqrt(t)
     d2 = _d2(params, k)
     d1 = d2 + sig
     if payoff.kind is PayoffKind.CALL:
-        return params.spot * df_q * norm.cdf(d1) - k * df_r * norm.cdf(d2)
+        return params.spot * df_q * _norm_cdf(d1) - k * df_r * _norm_cdf(d2)
     if payoff.kind is PayoffKind.PUT:
-        return k * df_r * norm.cdf(-d2) - params.spot * df_q * norm.cdf(-d1)
+        return k * df_r * _norm_cdf(-d2) - params.spot * df_q * _norm_cdf(-d1)
     raise ValueError(f"unsupported payoff {payoff.kind!r}")
 
 
@@ -431,7 +434,6 @@ class BsScenario:
     l: int
     families: tuple[SchemeFamily, ...] = (rkl(), rkg(2.0), rkc(10.0))
     grid_label: str = ""
-    with_spectrum: bool = True
 
 
 @dataclass
@@ -440,7 +442,7 @@ class BsStudyResult:
     threshold: float
     curves: dict[str, np.ndarray]
     logs: list[dict]
-    spectrum: Spectrum | None
+    spectrum: Spectrum
 
 
 def run_bs_study(scenario: BsScenario) -> BsStudyResult:
@@ -487,7 +489,5 @@ def run_bs_study(scenario: BsScenario) -> BsStudyResult:
     if not baselines:
         raise RuntimeError("no finite clean baseline to calibrate the threshold")
     threshold = clean_threshold(*baselines)
-    spectrum = None
-    if scenario.with_spectrum:
-        spectrum = eigenvalues_dense(to_sparse(op), scale=p.expiry / scenario.l)
+    spectrum = eigenvalues_dense(to_sparse(op), scale=p.expiry / scenario.l)
     return BsStudyResult(reports, threshold, curves, logs, spectrum)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import get_lapack_funcs
 
-from .operators import StencilOperator, _band_entries, apply as apply_operator
+from .operators import StencilOperator, apply as apply_operator
 
 __all__ = [
     "BandedMatrix",
@@ -74,8 +74,8 @@ def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMat
         kl = ku = op.shape[1] + 1
     n = op.size
     ab = np.zeros((2 * kl + ku + 1, n))
-    for rows, cols, vals in _band_entries(op):
-        np.add.at(ab, (kl + ku + rows - cols, cols), beta * vals)
+    mat = op.matrix.tocoo()
+    ab[kl + ku + mat.row - mat.col, mat.col] = beta * mat.data
     ab[kl + ku, :] += alpha
     return BandedMatrix(ab=ab, kl=kl, ku=ku, n=n)
 

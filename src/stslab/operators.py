@@ -23,7 +23,9 @@ arrays a, b, c, d, e, cross so that
                + cross_{ij} (f_{i+1,j+1} - f_{i+1,j-1} - f_{i-1,j+1} + f_{i-1,j-1})
 
 with out-of-lattice neighbors contributing zero because their coefficients
-vanish by construction.
+vanish by construction.  Each operator also carries M itself as a CSR matrix,
+built once from these arrays; `_band_entries` is the one place that maps a
+coefficient to its lattice neighbor.
 """
 
 from __future__ import annotations
@@ -145,6 +147,14 @@ class StencilOperator:
     policy: UpwindPolicy
     fitted_x: np.ndarray = field(repr=False, default=None)
     fitted_v: np.ndarray = field(repr=False, default=None)
+    matrix: scipy.sparse.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # The vectorized M, built once; explicit zeros are dropped.
+        rows, cols, vals = (np.concatenate(parts) for parts in zip(*_band_entries(self)))
+        keep = vals != 0.0
+        self.matrix = scipy.sparse.csr_matrix(
+            (vals[keep], (rows[keep], cols[keep])), shape=(self.size, self.size))
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -248,21 +258,27 @@ def _policy_masks(policy: UpwindPolicy, px, pv, v):
     raise ValueError(f"unknown policy {policy!r}")
 
 
-def _x_direction_parts(adv, diff_eff, h_lo, h_hi, onesided):
-    """Central stencil contributions of  A f' + (D/2) f''  on a non-uniform mesh.
+def _direction_parts(adv, diff, h_lo, h_hi, flagged, onesided):
+    """Stencil contributions of  A f' + (D/2) f''  on a non-uniform mesh.
 
     Returns (lo, mid, hi) coefficient contributions for the f_{k-1}, f_k,
-    f_{k+1} neighbors.  Where onesided is set, the advection difference is
-    replaced by the first-order difference on the side the information comes
-    from; the diffusion part stays central.
+    f_{k+1} neighbors.  Differences are central except at flagged nodes:
+    there the diffusion is exponentially fitted or, with onesided, the
+    advection difference is replaced by the first-order difference on the
+    side the information comes from while the diffusion stays central.
     """
+    if onesided:
+        os_mask = flagged
+    else:
+        diff = np.where(flagged, _fitted_diffusion(diff, adv, h_lo, h_hi), diff)
+        os_mask = np.zeros_like(flagged)
     span = h_lo + h_hi
-    adv_c = np.where(onesided, 0.0, adv)
-    lo = -(adv_c * h_hi - diff_eff) / (h_lo * span)
-    hi = (adv_c * h_lo + diff_eff) / (h_hi * span)
-    mid = -(adv_c * (h_lo - h_hi) + diff_eff) / (h_lo * h_hi)
-    up = onesided & (adv > 0.0)
-    dn = onesided & (adv < 0.0)
+    adv_c = np.where(os_mask, 0.0, adv)
+    lo = -(adv_c * h_hi - diff) / (h_lo * span)
+    hi = (adv_c * h_lo + diff) / (h_hi * span)
+    mid = -(adv_c * (h_lo - h_hi) + diff) / (h_lo * h_hi)
+    up = os_mask & (adv > 0.0)
+    dn = os_mask & (adv < 0.0)
     hi = hi + np.where(up, adv / h_hi, 0.0)
     mid = mid - np.where(up, adv / h_hi, 0.0)
     lo = lo - np.where(dn, adv / h_lo, 0.0)
@@ -297,15 +313,8 @@ def assemble_heston(params: HestonParams, gx: Grid1D, gv: Grid1D, policy: Upwind
     h_lo = h[:-1][:, None]
     h_hi = h[1:][:, None]
     xi = x[1:m][:, None]
-    adv_x = mu * xi
-    diff_x = v[None, :] * xi**2
-    if onesided:
-        diff_x_eff = diff_x
-        os_x = fit_x[1:m, :]
-    else:
-        diff_x_eff = np.where(fit_x[1:m, :], _fitted_diffusion(diff_x, adv_x, h_lo, h_hi), diff_x)
-        os_x = np.zeros_like(fit_x[1:m, :])
-    ax, bx, cx = _x_direction_parts(adv_x, diff_x_eff, h_lo, h_hi, os_x)
+    ax, bx, cx = _direction_parts(mu * xi, v[None, :] * xi**2, h_lo, h_hi,
+                                  fit_x[1:m, :], onesided)
     a[1:m, :] = ax
     c[1:m, :] = cx
     b[1:m, :] = bx - r
@@ -315,17 +324,11 @@ def assemble_heston(params: HestonParams, gx: Grid1D, gv: Grid1D, policy: Upwind
         w_lo = w[:-1][None, :]
         w_hi = w[1:][None, :]
         vj = v[1:n][None, :]
-        adv_v = params.kappa * (params.theta - vj)
-        diff_v = params.sigma**2 * vj
-        if onesided:
-            diff_v_eff = np.broadcast_to(diff_v, (m - 1, n - 1))
-            os_v = fit_v[None, 1:n] & np.ones((m - 1, 1), dtype=bool)
-        else:
-            fitted = _fitted_diffusion(diff_v, adv_v, w_lo, w_hi)
-            diff_v_eff = np.where(fit_v[1:n][None, :], fitted, diff_v)
-            diff_v_eff = np.broadcast_to(diff_v_eff, (m - 1, n - 1))
-            os_v = np.zeros((m - 1, n - 1), dtype=bool)
-        dv, bv, ev = _x_direction_parts(adv_v, diff_v_eff, w_lo, w_hi, os_v)
+        inner = (m - 1, n - 1)
+        dv, bv, ev = _direction_parts(
+            params.kappa * (params.theta - vj),
+            np.broadcast_to(params.sigma**2 * vj, inner), w_lo, w_hi,
+            np.broadcast_to(fit_v[None, 1:n], inner), onesided)
         d[1:m, 1:n] = dv
         e[1:m, 1:n] = ev
         b[1:m, 1:n] += bv
@@ -385,15 +388,8 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
     h_lo = h[:-1]
     h_hi = h[1:]
     xi = x[1:m]
-    adv = mu * xi
-    diff = params.sigma**2 * xi**2
-    if onesided:
-        diff_eff = diff
-        os_mask = fit_x[1:m]
-    else:
-        diff_eff = np.where(fit_x[1:m], _fitted_diffusion(diff, adv, h_lo, h_hi), diff)
-        os_mask = np.zeros(m - 1, dtype=bool)
-    ax, bx, cx = _x_direction_parts(adv, diff_eff, h_lo, h_hi, os_mask)
+    ax, bx, cx = _direction_parts(mu * xi, params.sigma**2 * xi**2, h_lo, h_hi,
+                                  fit_x[1:m], onesided)
     a[1:m] = ax
     c[1:m] = cx
     b[1:m] = bx - r
@@ -410,22 +406,19 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
 
 
 def apply(op: StencilOperator, f: np.ndarray) -> np.ndarray:
-    """Evaluate M f on the lattice."""
+    """Evaluate M f on the lattice.
+
+    In 1-D the three-term stencil is cheaper than a sparse matvec, whose
+    dispatch costs more than the arithmetic on a few hundred nodes.
+    """
     f = np.asarray(f)
     if f.shape != op.shape:
         raise ValueError(f"field shape {f.shape} does not match operator {op.shape}")
+    if not op.is_1d:
+        return (op.matrix @ f.ravel()).reshape(op.shape)
     out = op.b * f
-    if op.is_1d:
-        out[1:] += op.a[1:] * f[:-1]
-        out[:-1] += op.c[:-1] * f[1:]
-        return out
-    out[1:, :] += op.a[1:, :] * f[:-1, :]
-    out[:-1, :] += op.c[:-1, :] * f[1:, :]
-    out[:, 1:] += op.d[:, 1:] * f[:, :-1]
-    out[:, :-1] += op.e[:, :-1] * f[:, 1:]
-    out[1:-1, 1:-1] += op.cross[1:-1, 1:-1] * (
-        f[2:, 2:] - f[2:, :-2] - f[:-2, 2:] + f[:-2, :-2]
-    )
+    out[1:] += op.a[1:] * f[:-1]
+    out[:-1] += op.c[:-1] * f[1:]
     return out
 
 
@@ -464,19 +457,6 @@ def _band_entries(op: StencilOperator):
         yield rows.ravel(), cols.ravel(), vals.ravel()
 
 
-def to_sparse(op: StencilOperator) -> scipy.sparse.coo_matrix:
-    """Coordinate-form matrix of the vectorized operator (explicit zeros dropped)."""
-    rows, cols, vals = [], [], []
-    for rr, cc, vv in _band_entries(op):
-        keep = vv != 0.0
-        rows.append(rr[keep])
-        cols.append(cc[keep])
-        vals.append(vv[keep])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-    size = op.size
-    mat = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(size, size))
-    mat.sum_duplicates()
-    return mat
-
+def to_sparse(op: StencilOperator) -> scipy.sparse.csr_matrix:
+    """The operator's matrix M (shared, not a copy; explicit zeros dropped)."""
+    return op.matrix

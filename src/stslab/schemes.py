@@ -239,7 +239,8 @@ def _q(A: list, B: list, w: float) -> float:
 
 
 @lru_cache(maxsize=None)
-def _extent(family: SchemeFamily, s: int) -> float:
+def _certified(family: SchemeFamily, s: int) -> tuple[StageCoefficients, float]:
+    """The coefficient table of (family, s) and its stability extent."""
     coeffs = make_coefficients(family, s)
     A, B, w0 = _recurrence_multipliers(family, s)
     a, b, w1 = float(coeffs.a[s]), float(coeffs.b[s]), coeffs.w1
@@ -268,7 +269,7 @@ def _extent(family: SchemeFamily, s: int) -> float:
             lo = mid
         else:
             hi = mid
-    return lo
+    return coeffs, lo
 
 
 def stability_extent(coeffs: StageCoefficients) -> float:
@@ -279,7 +280,7 @@ def stability_extent(coeffs: StageCoefficients) -> float:
     single crossing past it is bisected to 1e-9 relative.  Raises
     RuntimeError if the bound fails.  Cached per (family, s).
     """
-    return _extent(coeffs.family, coeffs.s)
+    return _certified(coeffs.family, coeffs.s)[1]
 
 
 def _closed_extent(family: SchemeFamily, s: float) -> float:
@@ -336,7 +337,7 @@ def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
         raise RuntimeError("stage count out of range")
     s = _smallest_covering(max(2, math.ceil(guess)),
                            lambda k: SAFETY * _closed_extent(family, k) >= need)
-    return _smallest_covering(s, lambda k: SAFETY * _extent(family, k) >= need)
+    return _smallest_covering(s, lambda k: SAFETY * _certified(family, k)[1] >= need)
 
 
 def _as_linear_map(op):
@@ -423,9 +424,9 @@ def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
     log = RunLog(family=family.label, eps_or_g=family.eps_or_g, l=l,
                  rho=float(rho), need=float(dt * rho),
                  t_select=time.perf_counter() - t0)
-    coeffs = make_coefficients(family, s)
+    coeffs, extent = _certified(family, s)
     if log.need > 0.0:
-        log.margin = SAFETY * stability_extent(coeffs) / log.need
+        log.margin = SAFETY * extent / log.need
     y = np.array(initial, dtype=float, copy=True)
     t0 = time.perf_counter()
     for step in range(l):

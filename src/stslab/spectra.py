@@ -39,12 +39,9 @@ class Spectrum:
 def gershgorin_radius(op: StencilOperator) -> float:
     """Max over rows of |diagonal| + sum of |off-diagonals| of M.
 
-    Upper bound on the spectral radius.  Each cross coefficient appears in
-    four entries of its row with unit weights, hence the factor 4.
+    Upper bound on the spectral radius.
     """
-    total = (np.abs(op.a) + np.abs(op.b) + np.abs(op.c)
-             + np.abs(op.d) + np.abs(op.e) + 4.0 * np.abs(op.cross))
-    return float(total.max())
+    return float(abs(op.matrix).sum(axis=1).max())
 
 
 def eigenvalues_dense(mat, scale: float = 1.0, check_residuals: bool = False,
@@ -57,19 +54,12 @@ def eigenvalues_dense(mat, scale: float = 1.0, check_residuals: bool = False,
     pairs, guarding against ill-conditioned decompositions of the strongly
     nonnormal fitted operators.
     """
-    if scipy.sparse.issparse(mat):
-        n = mat.shape[0]
-        if n > DENSE_GUARD:
-            raise ValueError(
-                f"matrix dimension {n} exceeds the dense guard {DENSE_GUARD}; "
-                "coarsen the grid or use an iterative eigensolver externally")
-        dense = mat.toarray()
-    else:
-        dense = np.asarray(mat)
-        n = dense.shape[0]
-        if n > DENSE_GUARD:
-            raise ValueError(
-                f"matrix dimension {n} exceeds the dense guard {DENSE_GUARD}")
+    n = np.shape(mat)[0]
+    if n > DENSE_GUARD:
+        raise ValueError(
+            f"matrix dimension {n} exceeds the dense guard {DENSE_GUARD}; "
+            "coarsen the grid or use an iterative eigensolver externally")
+    dense = mat.toarray() if scipy.sparse.issparse(mat) else np.asarray(mat)
     if dense.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {dense.shape}")
     dense = scale * dense

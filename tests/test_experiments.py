@@ -1,9 +1,12 @@
 """Payoffs, metrics, and the experiment drivers."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from stslab.experiments import (BsScenario, ConvergenceStudy, bs_closed_form,
                                 bs_cubic_grid, bs_sinh_grid, bs_uniform_grid,
@@ -15,7 +18,7 @@ from stslab.experiments import (BsScenario, ConvergenceStudy, bs_closed_form,
                                 run_bs_study, run_delta_comparison,
                                 run_time_convergence)
 from stslab.grids import Grid1D, make_uniform
-from stslab.operators import UpwindPolicy, assemble_bs, assemble_heston
+from stslab.operators import BsParams, UpwindPolicy, assemble_bs, assemble_heston
 from stslab.schemes import rkc, rkl
 
 # --------------------------------------------------------------- oscillation
@@ -118,6 +121,36 @@ def test_closed_form_frozen_values():
         2.7316721566155464e-7, rel=1e-13)
     assert bs_closed_form(params, call(100.0)) == pytest.approx(
         9.51625829810788, rel=1e-13)
+
+
+@pytest.mark.parametrize("params, strikes", [
+    (default_bs_params(), (95.0, 100.0, 113.0, 125.0)),
+    (BsParams(sigma=0.3, r=0.03, q=0.01, spot=90.0, expiry=2.0),
+     (10.0, 60.0, 100.0, 140.0)),
+], ids=["default", "sigma0.3"])
+def test_closed_form_against_scipy_norm(params, strikes):
+    # scipy's normal cdf is the oracle.  The strikes keep |d| <= 9; a price is
+    # a difference of two terms, so the error is relative to their size.
+    t = params.expiry
+    df_r, df_q = math.exp(-params.r * t), math.exp(-params.q * t)
+    sig = params.sigma * math.sqrt(t)
+
+    def d2(level):
+        return (math.log(params.spot / level)
+                + (params.mu - 0.5 * params.sigma**2) * t) / sig
+
+    def check(got, plus, minus):
+        assert abs(got - (plus - minus)) <= 1e-14 * (plus + minus)
+
+    for k in strikes:
+        d1 = d2(k) + sig
+        check(bs_closed_form(params, call(k)),
+              params.spot * df_q * norm.cdf(d1), k * df_r * norm.cdf(d2(k)))
+        check(bs_closed_form(params, put(k)),
+              k * df_r * norm.cdf(-d2(k)), params.spot * df_q * norm.cdf(-d1))
+    for low, high in zip(strikes, strikes[1:]):
+        check(bs_closed_form(params, digital_range(low, high)),
+              df_r * norm.cdf(d2(low)), df_r * norm.cdf(d2(high)))
 
 
 # ----------------------------------------------------------- metrics helpers

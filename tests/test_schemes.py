@@ -217,7 +217,7 @@ def test_extent_refuses_uncertified_table(monkeypatch):
         coeffs.b[s] *= 2.0  # P_s(0) = 1 + b_s Q_s(w0) > 1
         return coeffs
 
-    schemes._extent.cache_clear()
+    schemes._certified.cache_clear()
     monkeypatch.setattr(schemes, "make_coefficients", doubled_b)
     with pytest.raises(RuntimeError, match="cannot certify"):
         stability_extent(make_coefficients(rkl(), 7))
@@ -289,11 +289,30 @@ def test_cold_selection_builds_few_tables(family, monkeypatch):
 
     monkeypatch.setattr(schemes, "make_coefficients", counting)
     for need in (0.5, 3.0, 17.0, 240.0, 6100.0, 8485549.492363814):
-        schemes._extent.cache_clear()
+        schemes._certified.cache_clear()
         built.clear()
         s = select_stage_count(family, 1.0, need)
         assert len(built) <= 3, (need, built)
         assert s in built
+
+
+@pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
+def test_cold_run_builds_no_table_beyond_selection(family, monkeypatch):
+    built = []
+
+    def counting(fam, s):
+        built.append(s)
+        return make_coefficients(fam, s)
+
+    monkeypatch.setattr(schemes, "make_coefficients", counting)
+    schemes._certified.cache_clear()
+    s = select_stage_count(family, 0.1, 6100.0)
+    by_selection = list(built)
+    schemes._certified.cache_clear()
+    built.clear()
+    _, log = run_integrator(family, lambda y: -y, np.ones(3), 0.1, 1, rho=6100.0)
+    assert log.s_per_step == [s]
+    assert built == by_selection
 
 
 def test_select_euler():

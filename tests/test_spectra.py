@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from stslab.experiments import bs_cubic_grid
 from stslab.grids import Grid1D, make_uniform
-from stslab.operators import (StencilOperator, UpwindPolicy, assemble_heston,
-                              to_sparse)
+from stslab.operators import (StencilOperator, UpwindPolicy, assemble_bs,
+                              assemble_heston, to_sparse)
 from stslab.spectra import (DENSE_GUARD, Spectrum, eigenvalues_dense,
                             gershgorin_radius, write_spectrum)
 
@@ -32,6 +33,26 @@ def toeplitz_op(m: int, h: float) -> StencilOperator:
 
 def test_gershgorin_of_laplacian_rows():
     assert gershgorin_radius(toeplitz_op(20, 0.1)) == pytest.approx(4.0 / 0.01)
+
+
+def gershgorin_by_arrays(op):
+    """Row bound from the coefficient arrays: each cross term sits in four entries."""
+    total = (np.abs(op.a) + np.abs(op.b) + np.abs(op.c)
+             + np.abs(op.d) + np.abs(op.e) + 4.0 * np.abs(op.cross))
+    return float(total.max())
+
+
+@pytest.mark.parametrize("policy", list(UpwindPolicy), ids=lambda p: p.value)
+def test_gershgorin_matches_array_formula(policy, heston_params, gx_stress,
+                                          gv_stress, bs_params):
+    op = assemble_heston(heston_params, gx_stress, gv_stress, policy)
+    want = gershgorin_by_arrays(op)
+    assert abs(gershgorin_radius(op) - want) <= 1e-15 * want
+    if policy is UpwindPolicy.FOULON_REGION:
+        return
+    for grid in (make_uniform(0.0, 150.0, 100), bs_cubic_grid()):
+        op = assemble_bs(bs_params, grid, policy)
+        assert gershgorin_radius(op) == gershgorin_by_arrays(op)
 
 
 def test_toeplitz_eigenvalues_closed_form():
