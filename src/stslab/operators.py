@@ -405,20 +405,28 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
                            policy, fit_full, np.zeros(m + 1, dtype=bool))
 
 
-def apply(op: StencilOperator, f: np.ndarray) -> np.ndarray:
-    """Evaluate M f on the lattice.
+def apply(op: StencilOperator, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Evaluate M f on the lattice; with out given, write it there and return out.
 
     In 1-D the three-term stencil is cheaper than a sparse matvec, whose
-    dispatch costs more than the arithmetic on a few hundred nodes.
+    dispatch costs more than the arithmetic on a few hundred nodes.  out must
+    not overlap f: the stencil reads f after it starts writing out.
     """
     f = np.asarray(f)
     if f.shape != op.shape:
         raise ValueError(f"field shape {f.shape} does not match operator {op.shape}")
+    if out is not None and np.may_share_memory(out, f):
+        raise ValueError("out must not share memory with the field")
     if not op.is_1d:
-        return (op.matrix @ f.ravel()).reshape(op.shape)
-    out = op.b * f
-    out[1:] += op.a[1:] * f[:-1]
-    out[:-1] += op.c[:-1] * f[1:]
+        mf = (op.matrix @ f.ravel()).reshape(op.shape)
+        if out is None:
+            return mf
+        np.copyto(out, mf)
+        return out
+    out = np.multiply(op.b, f, out)
+    lo, hi = out[1:], out[:-1]
+    np.add(lo, op.a[1:] * f[:-1], lo)
+    np.add(hi, op.c[:-1] * f[1:], hi)
     return out
 
 

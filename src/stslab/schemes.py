@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 SAFETY = 0.95
-SCAN_TOL = 1e-12
+EXTENT_TOL = 1e-12
 
 
 class ExplosionError(RuntimeError):
@@ -204,8 +204,11 @@ def make_coefficients(family: SchemeFamily, s: int) -> StageCoefficients:
 
 
 def _poly_eval(coeffs: StageCoefficients, z):
-    """Run the stage recurrence on y' = (z/dt) y with dt = 1 and y0 = 1."""
-    z = np.asarray(z, dtype=float)
+    """Run the stage recurrence on y' = (z/dt) y with dt = 1 and y0 = 1.
+
+    z may be real or complex; the result has z's kind in double precision.
+    """
+    z = np.asarray(z, dtype=np.result_type(z, np.float64))
     y0 = np.ones_like(z)
     f0 = z
     y1 = y0 + coeffs.mu_tilde[1] * f0
@@ -244,7 +247,7 @@ def _certified(family: SchemeFamily, s: int) -> tuple[StageCoefficients, float]:
     coeffs = make_coefficients(family, s)
     A, B, w0 = _recurrence_multipliers(family, s)
     a, b, w1 = float(coeffs.a[s]), float(coeffs.b[s]), coeffs.w1
-    top = 1.0 + SCAN_TOL
+    top = 1.0 + EXTENT_TOL
     # |Q_s| <= Q_s(w0) on [-w0, w0]: |T_s| <= 1 and, for g > 0, |C_s^g| <=
     # C_s^g(1) on [-1, 1], and past 1 every zero lies behind.  P_s is affine in
     # Q_s, so this bounds |P_s(-x)| on the stretch 0 <= x <= 2 w0/w1.
@@ -341,42 +344,66 @@ def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
 
 
 def _as_linear_map(op):
+    """F(y, out) = M y: a StencilOperator writes into out, a callable ignores it."""
     if isinstance(op, StencilOperator):
-        return lambda y: apply_operator(op, y)
+        # the global is looked up per call, so rebinding it reaches every stage
+        return lambda y, out: apply_operator(op, y, out)
     if callable(op):
-        return op
+        return lambda y, out: op(y)
     raise TypeError(f"expected StencilOperator or callable, got {type(op)!r}")
+
+
+def _stages(coeffs: StageCoefficients, F, y0: np.ndarray, dt: float,
+            check_each: bool) -> np.ndarray:
+    """Y_s of the stage recurrence from Y_0 = y0, in preallocated buffers.
+
+    Every product and sum is one ufunc in the order of the written formula
+    mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0 + dt (mt F(Y_{j-1}) + gt F(Y_0)),
+    so the result does not depend on check_each.  With check_each, raises
+    ExplosionError at the first stage value that is not finite.
+    """
+    mul, add = np.multiply, np.add
+    # Y[j % 3] holds stage j >= 1: stage j overwrites stage j - 3.
+    Y = [np.empty_like(y0) for _ in range(3)]
+    fy, t1, t2 = (np.empty_like(y0) for _ in range(3))
+    f0 = F(y0, np.empty_like(y0))
+    y1 = add(y0, mul(f0, coeffs.mu_tilde[1] * dt, Y[1]), Y[1])
+    if check_each and not np.isfinite(y1).all():
+        raise ExplosionError(stage=1)
+    ym2, ym1 = y0, y1
+    tables = (coeffs.mu[2:].tolist(), coeffs.nu[2:].tolist(),
+              coeffs.mu_tilde[2:].tolist(), coeffs.gamma_tilde[2:].tolist())
+    for j, mu, nu, mt, gt in zip(range(2, coeffs.s + 1), *tables):
+        fy = F(ym1, fy)
+        y = mul(ym1, mu, Y[j % 3])
+        add(y, mul(ym2, nu, t1), y)
+        add(y, mul(y0, 1.0 - mu - nu, t1), y)
+        add(mul(fy, mt, t1), mul(f0, gt, t2), t1)
+        add(y, mul(t1, dt, t1), y)
+        if check_each and not np.isfinite(y).all():
+            raise ExplosionError(stage=j)
+        ym2, ym1 = ym1, y
+    return ym1
 
 
 def super_step(coeffs: StageCoefficients, op, state: np.ndarray,
                dt: float) -> np.ndarray:
     """One macro-step of size dt of the stage recurrence; returns Y_s.
 
-    Raises ExplosionError carrying the stage index as soon as any stage value
-    turns non-finite.
+    Raises ExplosionError carrying the index of the first stage whose value
+    is not finite.  Non-finite values are absorbing under the recurrence
+    (mu_j != 0 carries them forward and M spreads them), so one check of Y_s
+    detects an explosion; only then is the step re-run with a check per stage.
     """
     F = _as_linear_map(op)
     y0 = np.asarray(state, dtype=float)
-    # The isfinite checks below are the explosion detector; once a stage
-    # diverges the overflow warnings on the way to inf carry no information.
+    # The isfinite checks are the explosion detector; once a stage diverges
+    # the overflow warnings on the way to inf carry no information.
     with np.errstate(over="ignore", invalid="ignore"):
-        f0 = F(y0)
-        y1 = y0 + coeffs.mu_tilde[1] * dt * f0
-        if not np.isfinite(y1).all():
-            raise ExplosionError(stage=1)
-        if coeffs.s == 1:
-            return y1
-        mu, nu = coeffs.mu, coeffs.nu
-        mt, gt = coeffs.mu_tilde, coeffs.gamma_tilde
-        ym2, ym1 = y0, y1
-        for j in range(2, coeffs.s + 1):
-            fy = F(ym1)
-            y = (mu[j] * ym1 + nu[j] * ym2 + (1.0 - mu[j] - nu[j]) * y0
-                 + dt * (mt[j] * fy + gt[j] * f0))
-            if not np.isfinite(y).all():
-                raise ExplosionError(stage=j)
-            ym2, ym1 = ym1, y
-    return ym1
+        y = _stages(coeffs, F, y0, dt, check_each=False)
+        if not np.isfinite(y).all():
+            y = _stages(coeffs, F, y0, dt, check_each=True)
+    return y
 
 
 @dataclass
@@ -395,6 +422,8 @@ class RunLog:
     need: float = 0.0  # dt * rho
     margin: float = math.inf  # 0.95 * extent(s) / need
     t_select: float = 0.0
+    dt: float = 0.0
+    stage_evals: int = 0  # stages run, the sum of s_per_step
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -423,7 +452,7 @@ def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
     s = select_stage_count(family, dt, rho)
     log = RunLog(family=family.label, eps_or_g=family.eps_or_g, l=l,
                  rho=float(rho), need=float(dt * rho),
-                 t_select=time.perf_counter() - t0)
+                 t_select=time.perf_counter() - t0, dt=float(dt))
     coeffs, extent = _certified(family, s)
     if log.need > 0.0:
         log.margin = SAFETY * extent / log.need
@@ -440,4 +469,5 @@ def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
             exc.step = step
             break
     log.wall_time = time.perf_counter() - t0
+    log.stage_evals = sum(log.s_per_step)
     return y, log

@@ -158,6 +158,7 @@ def test_price_smoke_and_determinism(tmp_path):
     rec = log[0]
     assert rec["explosion_stage"] is None and rec["t_select"] >= 0.0
     assert rec["need"] == pytest.approx(rec["rho"] * 1.0 / 5)
+    assert rec["dt"] == 1.0 / 5 and rec["stage_evals"] == sum(rec["s_per_step"])
     assert rec["margin"] >= 1.0
     # identical configs must produce byte-identical data files
     for name in ("price_rkc_eps10.csv", "summary.json"):

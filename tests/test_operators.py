@@ -345,6 +345,26 @@ def test_apply_shape_guard(bs_params):
         apply(op, np.zeros(12))
 
 
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_apply_into_out(dim, heston_params, bs_params, gx_small, gv_small):
+    if dim == "1d":
+        op = assemble_bs(bs_params, make_uniform(0.0, 150.0, 60),
+                         UpwindPolicy.PARTIAL_FITTING)
+    else:
+        op = assemble_heston(heston_params, gx_small, gv_small,
+                             UpwindPolicy.PARTIAL_FITTING)
+    f = np.random.default_rng(5).standard_normal(op.shape)
+    buf = np.full(op.shape, np.nan)
+    got = apply(op, f, out=buf)
+    assert got is buf
+    assert np.array_equal(buf, apply(op, f))
+    # an out that overlaps the field would read values it already overwrote
+    with pytest.raises(ValueError, match="share memory"):
+        apply(op, f, out=f)
+    with pytest.raises(ValueError, match="share memory"):
+        apply(op, f[..., ::-1], out=f)
+
+
 # --------------------------------------------------- consistency with PDE
 
 def _heston_truncation_rms(params, m, n):

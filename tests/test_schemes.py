@@ -1,5 +1,6 @@
 """Stage recurrences against closed-form polynomials, extents, stage selection."""
 
+import dataclasses
 from functools import lru_cache
 
 import numpy as np
@@ -11,12 +12,18 @@ from scipy.optimize import minimize_scalar
 from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
 import stslab.schemes as schemes
-from stslab.schemes import (SCAN_TOL, ExplosionError, FamilyKind,
+from stslab.experiments import (bs_cubic_grid, call, default_bs_params,
+                                default_heston_params, foulon_grid_v,
+                                foulon_grid_x, payoff_eval)
+from stslab.operators import (StencilOperator, UpwindPolicy, apply,
+                              assemble_bs, assemble_heston)
+from stslab.schemes import (EXTENT_TOL, ExplosionError, FamilyKind,
                             InfeasibleStepError, SchemeFamily, _poly_eval,
                             _recurrence_multipliers, explicit_euler,
                             make_coefficients, rkc, rkg, rkl, run_integrator,
                             select_stage_count, stability_extent,
                             stability_poly_eval, super_step)
+from stslab.spectra import gershgorin_radius
 
 FAMILIES = [rkc(0.0), rkc(10.0), rkl(), rkg(2.0), rkg(0.7)]
 
@@ -34,7 +41,7 @@ def brute_force_extent(coeffs):
     hi = lo_good = None
     while hi is None:
         xs = np.arange(lo + step, lo + guess + step, step)
-        bad = np.nonzero(np.abs(_poly_eval(coeffs, -xs)) > 1.0 + SCAN_TOL)[0]
+        bad = np.nonzero(np.abs(_poly_eval(coeffs, -xs)) > 1.0 + EXTENT_TOL)[0]
         if len(bad):
             if lo == 0.0 and bad[0] == 0:
                 raise RuntimeError(
@@ -48,7 +55,7 @@ def brute_force_extent(coeffs):
                 raise RuntimeError("no stability boundary found within 100 windows")
     while hi - lo_good > 1e-9 * max(hi, 1.0):
         mid = 0.5 * (hi + lo_good)
-        if abs(stability_poly_eval(coeffs, -mid)) > 1.0 + SCAN_TOL:
+        if abs(stability_poly_eval(coeffs, -mid)) > 1.0 + EXTENT_TOL:
             hi = mid
         else:
             lo_good = mid
@@ -380,14 +387,17 @@ def test_super_step_matches_polynomial_on_diagonal_system():
         assert np.allclose(y, want, rtol=1e-12, atol=1e-13), fam.label
         assert not log.exploded
         assert log.l == l and len(log.s_per_step) == l
+        assert log.dt == dt and log.stage_evals == l * log.s_per_step[0]
 
 
 def test_explosion_detection():
     coeffs = make_coefficients(rkc(10.0), 4)
     grow = lambda y: 1e120 * y
+    with pytest.raises(ExplosionError) as want:
+        reference_super_step(coeffs, grow, np.ones(3), 1e200)
     with pytest.raises(ExplosionError) as exc:
         super_step(coeffs, grow, np.ones(3), 1e200)
-    assert exc.value.stage >= 1
+    assert exc.value.stage == want.value.stage
     # a bad user-supplied spectral bound is detected, not silently integrated
     y, log = run_integrator(rkl(), lambda y: -1e200 * y, np.ones(2), 1.0, 2,
                             rho=1.0)
@@ -399,8 +409,139 @@ def test_explosion_detection():
     assert d["exploded"] is True and d["explosion_step"] == 0
     assert d["explosion_stage"] == 2
     assert d["rho"] == 1.0 and d["need"] == 0.5 and d["s_per_step"] == [2]
+    assert d["dt"] == 0.5 and d["stage_evals"] == 2  # one step of two stages
     assert d["margin"] == pytest.approx(0.95 * 2.0 / 0.5) and d["margin"] >= 1.0
     assert d["t_select"] >= 0.0
+
+
+def reference_super_step(coeffs, op, state, dt):
+    """super_step as written before the fused stage loop, kept as its oracle.
+
+    Every term is a new array and every stage is checked for finiteness; the
+    fused loop must give the same bits and raise at the same stage.
+    """
+    F = (lambda y: apply(op, y)) if isinstance(op, StencilOperator) else op
+    y0 = np.asarray(state, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = F(y0)
+        y1 = y0 + coeffs.mu_tilde[1] * dt * f0
+        if not np.isfinite(y1).all():
+            raise ExplosionError(stage=1)
+        if coeffs.s == 1:
+            return y1
+        mu, nu = coeffs.mu, coeffs.nu
+        mt, gt = coeffs.mu_tilde, coeffs.gamma_tilde
+        ym2, ym1 = y0, y1
+        for j in range(2, coeffs.s + 1):
+            fy = F(ym1)
+            y = (mu[j] * ym1 + nu[j] * ym2 + (1.0 - mu[j] - nu[j]) * y0
+                 + dt * (mt[j] * fy + gt[j] * f0))
+            if not np.isfinite(y).all():
+                raise ExplosionError(stage=j)
+            ym2, ym1 = ym1, y
+    return ym1
+
+
+def reference_run(family, op, initial, expiry, l, rho):
+    """run_integrator's loop over the oracle: (field, explosion step, stage)."""
+    dt = expiry / l
+    coeffs = make_coefficients(family, select_stage_count(family, dt, rho))
+    y = np.array(initial, dtype=float)
+    for step in range(l):
+        try:
+            y = reference_super_step(coeffs, op, y, dt)
+        except ExplosionError as exc:
+            return y, step, exc.stage
+    return y, None, None
+
+
+def _dense_callable():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((8, 8))
+    m = -(a @ a.T) + 0.3 * (a - a.T)  # negative semi-definite symmetric part
+    rho = float(np.abs(m).sum(axis=1).max())
+    return (lambda y: m @ y), rho, np.linspace(-1.0, 2.0, 8)
+
+
+@pytest.fixture(scope="module")
+def step_cases():
+    """name -> (operator or callable, spectral bound, initial field)."""
+    gx = bs_cubic_grid(m=400, alpha=0.01)
+    cubic = assemble_bs(default_bs_params(), gx, UpwindPolicy.PARTIAL_FITTING)
+    hx, hv = foulon_grid_x(100.0, m=40), foulon_grid_v(n=20)
+    heston = assemble_heston(default_heston_params(), hx, hv,
+                             UpwindPolicy.PARTIAL_FITTING)
+    return {
+        "cubic-1d": (cubic, gershgorin_radius(cubic),
+                     payoff_eval(call(100.0), gx)),
+        "partial-2d": (heston, gershgorin_radius(heston),
+                       payoff_eval(call(100.0), hx, hv)),
+        "callable": _dense_callable(),
+    }
+
+
+@pytest.mark.parametrize("case", ["cubic-1d", "partial-2d", "callable"])
+@pytest.mark.parametrize("family", [rkc(0.0), rkc(10.0), rkc(1000.0), rkl(),
+                                    rkg(2.0), explicit_euler()],
+                         ids=lambda f: f.label)
+def test_super_step_bit_identical_to_reference(family, case, step_cases):
+    op, rho, y = step_cases[case]
+    need = 1.5 if family.kind is FamilyKind.EULER else 300.0
+    dt = need / rho
+    coeffs = make_coefficients(family, select_stage_count(family, dt, rho))
+    for _ in range(3):
+        want = reference_super_step(coeffs, op, y, dt)
+        got = super_step(coeffs, op, y, dt)
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, y)
+        y = got
+
+
+def _region_fitting_case(family):
+    # region fitting on a long expiry: the rungs grow past the float range
+    params = dataclasses.replace(default_heston_params(), expiry=500.0)
+    gx, gv = foulon_grid_x(100.0, m=40), foulon_grid_v(n=20)
+    op = assemble_heston(params, gx, gv, UpwindPolicy.FOULON_REGION)
+    y0 = payoff_eval(call(100.0), gx, gv)
+    return family, op, y0, 500.0, 10, gershgorin_radius(op)
+
+
+EXPLODING_RUNS = {
+    "grow-callable": lambda: (rkl(), lambda y: -1e200 * y, np.ones(2), 1.0, 2,
+                              1.0),
+    "region-rkl": lambda: _region_fitting_case(rkl()),
+    "region-rkc0": lambda: _region_fitting_case(rkc(0.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(EXPLODING_RUNS))
+def test_explosion_step_and_stage_match_reference(name):
+    family, op, y0, expiry, l, rho = EXPLODING_RUNS[name]()
+    want_y, want_step, want_stage = reference_run(family, op, y0, expiry, l, rho)
+    assert want_step is not None  # the case does explode
+    y, log = run_integrator(family, op, y0, expiry, l, rho=rho)
+    assert log.exploded
+    assert (log.explosion_step, log.explosion_stage) == (want_step, want_stage)
+    assert np.array_equal(y, want_y)
+
+
+@pytest.mark.parametrize("family",
+                         [rkc(10.0), rkl(), rkg(2.0), explicit_euler()],
+                         ids=lambda f: f.label)
+def test_poly_eval_complex_matches_real_block(family):
+    # z = a + ib acts on (Re, Im) as the real block [[a, -b], [b, a]]
+    s = 1 if family.kind is FamilyKind.EULER else 9
+    coeffs = make_coefficients(family, s)
+    zs = stability_extent(coeffs) * np.array(
+        [-0.05 + 0.01j, -0.3 - 0.05j, -0.5 + 0.3j, -0.9 + 0.0j, -1.0 + 0.02j])
+    got = _poly_eval(coeffs, zs)
+    assert got.dtype == np.complex128
+    for z, p in zip(zs, got):
+        block = np.array([[z.real, -z.imag], [z.imag, z.real]])
+        re, im = super_step(coeffs, lambda v: block @ v, np.array([1.0, 0.0]),
+                            1.0)
+        assert abs(p - complex(re, im)) <= 1e-12 * max(1.0, abs(p)), z
+    assert isinstance(stability_poly_eval(coeffs, -0.5), float)
 
 
 def test_run_integrator_guards():
