@@ -4,7 +4,15 @@ The vectorized operator is banded: under row-major vectorization with the v
 index innermost, x neighbors sit n+1 slots away and the cross terms extend the
 bandwidth to n+2 (1 for the tridiagonal 1-D case).  Systems (alpha I + beta M)
 are assembled directly in LAPACK band storage and factored once per run, so a
-Crank-Nicolson run costs one factorization plus one triangular solve per step.
+Crank-Nicolson run costs one factorization plus one band solve per step.
+
+A factorization without row interchanges (gbtrf has not pivoted on the 2-D
+Heston CN systems) keeps its triangles packed: unit-lower L with kl
+subdiagonals and U with only ku superdiagonals, since the fill rows above U
+stay zero.  Its solve is two BLAS `tbsv` calls, bit-identical to `gbtrs` and
+about half its time, because `gbtrs` sweeps U over kl + ku superdiagonals.
+A factorization that pivoted (the cubic-grid 1-D systems do) solves with
+`gbtrs`.
 
 Two references are provided: Crank-Nicolson with a Rannacher start-up (two
 half-step implicit-Euler pairs smooth the non-smooth payoff before the
@@ -17,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
+from scipy.linalg.blas import dtbsv
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .operators import StencilOperator, apply as apply_operator
 
@@ -47,23 +56,31 @@ class BandedMatrix:
 
 @dataclass
 class BandedLU:
-    """Factored band matrix; solve() is reusable and read-only."""
+    """Factored band matrix; solve() is reusable and read-only.
+
+    lower/upper: L and U of an unpivoted factorization in BLAS band storage,
+    None when gbtrf pivoted.
+    """
 
     lu: np.ndarray
     ipiv: np.ndarray
     kl: int
     ku: int
     n: int
+    lower: np.ndarray | None = None
+    upper: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        if rhs.shape[0] != self.n:
-            raise ValueError(f"rhs length {rhs.shape[0]} != system size {self.n}")
-        gbtrs, = get_lapack_funcs(("gbtrs",), (self.lu, rhs))
-        x, info = gbtrs(self.lu, self.kl, self.ku, rhs, self.ipiv)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"gbtrs failed with info={info}")
-        return x
+        x = np.array(rhs, dtype=float)
+        if x.shape[0] != self.n:
+            raise ValueError(f"rhs length {x.shape[0]} != system size {self.n}")
+        if self.upper is None:
+            x, info = dgbtrs(self.lu, self.kl, self.ku, x, self.ipiv, overwrite_b=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"gbtrs failed with info={info}")
+            return x
+        x = dtbsv(self.kl, self.lower, x, lower=1, diag=1, overwrite_x=1)
+        return dtbsv(self.ku, self.upper, x, overwrite_x=1)
 
 
 def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMatrix:
@@ -82,14 +99,18 @@ def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMat
 
 def banded_factor(bm: BandedMatrix) -> BandedLU:
     """LU factorization with partial pivoting within the band."""
-    gbtrf, = get_lapack_funcs(("gbtrf",), (bm.ab,))
-    lu, ipiv, info = gbtrf(bm.ab, bm.kl, bm.ku)
+    lu, ipiv, info = dgbtrf(bm.ab, bm.kl, bm.ku)
     if info < 0:
         raise ValueError(f"gbtrf: illegal argument {-info}")
     if info > 0:
         raise np.linalg.LinAlgError(
             f"matrix singular to working precision (U[{info - 1},{info - 1}] = 0)")
-    return BandedLU(lu=lu, ipiv=ipiv, kl=bm.kl, ku=bm.ku, n=bm.n)
+    kl, ku = bm.kl, bm.ku
+    lower = upper = None
+    if np.array_equal(ipiv, np.arange(bm.n)):  # ipiv is 0-based: no interchange
+        lower = np.asfortranarray(lu[kl + ku:])
+        upper = np.asfortranarray(lu[kl:kl + ku + 1])
+    return BandedLU(lu=lu, ipiv=ipiv, kl=kl, ku=ku, n=bm.n, lower=lower, upper=upper)
 
 
 def crank_nicolson_run(op: StencilOperator, initial: np.ndarray, expiry: float,
@@ -112,8 +133,12 @@ def crank_nicolson_run(op: StencilOperator, initial: np.ndarray, expiry: float,
         raise ValueError(f"initial shape {y.shape} != operator shape {shape}")
     for _ in range(4):
         y = lu.solve(y.ravel()).reshape(shape)
+    # rhs = y + (k/2) M y in the same IEEE order, in one buffer per run
+    rhs = np.empty(shape)
     for _ in range(l - 2):
-        rhs = y + 0.5 * k * apply_operator(op, y)
+        apply_operator(op, y, out=rhs)
+        np.multiply(rhs, 0.5 * k, rhs)
+        np.add(y, rhs, rhs)
         y = lu.solve(rhs.ravel()).reshape(shape)
     return y
 

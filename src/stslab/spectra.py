@@ -44,15 +44,11 @@ def gershgorin_radius(op: StencilOperator) -> float:
     return float(abs(op.matrix).sum(axis=1).max())
 
 
-def eigenvalues_dense(mat, scale: float = 1.0, check_residuals: bool = False,
-                      seed: int = 0) -> Spectrum:
+def eigenvalues_dense(mat, scale: float = 1.0) -> Spectrum:
     """Full spectrum of scale * M via dense QR iteration.
 
     mat may be a sparse matrix or a dense array; dimension is capped at
-    DENSE_GUARD.  With check_residuals=True the eigenvectors are computed as
-    well and ||A v - lambda v||_2 <= 1e-7 ||A||_F is enforced on 10 sampled
-    pairs, guarding against ill-conditioned decompositions of the strongly
-    nonnormal fitted operators.
+    DENSE_GUARD.
     """
     n = np.shape(mat)[0]
     if n > DENSE_GUARD:
@@ -62,19 +58,8 @@ def eigenvalues_dense(mat, scale: float = 1.0, check_residuals: bool = False,
     dense = mat.toarray() if scipy.sparse.issparse(mat) else np.asarray(mat)
     if dense.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-    dense = scale * dense
-    if check_residuals:
-        lam, vr = scipy.linalg.eig(dense)
-        norm = np.linalg.norm(dense, "fro")
-        rng = np.random.default_rng(seed)
-        for k in rng.choice(n, size=min(10, n), replace=False):
-            resid = np.linalg.norm(dense @ vr[:, k] - lam[k] * vr[:, k])
-            if resid > 1e-7 * norm:
-                raise RuntimeError(
-                    f"eigenpair {k} residual {resid:.3e} exceeds 1e-7*||A||_F "
-                    f"= {1e-7 * norm:.3e}")
-    else:
-        lam = scipy.linalg.eigvals(dense)
+    dense = scale * dense  # rebinding frees the unscaled copy before eigvals
+    lam = scipy.linalg.eigvals(dense)
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
     return Spectrum(eigenvalues=lam,

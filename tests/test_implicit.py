@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from stslab.experiments import bs_closed_form, bs_sinh_grid, call, payoff_eval
+from scipy.linalg import get_lapack_funcs
+
+from stslab.experiments import (bs_closed_form, bs_cubic_grid, bs_sinh_grid, call,
+                                default_bs_params, default_heston_params,
+                                foulon_grid_v, foulon_grid_x, payoff_eval)
 from stslab.grids import Grid1D, make_uniform
 from stslab.implicit import (BandedMatrix, TRBDF2_GAMMA, banded_factor,
                              crank_nicolson_run, operator_banded, trbdf2_run)
-from stslab.operators import (StencilOperator, UpwindPolicy, assemble_bs,
+from stslab.operators import (StencilOperator, UpwindPolicy, apply, assemble_bs,
                               assemble_heston, to_sparse)
 
 
@@ -31,6 +35,44 @@ def trbdf2_amplification(z: float) -> float:
     return (c_mid * mid - c_old) / (1.0 - (1.0 - g) * z / (2.0 - g))
 
 
+def reference_gbtrs_solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """The plain gbtrs solve over the full factorization: the bit-for-bit oracle."""
+    rhs = np.asarray(rhs, dtype=float)
+    gbtrs, = get_lapack_funcs(("gbtrs",), (lu.lu, rhs))
+    x, info = gbtrs(lu.lu, lu.kl, lu.ku, rhs, lu.ipiv)
+    assert info == 0
+    return x
+
+
+def reference_crank_nicolson_run(op, initial, expiry, l):
+    """The CN/Rannacher loop with per-step temporaries and gbtrs solves."""
+    k = expiry / l
+    lu = banded_factor(operator_banded(op, 1.0, -0.5 * k))
+    y = np.array(initial, dtype=float, copy=True)
+    for _ in range(4):
+        y = reference_gbtrs_solve(lu, y.ravel()).reshape(op.shape)
+    for _ in range(l - 2):
+        rhs = y + 0.5 * k * apply(op, y)
+        y = reference_gbtrs_solve(lu, rhs.ravel()).reshape(op.shape)
+    return y
+
+
+def reference_trbdf2_run(op, initial, expiry, l):
+    """The TR-BDF2 loop with per-step temporaries and gbtrs solves."""
+    g = TRBDF2_GAMMA
+    k = expiry / l
+    lu_tr = banded_factor(operator_banded(op, 1.0, -0.5 * g * k))
+    lu_bdf = banded_factor(operator_banded(op, 1.0, -k * (1.0 - g) / (2.0 - g)))
+    c_mid = 1.0 / (g * (2.0 - g))
+    c_old = (1.0 - g) ** 2 / (g * (2.0 - g))
+    y = np.array(initial, dtype=float, copy=True)
+    for _ in range(l):
+        rhs = y + 0.5 * g * k * apply(op, y)
+        y_mid = reference_gbtrs_solve(lu_tr, rhs)
+        y = reference_gbtrs_solve(lu_bdf, c_mid * y_mid - c_old * y)
+    return y
+
+
 # ------------------------------------------------------------- banded algebra
 
 def test_band_storage_layout(heston_params, gx_small, gv_small):
@@ -50,7 +92,6 @@ def test_band_storage_layout(heston_params, gx_small, gv_small):
 @pytest.mark.parametrize("policy", [UpwindPolicy.NONE, UpwindPolicy.PARTIAL_FITTING],
                          ids=lambda p: p.value)
 def test_banded_solve_matches_dense(policy, heston_params):
-    from stslab.experiments import foulon_grid_v, foulon_grid_x
     gx = foulon_grid_x(100.0, m=9)
     gv = foulon_grid_v(n=6)
     op = assemble_heston(heston_params, gx, gv, policy)
@@ -86,6 +127,69 @@ def test_solve_length_guard():
     lu = banded_factor(operator_banded(op, 1.0, -0.1))
     with pytest.raises(ValueError, match="rhs length"):
         lu.solve(np.zeros(5))
+
+
+def cn_heston_matrix():
+    """CN matrix of the 41x21 partial-fitting Heston operator at l = 50."""
+    p = default_heston_params()
+    op = assemble_heston(p, foulon_grid_x(100.0, m=40), foulon_grid_v(n=20),
+                         UpwindPolicy.PARTIAL_FITTING)
+    return operator_banded(op, 1.0, -0.5 * p.expiry / 50)
+
+
+def trbdf2_bs_matrix(grid):
+    """Trapezoidal-stage TR-BDF2 matrix of a 1-D BS operator at l = 20."""
+    p = default_bs_params()
+    op = assemble_bs(p, grid, UpwindPolicy.PARTIAL_FITTING)
+    return operator_banded(op, 1.0, -0.5 * TRBDF2_GAMMA * p.expiry / 20)
+
+
+def tiny_diagonal_matrix():
+    """Tridiagonal with a 1e-3 diagonal and unit off-diagonals: pivots at once."""
+    n = 30
+    ab = np.zeros((4, n))
+    ab[1, 1:] = 1.0
+    ab[2, :] = 1e-3
+    ab[3, :-1] = 1.0
+    return BandedMatrix(ab=ab, kl=1, ku=1, n=n)
+
+
+@pytest.mark.parametrize("build, pivoted", [
+    (cn_heston_matrix, False),
+    (lambda: trbdf2_bs_matrix(make_uniform(0.0, 150.0, 100)), False),
+    (lambda: trbdf2_bs_matrix(bs_cubic_grid()), True),
+    (tiny_diagonal_matrix, True),
+], ids=["heston-cn-41x21", "uniform-101", "cubic-401", "tiny-diagonal"])
+def test_solve_matches_gbtrs_bitwise(build, pivoted):
+    bm = build()
+    lu = banded_factor(bm)
+    assert (not np.array_equal(lu.ipiv, np.arange(bm.n))) == pivoted
+    assert (lu.upper is None) == pivoted
+    rng = np.random.default_rng(11)
+    for rhs in (rng.standard_normal(bm.n), np.linspace(0.0, 50.0, bm.n)):
+        before = rhs.copy()
+        got = lu.solve(rhs)
+        assert got.tobytes() == reference_gbtrs_solve(lu, rhs).tobytes()
+        assert np.array_equal(rhs, before)
+
+
+def test_crank_nicolson_matches_reference_bitwise(heston_params, gx_small, gv_small):
+    op = assemble_heston(heston_params, gx_small, gv_small,
+                         UpwindPolicy.PARTIAL_FITTING)
+    y0 = payoff_eval(call(heston_params.strike), gx_small, gv_small)
+    got = crank_nicolson_run(op, y0, heston_params.expiry, 50)
+    want = reference_crank_nicolson_run(op, y0, heston_params.expiry, 50)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("grid", [bs_cubic_grid(), make_uniform(0.0, 150.0, 100)],
+                         ids=["cubic-401", "uniform-101"])
+def test_trbdf2_matches_reference_bitwise(grid, bs_params):
+    op = assemble_bs(bs_params, grid, UpwindPolicy.PARTIAL_FITTING)
+    y0 = payoff_eval(call(100.0), grid)
+    got = trbdf2_run(op, y0, bs_params.expiry, 20)
+    want = reference_trbdf2_run(op, y0, bs_params.expiry, 20)
+    assert got.tobytes() == want.tobytes()
 
 
 # ------------------------------------------------------ scalar amplification
@@ -138,7 +242,6 @@ def test_crank_nicolson_guards(bs_params):
 
 
 def assemble_heston_small():
-    from stslab.experiments import default_heston_params, foulon_grid_v, foulon_grid_x
     return assemble_heston(default_heston_params(), foulon_grid_x(100.0, m=10),
                            foulon_grid_v(n=2), UpwindPolicy.NONE)
 
