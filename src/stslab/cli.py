@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -157,11 +157,16 @@ def _parse_payoff(d, default: Payoff, path: str) -> Payoff:
         raise ConfigError(f"{path}.kind: expected one of {sorted(_PAYOFF_NAMES)}, "
                           f"got {kind!r}")
     if kind == PayoffKind.DIGITAL_RANGE.value:
+        if "strike" in d:
+            raise ConfigError(f"{path}.strike: only valid for kind 'call' or 'put'")
         low = _num(d, "low", default.low, path, lo=0.0)
         high = _num(d, "high", default.high if default.high > 0 else low + 1.0, path)
         if not low < high:
             raise ConfigError(f"{path}: need low < high, got ({low:g}, {high:g})")
         return digital_range(low, high)
+    for key in ("low", "high"):
+        if key in d:
+            raise ConfigError(f"{path}.{key}: only valid for kind 'digital-range'")
     strike = _num(d, "strike", default.strike if default.strike > 0 else 100.0,
                   path, lo=0.0, lo_open=True)
     return call(strike) if kind == PayoffKind.CALL.value else put(strike)
@@ -188,12 +193,6 @@ class RunConfig:
         gx = self.grid_x.build()
         gv = self.grid_v.build() if self.grid_v is not None else None
         return gx, gv
-
-    def grid_label(self) -> str:
-        lab = f"x:{self.grid_x.kind}(m={self.grid_x.m})"
-        if self.grid_v is not None:
-            lab += f",v:{self.grid_v.kind}(n={self.grid_v.m})"
-        return lab
 
     def to_json(self) -> str:
         cfg = {
@@ -376,6 +375,12 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _write_json(path: Path, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_jsonl(path: Path, records) -> None:
     with open(path, "w") as fh:
         for rec in records:
@@ -406,112 +411,93 @@ def _assemble(cfg: RunConfig):
     return gx, gv, op
 
 
-def _cmd_price(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
+def _cmd_price(cfg: RunConfig, out: Path) -> list[dict]:
     gx, gv, op = _assemble(cfg)
     l = cfg.l or 100
     y0 = payoff_eval(cfg.payoff, gx, gv)
-    logs = []
-    summary = {}
+    runs = []
     for fam in cfg.schemes:
-        fld, log = run_integrator(fam, op, y0, cfg.params.expiry, l)
-        logs.append(log.to_dict())
-        tag = _sanitize(fam.label)
-        _write_csv(out / f"price_{tag}.csv", ["x", "v", "value"],
+        fld, run = run_integrator(fam, op, y0, cfg.params.expiry, l)
+        if not run.exploded:
+            run.price_at_spot = price_at_spot(fld, op.gx, cfg.params.spot, op.gv,
+                                              getattr(cfg.params, "v0", None))
+        runs.append(run)
+        _write_csv(out / f"price_{_sanitize(fam.label)}.csv", ["x", "v", "value"],
                    _slice_rows(gx, gv, fld))
-        summary[fam.label] = None if log.exploded else price_at_spot(
-            fld, op.gx, cfg.params.spot, op.gv, getattr(cfg.params, "v0", None))
-    with open(out / "summary.json", "w") as fh:
-        json.dump({"l": l, "price_at_spot": summary}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    exploded = any(log["exploded"] for log in logs)
-    return (1 if exploded else 0), logs
+    _write_json(out / "summary.json", {"l": l, "price_at_spot": {
+        r.family: None if r.exploded else r.price_at_spot for r in runs}})
+    return [asdict(r) for r in runs]
 
 
-def _cmd_converge(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
+def _cmd_converge(cfg: RunConfig, out: Path) -> list[dict]:
     if cfg.model != "heston":
         raise ConfigError("converge drives the 2-D model; set model='heston'")
     gx, gv = cfg.build_grids()
-    logs = []
-    any_explosion = False
+    runs = []
     summary = {}
     for fam in cfg.schemes:
         study = ConvergenceStudy(
             params=cfg.params, gx=gx, gv=gv, policy=cfg.policy, family=fam,
             payoff=cfg.payoff, ladder=cfg.ladder, l_ref=cfg.l_ref,
-            validate_reference=cfg.validate_reference,
-            grid_label=cfg.grid_label())
+            validate_reference=cfg.validate_reference)
         result = run_time_convergence(study)
-        tag = _sanitize(fam.label)
-        _write_csv(out / f"convergence_{tag}.csv",
+        _write_csv(out / f"convergence_{_sanitize(fam.label)}.csv",
                    ["l", "rms_error", "exploded", "osc_metric", "price_at_spot"],
                    ((r.l, r.rms_error, r.exploded, r.osc_metric, r.price_at_spot)
-                    for r in result.reports))
-        logs.extend(result.logs)
-        any_explosion |= any(r.exploded for r in result.reports)
+                    for r in result.runs))
+        runs.extend(result.runs)
         summary[fam.label] = {
             "reference_check": result.reference_check,
-            "explosions": [r.l for r in result.reports if r.exploded],
+            "explosions": [r.l for r in result.runs if r.exploded],
         }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return (1 if any_explosion else 0), logs
+    _write_json(out / "summary.json", summary)
+    return [asdict(r) for r in runs]
 
 
-def _cmd_spectrum(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
+def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[dict]:
     gx, gv, op = _assemble(cfg)
     l = cfg.l or 16
     scale = cfg.params.expiry / l
     spec = eigenvalues_dense(to_sparse(op), scale=scale)
     write_spectrum(spec, out / "spectrum.csv")
-    return 0, [{"rho_gershgorin": gershgorin_radius(op), "scale": scale,
-                "max_real": spec.max_real, "max_abs_imag": spec.max_abs_imag}]
+    return [{"rho_gershgorin": gershgorin_radius(op), "scale": scale,
+             "max_real": spec.max_real, "max_abs_imag": spec.max_abs_imag}]
 
 
-def _cmd_delta(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
+def _cmd_delta(cfg: RunConfig, out: Path) -> list[dict]:
     if cfg.model != "heston":
         raise ConfigError("delta drives the 2-D model; set model='heston'")
     gx, gv = cfg.build_grids()
     l = cfg.l or 10
     results = run_delta_comparison(cfg.params, gx, gv, cfg.policy,
                                    families=cfg.schemes, l=l, payoff=cfg.payoff)
-    logs = []
-    osc = {}
     v0_row = gv.nodes[0]
-    for label, res in results.items():
-        tag = _sanitize(label)
-        _write_csv(out / f"delta_{tag}.csv", ["x", "v", "value"],
-                   ((x, v0_row, d) for x, d in zip(gx.nodes, res["delta"])))
-        logs.append(res["log"])
-        osc[label] = res["osc"]
-    with open(out / "summary.json", "w") as fh:
-        json.dump({"l": l, "osc_metric": osc}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    exploded = any(log["exploded"] for log in logs)
-    return (1 if exploded else 0), logs
+    for label, (delta, _) in results.items():
+        _write_csv(out / f"delta_{_sanitize(label)}.csv", ["x", "v", "value"],
+                   ((x, v0_row, d) for x, d in zip(gx.nodes, delta)))
+    _write_json(out / "summary.json", {"l": l, "osc_metric": {
+        label: run.osc_metric for label, (_, run) in results.items()}})
+    return [asdict(run) for _, run in results.values()]
 
 
-def _cmd_bs_demo(cfg: RunConfig, out: Path) -> tuple[int, list[dict]]:
+def _cmd_bs_demo(cfg: RunConfig, out: Path) -> list[dict]:
     if cfg.model != "bs":
         raise ConfigError("bs-demo drives the 1-D model; set model='bs'")
     gx, _ = cfg.build_grids()
     scenario = BsScenario(params=cfg.params, payoff=cfg.payoff, grid=gx,
                           policy=cfg.policy, l=cfg.l or 100,
-                          families=cfg.schemes, grid_label=cfg.grid_label())
+                          families=cfg.schemes)
     result = run_bs_study(scenario)
     for label, curve in result.curves.items():
         _write_csv(out / f"price_{_sanitize(label)}.csv", ["x", "v", "value"],
                    ((x, 0.0, val) for x, val in zip(gx.nodes, curve)))
     write_spectrum(result.spectrum, out / "spectrum.csv")
-    with open(out / "summary.json", "w") as fh:
-        json.dump({
-            "threshold": result.threshold,
-            "osc_metric": {r.scheme: r.osc_metric for r in result.reports},
-            "price_at_spot": {r.scheme: r.price_at_spot for r in result.reports},
-        }, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    exploded = any(r.exploded for r in result.reports)
-    return (1 if exploded else 0), result.logs
+    _write_json(out / "summary.json", {
+        "threshold": result.threshold,
+        "osc_metric": {r.family: r.osc_metric for r in result.runs},
+        "price_at_spot": {r.family: r.price_at_spot for r in result.runs},
+    })
+    return [asdict(r) for r in result.runs]
 
 
 _COMMANDS = {
@@ -531,9 +517,9 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
                           f"expected one of {sorted(_COMMANDS)}")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    explosion_flag, logs = _COMMANDS[cmd](cfg, out)
-    _write_jsonl(out / "run_log.jsonl", logs)
-    if explosion_flag and strict:
+    records = _COMMANDS[cmd](cfg, out)
+    _write_jsonl(out / "run_log.jsonl", records)
+    if strict and any(rec.get("exploded") for rec in records):
         print(f"{cmd}: explosion detected; failing due to --strict",
               file=sys.stderr)
         return 2

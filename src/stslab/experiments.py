@@ -30,7 +30,7 @@ from .grids import Grid1D, StretchKind, StretchSpec, make_cubic, make_sinh, make
 from .implicit import crank_nicolson_run, trbdf2_run
 from .operators import (BsParams, HestonParams, StencilOperator, UpwindPolicy,
                         assemble_bs, assemble_heston, to_sparse)
-from .schemes import SchemeFamily, rkc, rkg, rkl, run_integrator
+from .schemes import RunLog, SchemeFamily, rkc, rkg, rkl, run_integrator
 from .spectra import Spectrum, eigenvalues_dense, gershgorin_radius
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "oscillation_metric",
     "clean_threshold",
     "price_at_spot",
-    "ExperimentReport",
     "run_and_score",
     "default_heston_params",
     "default_bs_params",
@@ -55,7 +54,6 @@ __all__ = [
     "foulon_grid_v",
     "bs_uniform_grid",
     "bs_cubic_grid",
-    "bs_sinh_grid",
     "DEFAULT_LADDER",
     "ConvergenceStudy",
     "ConvergenceResult",
@@ -248,24 +246,9 @@ def price_at_spot(f: np.ndarray, gx: Grid1D, spot: float,
     return float(np.interp(v, gv.nodes, along_v))
 
 
-@dataclass
-class ExperimentReport:
-    """One (scheme, l) outcome of a study."""
-
-    scheme: str
-    policy: str
-    grid: str
-    l: int
-    rms_error: float
-    osc_metric: float
-    exploded: bool
-    price_at_spot: float
-    wall_time: float
-
-
 def run_and_score(family: SchemeFamily, op: StencilOperator, y0: np.ndarray,
                   expiry: float, l: int, rho: float, window: np.ndarray,
-                  spot: float, v0: float | None, grid_label: str,
+                  spot: float, v0: float | None,
                   ref: np.ndarray | None = None, roi: np.ndarray | None = None):
     """Run one family on op and score it; the one scoring path of every study.
 
@@ -273,19 +256,20 @@ def run_and_score(family: SchemeFamily, op: StencilOperator, y0: np.ndarray,
     lowest variance row in 2-D; the metric reads its `window` entries.  The
     rms error against `ref` over `roi` is nan without a reference.  An
     exploded run scores osc = inf and price = nan, and rms = inf if a
-    reference is given.  Returns (field, osc_slice, report, log_dict).
+    reference is given.  Returns (field, osc_slice, RunLog) with the score
+    filled into the RunLog.
     """
     fld, log = run_integrator(family, op, y0, expiry, l, rho=rho)
     osc_slice = fld if op.gv is None else delta_surface(fld, op.gx)[:, 0]
     if log.exploded:
-        rms, osc, price = (math.nan if ref is None else math.inf), math.inf, math.nan
+        log.rms_error = math.nan if ref is None else math.inf
+        log.osc_metric = math.inf
     else:
-        rms = math.nan if ref is None else rms_error(fld, ref, roi)
-        osc = oscillation_metric(osc_slice[window])
-        price = price_at_spot(fld, op.gx, spot, op.gv, v0)
-    report = ExperimentReport(family.label, op.policy.value, grid_label, l, rms,
-                              osc, log.exploded, price, log.wall_time)
-    return fld, osc_slice, report, log.to_dict()
+        if ref is not None:
+            log.rms_error = rms_error(fld, ref, roi)
+        log.osc_metric = oscillation_metric(osc_slice[window])
+        log.price_at_spot = price_at_spot(fld, op.gx, spot, op.gv, v0)
+    return fld, osc_slice, log
 
 
 def default_heston_params() -> HestonParams:
@@ -309,21 +293,9 @@ def foulon_grid_x(strike: float, m: int = 100) -> Grid1D:
     return make_sinh(0.0, X_MAX_MULT * strike, spec, m)
 
 
-def foulon_grid_v(n: int = 50, v_max: float = V_MAX, variant: str = "foulon",
-                  v0: float | None = None) -> Grid1D:
-    """Sinh-stretched v grid on [0, v_max].
-
-    variant "foulon" concentrates hard at v = 0 (lam = v_max/500); variant
-    "lefloch" concentrates mildly at v0 (lam = 2 v0).
-    """
-    if variant == "foulon":
-        spec = StretchSpec(StretchKind.SINH, center=0.0, lam=v_max / 500.0)
-    elif variant == "lefloch":
-        if v0 is None:
-            raise ValueError("variant 'lefloch' needs v0")
-        spec = StretchSpec(StretchKind.SINH, center=v0, lam=2.0 * v0)
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+def foulon_grid_v(n: int = 50, v_max: float = V_MAX) -> Grid1D:
+    """Sinh-stretched v grid on [0, v_max], concentrated hard at v = 0."""
+    spec = StretchSpec(StretchKind.SINH, center=0.0, lam=v_max / 500.0)
     return make_sinh(0.0, v_max, spec, n)
 
 
@@ -335,10 +307,6 @@ def bs_cubic_grid(m: int = 400, alpha: float = 0.01, center: float = 100.0,
                   x_max: float = 150.0) -> Grid1D:
     spec = StretchSpec(StretchKind.CUBIC, center=center, alpha=alpha)
     return make_cubic(0.0, x_max, spec, m)
-
-
-def bs_sinh_grid(m: int = 400, strike: float = 100.0) -> Grid1D:
-    return foulon_grid_x(strike, m)
 
 
 DEFAULT_LADDER = (10, 20, 40, 80, 100, 200, 400, 800, 1600)
@@ -357,13 +325,11 @@ class ConvergenceStudy:
     ladder: tuple[int, ...] = DEFAULT_LADDER
     l_ref: int = 4000
     validate_reference: bool = True
-    grid_label: str = ""
 
 
 @dataclass
 class ConvergenceResult:
-    reports: list[ExperimentReport]
-    logs: list[dict]
+    runs: list[RunLog]
     reference: np.ndarray
     reference_check: float | None
 
@@ -386,21 +352,20 @@ def run_time_convergence(study: ConvergenceStudy) -> ConvergenceResult:
                 f"l={2 * study.l_ref}) = {ref_check:.3e}")
     rho = gershgorin_radius(op)
     x_window = roi_mask(study.gx, 0.5 * k, 1.5 * k)
-    reports, logs = [], []
+    runs = []
     for l in study.ladder:
-        _, _, rep, log = run_and_score(study.family, op, y0, t, l, rho, x_window,
-                                       study.params.spot, study.params.v0,
-                                       study.grid_label, ref=ref, roi=roi)
-        reports.append(rep)
-        logs.append(log)
-    return ConvergenceResult(reports, logs, ref, ref_check)
+        _, _, run = run_and_score(study.family, op, y0, t, l, rho, x_window,
+                                  study.params.spot, study.params.v0,
+                                  ref=ref, roi=roi)
+        runs.append(run)
+    return ConvergenceResult(runs, ref, ref_check)
 
 
 def run_delta_comparison(params: HestonParams, gx: Grid1D, gv: Grid1D,
                          policy: UpwindPolicy,
                          families: tuple[SchemeFamily, ...] | None = None,
                          l: int = 10, payoff: Payoff | None = None):
-    """Delta slices nearest v = 0 for each family; returns label -> results.
+    """Delta slices nearest v = 0 for each family; returns label -> (delta, RunLog).
 
     The oscillation metric is evaluated on the forward-difference delta at the
     lowest variance row, inside the x window around the payoff level.
@@ -415,11 +380,9 @@ def run_delta_comparison(params: HestonParams, gx: Grid1D, gv: Grid1D,
     window = roi_mask(gx, 0.5 * payoff.level, 1.5 * payoff.level)
     out = {}
     for fam in families:
-        _, delta0, rep, log = run_and_score(fam, op, y0, params.expiry, l, rho,
-                                            window, params.spot, params.v0,
-                                            f"m={gx.m},n={gv.m}")
-        out[fam.label] = {"osc": rep.osc_metric, "report": rep, "delta": delta0,
-                          "log": log}
+        _, delta0, run = run_and_score(fam, op, y0, params.expiry, l, rho,
+                                       window, params.spot, params.v0)
+        out[fam.label] = (delta0, run)
     return out
 
 
@@ -433,15 +396,13 @@ class BsScenario:
     policy: UpwindPolicy
     l: int
     families: tuple[SchemeFamily, ...] = (rkl(), rkg(2.0), rkc(10.0))
-    grid_label: str = ""
 
 
 @dataclass
 class BsStudyResult:
-    reports: list[ExperimentReport]
+    runs: list[RunLog]  # TR-BDF2 first, then one per family
     threshold: float
     curves: dict[str, np.ndarray]
-    logs: list[dict]
     spectrum: Spectrum
 
 
@@ -462,32 +423,27 @@ def run_bs_study(scenario: BsScenario) -> BsStudyResult:
     window = roi_mask(scenario.grid, 0.5 * scenario.payoff.level,
                       1.5 * scenario.payoff.level)
     rho = gershgorin_radius(op)
-    reports: list[ExperimentReport] = []
-    curves: dict[str, np.ndarray] = {}
-    logs: list[dict] = []
 
     t0 = time.perf_counter()
     f_ref = trbdf2_run(op, y0, p.expiry, scenario.l)
-    trbdf2_time = time.perf_counter() - t0
-    curves["trbdf2"] = f_ref
-    osc_trbdf2 = oscillation_metric(f_ref[window])
-    reports.append(ExperimentReport(
-        "trbdf2", scenario.policy.value, scenario.grid_label, scenario.l,
-        float("nan"), osc_trbdf2, False,
-        price_at_spot(f_ref, scenario.grid, p.spot), trbdf2_time))
+    curves = {"trbdf2": f_ref}
+    runs = [RunLog(family="trbdf2", eps_or_g=None, l=scenario.l,
+                   dt=float(p.expiry / scenario.l),
+                   wall_time=time.perf_counter() - t0,
+                   osc_metric=oscillation_metric(f_ref[window]),
+                   price_at_spot=price_at_spot(f_ref, scenario.grid, p.spot))]
 
     for fam in scenario.families:
-        fld, _, rep, log = run_and_score(fam, op, y0, p.expiry, scenario.l, rho,
-                                         window, p.spot, None, scenario.grid_label)
+        fld, _, run = run_and_score(fam, op, y0, p.expiry, scenario.l, rho,
+                                    window, p.spot, None)
         curves[fam.label] = fld
-        reports.append(rep)
-        logs.append(log)
+        runs.append(run)
 
-    baselines = [r.osc_metric for r in reports
-                 if (r.scheme == "trbdf2" or r.scheme.startswith("rkg"))
+    baselines = [r.osc_metric for r in runs
+                 if (r.family == "trbdf2" or r.family.startswith("rkg"))
                  and np.isfinite(r.osc_metric)]
     if not baselines:
         raise RuntimeError("no finite clean baseline to calibrate the threshold")
     threshold = clean_threshold(*baselines)
     spectrum = eigenvalues_dense(to_sparse(op), scale=p.expiry / scenario.l)
-    return BsStudyResult(reports, threshold, curves, logs, spectrum)
+    return BsStudyResult(runs, threshold, curves, spectrum)

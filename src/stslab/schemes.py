@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -408,7 +408,11 @@ def super_step(coeffs: StageCoefficients, op, state: np.ndarray,
 
 @dataclass
 class RunLog:
-    """Execution record of one run_integrator call."""
+    """The record of one run: its cost, outcome and, once scored, its score.
+
+    run_integrator fills the cost fields; the three score fields stay nan
+    until the run is scored (see experiments.run_and_score).
+    """
 
     family: str
     eps_or_g: float | None
@@ -424,9 +428,9 @@ class RunLog:
     t_select: float = 0.0
     dt: float = 0.0
     stage_evals: int = 0  # stages run, the sum of s_per_step
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+    rms_error: float = math.nan
+    osc_metric: float = math.nan
+    price_at_spot: float = math.nan
 
 
 def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,

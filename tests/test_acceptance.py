@@ -20,8 +20,7 @@ from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
 from stslab.experiments import (DEFAULT_LADDER, BsScenario, BsStudyResult,
                                 ConvergenceStudy, bs_closed_form,
-                                bs_cubic_grid, bs_sinh_grid,
-                                bs_uniform_grid, call, default_bs_params,
+                                bs_cubic_grid, bs_uniform_grid, call, default_bs_params,
                                 default_heston_params, digital_range,
                                 foulon_grid_v, foulon_grid_x, payoff_eval,
                                 price_at_spot, rms_error, roi_mask,
@@ -62,7 +61,7 @@ def ladder_results(stress):
         study = ConvergenceStudy(
             params=params, gx=gx, gv=gv, policy=policy, family=rkc(10.0),
             payoff=call(params.strike), ladder=ladder, l_ref=4000,
-            validate_reference=True, grid_label="stretched")
+            validate_reference=True)
         results[policy] = run_time_convergence(study)
     return results, perf_counter() - t0
 
@@ -75,17 +74,13 @@ def bs_results():
     cubic = bs_cubic_grid(m=400, alpha=0.01)
     scenarios = {
         "uniform-none": BsScenario(params, payoff, uniform,
-                                   UpwindPolicy.NONE, 100,
-                                   grid_label="uniform"),
+                                   UpwindPolicy.NONE, 100),
         "uniform-partial": BsScenario(params, payoff, uniform,
-                                      UpwindPolicy.PARTIAL_FITTING, 100,
-                                      grid_label="uniform"),
+                                      UpwindPolicy.PARTIAL_FITTING, 100),
         "cubic-20": BsScenario(params, payoff, cubic,
-                               UpwindPolicy.PARTIAL_FITTING, 20,
-                               grid_label="cubic"),
+                               UpwindPolicy.PARTIAL_FITTING, 20),
         "cubic-50": BsScenario(params, payoff, cubic,
-                               UpwindPolicy.PARTIAL_FITTING, 50,
-                               grid_label="cubic"),
+                               UpwindPolicy.PARTIAL_FITTING, 50),
     }
     return {key: run_bs_study(sc) for key, sc in scenarios.items()}
 
@@ -93,16 +88,16 @@ def bs_results():
 def test_a1_time_convergence_ladders(ladder_results, capsys):
     results, elapsed = ladder_results
     region = results[UpwindPolicy.FOULON_REGION]
-    rms = {r.l: r.rms_error for r in region.reports}
+    rms = {r.l: r.rms_error for r in region.runs}
     low_l = [l for l in rms if l < 100]
     diverges = all(rms[l] > 10.0 * rms[200] for l in low_l)
     clean = {}
     for policy in (UpwindPolicy.PARTIAL_FITTING, UpwindPolicy.OSULLIVAN):
-        reports = results[policy].reports
+        runs = results[policy].runs
         clean[policy.value] = (
-            not any(r.exploded for r in reports)
+            not any(r.exploded for r in runs)
             and all(b.rms_error <= 1.2 * a.rms_error
-                    for a, b in zip(reports, reports[1:])))
+                    for a, b in zip(runs, runs[1:])))
     ok = diverges and all(clean.values()) and elapsed < 600.0
     announce(capsys, f"A1 convergence ladders: {'PASS' if ok else 'FAIL'} "
                      f"(region-fitting rms at l<100 all > 10x rms at l=200: "
@@ -145,7 +140,7 @@ def test_a3_delta_oscillation_by_family(stress, capsys):
     params, gx, gv = stress
     out = run_delta_comparison(params, gx, gv, UpwindPolicy.PARTIAL_FITTING,
                                l=10)
-    osc = {label: res["osc"] for label, res in out.items()}
+    osc = {label: run.osc_metric for label, (_, run) in out.items()}
     floor = max(osc["rkc(eps=10)"], 1e-8)
     legendre_osc = osc["rkl"] >= 10.0 * floor
     gegenbauer_clean = osc["rkg(g=2)"] <= 3.0 * floor
@@ -176,22 +171,22 @@ def test_a4_heavy_damping_buys_stability(stress, capsys):
     assert ratio >= 1.8
 
 
-def _step_rho(res: BsStudyResult) -> float:
+def _step_rho(res: BsStudyResult, policy: UpwindPolicy) -> float:
     """k * rho for a uniform-grid leg, rebuilt from the leg's own result."""
     params = default_bs_params()
     grid = bs_uniform_grid(m=len(res.curves["trbdf2"]) - 1)
-    op = assemble_bs(params, grid, UpwindPolicy(res.reports[0].policy))
-    return params.expiry / res.reports[0].l * gershgorin_radius(op)
+    op = assemble_bs(params, grid, policy)
+    return params.expiry / res.runs[0].l * gershgorin_radius(op)
 
 
 def test_a5_uniform_grid_family_separation(bs_results, capsys):
     res_none = bs_results["uniform-none"]
     res_partial = bs_results["uniform-partial"]
     res_cubic = bs_results["cubic-20"]
-    osc = {r.scheme: r.osc_metric for r in res_none.reports}
-    explicit = [r.scheme for r in res_none.reports if r.scheme != "trbdf2"]
-    stages = {label: sorted(set(log["s_per_step"]))
-              for label, log in zip(explicit, res_none.logs)}
+    osc = {r.family: r.osc_metric for r in res_none.runs}
+    explicit = [r.family for r in res_none.runs if r.family != "trbdf2"]
+    stages = {r.family: sorted(set(r.s_per_step))
+              for r in res_none.runs if r.family != "trbdf2"}
     two_stage = all(s == [2] for s in stages.values())
 
     # every second-order two-stage member is 1 + z + z^2/2, so the explicit
@@ -210,10 +205,10 @@ def test_a5_uniform_grid_family_separation(bs_results, capsys):
     unfitted_osc = (osc["rkl"] > res_partial.threshold
                     and osc["trbdf2"] > res_partial.threshold)
     partial_clean = all(r.osc_metric < res_partial.threshold
-                        for r in res_partial.reports)
+                        for r in res_partial.runs)
 
     # the separation lives on the strongly stretched cubic grid
-    osc_cubic = {r.scheme: r.osc_metric for r in res_cubic.reports}
+    osc_cubic = {r.family: r.osc_metric for r in res_cubic.runs}
     separation = (osc_cubic["rkl"] >= 5.0 * osc_cubic["rkg(g=2)"]
                   and osc_cubic["rkl"] >= 5.0 * osc_cubic["trbdf2"])
 
@@ -221,8 +216,9 @@ def test_a5_uniform_grid_family_separation(bs_results, capsys):
           and partial_clean and separation)
     announce(capsys, f"A5 flat-vol barrier: {'PASS' if ok else 'FAIL'} "
                      f"(uniform grid: stages {stages}; k*rho "
-                     f"{_step_rho(res_none):.3f} unfitted, "
-                     f"{_step_rho(res_partial):.3f} fitted; curve gap "
+                     f"{_step_rho(res_none, UpwindPolicy.NONE):.3f} unfitted, "
+                     f"{_step_rho(res_partial, UpwindPolicy.PARTIAL_FITTING):.3f} "
+                     f"fitted; curve gap "
                      f"{curve_gap:.2g}, osc spread {osc_spread:.2g}, "
                      f"trbdf2/rkl {trbdf2_ratio:.4f}; fitted leg clean "
                      f"{partial_clean}; cubic l=20 osc rkl "
@@ -239,14 +235,14 @@ def test_a5_uniform_grid_family_separation(bs_results, capsys):
 def test_a6_cubic_grid_step_budget(bs_results, capsys):
     t20 = bs_results["cubic-20"]
     t50 = bs_results["cubic-50"]
-    osc20 = {r.scheme: r.osc_metric for r in t20.reports}
-    osc50 = {r.scheme: r.osc_metric for r in t50.reports}
+    osc20 = {r.family: r.osc_metric for r in t20.runs}
+    osc50 = {r.family: r.osc_metric for r in t50.runs}
     rkl_dirty_at_20 = osc20["rkl"] > t20.threshold
     rkl_clean_at_50 = osc50["rkl"] <= t50.threshold
     others_clean = (osc20["rkg(g=2)"] <= t20.threshold
                     and osc20["trbdf2"] <= t20.threshold)
     no_explosions = not any(r.exploded for res in bs_results.values()
-                            for res_r in [res] for r in res_r.reports)
+                            for r in res.runs)
     ok = rkl_dirty_at_20 and rkl_clean_at_50 and others_clean and no_explosions
     announce(capsys, f"A6 cubic-grid step budget: {'PASS' if ok else 'FAIL'} "
                      f"(rkl osc {osc20['rkl']:.3g} vs threshold "
@@ -322,7 +318,7 @@ def test_a7_unit_oracles(stress, row_sum_check, capsys):
 
     # a vanilla payoff priced explicitly against the closed form
     bs_params = default_bs_params()
-    grid = bs_sinh_grid(m=400)
+    grid = foulon_grid_x(100.0, 400)
     op_bs = assemble_bs(bs_params, grid, UpwindPolicy.PARTIAL_FITTING)
     payoff = call(100.0)
     fld, log = run_integrator(rkc(10.0), op_bs, payoff_eval(payoff, grid),

@@ -100,6 +100,10 @@ def test_roundtrip_with_overrides():
     ('{"payoff": {"kind": "binary"}}', "payoff.kind"),
     ('{"payoff": {"kind": "digital-range", "low": 9, "high": 2}}',
      "payoff: need low < high"),
+    ('{"payoff": {"kind": "call", "low": 5}}',
+     "payoff.low: only valid for kind 'digital-range'"),
+    ('{"payoff": {"kind": "digital-range", "low": 5, "high": 50, "strike": 100}}',
+     "payoff.strike: only valid for kind 'call' or 'put'"),
     ('{"l": 0}', "l: expected an integer >= 1"),
     ('{"out_dir": ""}', "out_dir: expected a non-empty string"),
 ])
@@ -140,6 +144,11 @@ def write_config(tmp_path: Path, payload: dict) -> Path:
     return path
 
 
+def read_log(out: Path) -> list[dict]:
+    return [json.loads(line) for line in
+            (out / "run_log.jsonl").read_text().splitlines()]
+
+
 def test_price_smoke_and_determinism(tmp_path):
     cfg_path = write_config(tmp_path, TINY_HESTON)
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -152,14 +161,14 @@ def test_price_smoke_and_determinism(tmp_path):
     summary = json.loads((out1 / "summary.json").read_text())
     assert summary["l"] == 5
     assert np.isfinite(summary["price_at_spot"]["rkc(eps=10)"])
-    log = [json.loads(line) for line in
-           (out1 / "run_log.jsonl").read_text().splitlines()]
+    log = read_log(out1)
     assert len(log) == 1 and not log[0]["exploded"]
     rec = log[0]
     assert rec["explosion_stage"] is None and rec["t_select"] >= 0.0
     assert rec["need"] == pytest.approx(rec["rho"] * 1.0 / 5)
     assert rec["dt"] == 1.0 / 5 and rec["stage_evals"] == sum(rec["s_per_step"])
     assert rec["margin"] >= 1.0
+    assert rec["price_at_spot"] == summary["price_at_spot"]["rkc(eps=10)"]
     # identical configs must produce byte-identical data files
     for name in ("price_rkc_eps10.csv", "summary.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
@@ -183,6 +192,13 @@ def test_converge_smoke(tmp_path):
     assert first[0] == "5" and float(first[1]) >= 0.0 and first[2] == "false"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["rkc(eps=10)"]["explosions"] == []
+    # each run record carries the score of its CSV row
+    log = read_log(out)
+    assert [rec["l"] for rec in log] == [5, 10]
+    for rec, line in zip(log, lines[1:]):
+        _, rms, _, osc, price = line.split(",")
+        assert (rec["rms_error"], rec["osc_metric"], rec["price_at_spot"]) == \
+            (float(rms), float(osc), float(price))
 
 
 def test_spectrum_smoke(tmp_path):
@@ -195,8 +211,7 @@ def test_spectrum_smoke(tmp_path):
     assert data.shape == (11 * 6, 2)
     meta = json.loads((out / "spectrum.json").read_text())
     assert meta["n"] == 66
-    log = [json.loads(line) for line in
-           (out / "run_log.jsonl").read_text().splitlines()]
+    log = read_log(out)
     assert log[0]["scale"] == 1.0 / 16.0 and log[0]["rho_gershgorin"] > 0.0
 
 
@@ -210,6 +225,9 @@ def test_delta_smoke(tmp_path):
     assert np.all(data[:, 1] == 0.0)       # the slice nearest v = 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["osc_metric"]["rkc(eps=10)"] >= 0.0
+    log = read_log(out)
+    assert {rec["family"]: rec["osc_metric"] for rec in log} == summary["osc_metric"]
+    assert np.isfinite(log[0]["price_at_spot"]) and np.isnan(log[0]["rms_error"])
 
 
 def test_bs_demo_smoke(tmp_path):
@@ -224,6 +242,13 @@ def test_bs_demo_smoke(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["threshold"] > 0.0
     assert set(summary["osc_metric"]) == {"trbdf2", "rkl", "rkg(g=2)"}
+    # the TR-BDF2 baseline is the first record, then one per family
+    log = read_log(out)
+    assert [rec["family"] for rec in log] == ["trbdf2", "rkl", "rkg(g=2)"]
+    assert log[0]["s_per_step"] == [] and log[0]["dt"] == 0.1
+    assert {rec["family"]: rec["osc_metric"] for rec in log} == summary["osc_metric"]
+    assert ({rec["family"]: rec["price_at_spot"] for rec in log}
+            == summary["price_at_spot"])
 
 
 EXPLODING = {
@@ -241,8 +266,7 @@ def test_strict_flag_fails_on_explosion(tmp_path):
     rc = main(["price", "--config", str(cfg_path), "--out", str(out),
                "--strict"])
     assert rc == 2
-    log = [json.loads(line) for line in
-           (out / "run_log.jsonl").read_text().splitlines()]
+    log = read_log(out)
     assert log[0]["exploded"] and log[0]["explosion_step"] is not None
     assert 1 <= log[0]["explosion_stage"] <= log[0]["s_per_step"][0]
     assert log[0]["margin"] >= 1.0

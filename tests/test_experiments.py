@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import norm
 
 from stslab.experiments import (BsScenario, ConvergenceStudy, bs_closed_form,
-                                bs_cubic_grid, bs_sinh_grid, bs_uniform_grid,
+                                bs_cubic_grid, bs_uniform_grid,
                                 call, clean_threshold, default_bs_params,
                                 default_heston_params, delta_surface,
                                 digital_range, foulon_grid_v, foulon_grid_x,
@@ -226,20 +226,7 @@ def test_foulon_grids_frozen_values():
     assert gv.nodes[1] == pytest.approx(0.0013859503596154292, rel=1e-13)
 
 
-def test_foulon_grid_v_variants():
-    lef = foulon_grid_v(n=20, variant="lefloch", v0=0.12)
-    assert lef.nodes[0] == 0.0 and lef.nodes[-1] == 5.0
-    # milder stretching than the hard-at-zero variant
-    assert lef.spacings[0] > foulon_grid_v(n=20).spacings[0]
-    with pytest.raises(ValueError, match="needs v0"):
-        foulon_grid_v(n=20, variant="lefloch")
-    with pytest.raises(ValueError, match="unknown variant"):
-        foulon_grid_v(n=20, variant="tanh")
-
-
 def test_bs_grid_builders():
-    assert np.array_equal(bs_sinh_grid(m=400).nodes,
-                          foulon_grid_x(100.0, m=400).nodes)
     assert bs_uniform_grid(m=100).spacings.max() == pytest.approx(1.5)
     cubic = bs_cubic_grid(m=400, alpha=0.01)
     assert cubic.nodes[0] == 0.0 and cubic.nodes[-1] == 150.0
@@ -253,14 +240,14 @@ def test_time_convergence_small(heston_params, gx_small, gv_small):
         params=heston_params, gx=gx_small, gv=gv_small,
         policy=UpwindPolicy.PARTIAL_FITTING, family=rkc(10.0),
         payoff=call(heston_params.strike), ladder=(20, 40),
-        l_ref=400, validate_reference=True, grid_label="small")
+        l_ref=400, validate_reference=True)
     res = run_time_convergence(study)
     assert res.reference_check is not None and res.reference_check < 1e-4
-    assert [r.l for r in res.reports] == [20, 40]
-    assert not any(r.exploded for r in res.reports)
-    assert res.reports[1].rms_error < 1.2 * res.reports[0].rms_error
-    assert all(np.isfinite(r.price_at_spot) for r in res.reports)
-    assert all(log["family"] == "rkc(eps=10)" for log in res.logs)
+    assert [r.l for r in res.runs] == [20, 40]
+    assert not any(r.exploded for r in res.runs)
+    assert res.runs[1].rms_error < 1.2 * res.runs[0].rms_error
+    assert all(np.isfinite(r.price_at_spot) for r in res.runs)
+    assert all(r.family == "rkc(eps=10)" for r in res.runs)
     # a call gains value with variance; check the reference at the money
     i = int(np.argmin(np.abs(gx_small.nodes - heston_params.strike)))
     dv = np.diff(res.reference[i, :])
@@ -271,26 +258,26 @@ def test_delta_comparison_smoke(heston_params, gx_small, gv_small):
     out = run_delta_comparison(heston_params, gx_small, gv_small,
                                UpwindPolicy.PARTIAL_FITTING, l=10)
     assert set(out) == {"rkc(eps=10)", "rkl", "rkg(g=2)"}
-    for label, res in out.items():
-        assert np.isfinite(res["osc"]) and res["osc"] >= 0.0
-        assert res["delta"].shape == (gx_small.m + 1,)
-        assert res["report"].l == 10
-        assert res["log"]["family"] == label
+    for label, (delta, run) in out.items():
+        assert np.isfinite(run.osc_metric) and run.osc_metric >= 0.0
+        assert delta.shape == (gx_small.m + 1,)
+        assert run.l == 10
+        assert run.family == label
 
 
 def test_bs_study_structure(bs_params):
     scenario = BsScenario(params=bs_params, payoff=digital_range(10.0, 100.0),
                           grid=bs_uniform_grid(m=60), policy=UpwindPolicy.NONE,
-                          l=40, grid_label="uniform")
+                          l=40)
     res = run_bs_study(scenario)
-    assert [r.scheme for r in res.reports] == ["trbdf2", "rkl", "rkg(g=2)",
-                                               "rkc(eps=10)"]
+    assert [r.family for r in res.runs] == ["trbdf2", "rkl", "rkg(g=2)",
+                                            "rkc(eps=10)"]
     assert set(res.curves) == {"trbdf2", "rkl", "rkg(g=2)", "rkc(eps=10)"}
     assert all(curve.shape == (61,) for curve in res.curves.values())
     assert np.isfinite(res.threshold) and res.threshold > 0.0
     assert res.spectrum is not None and res.spectrum.n == 61
-    assert len(res.logs) == 3
-    assert not any(r.exploded for r in res.reports)
+    assert [len(r.s_per_step) for r in res.runs] == [0, 40, 40, 40]
+    assert not any(r.exploded for r in res.runs)
 
 
 @pytest.mark.parametrize("dim", [2, 1])
@@ -309,13 +296,13 @@ def test_run_and_score_explosion(dim, heston_params, bs_params, gx_small, gv_sma
         y0 = payoff_eval(digital_range(10.0, 100.0), op.gx)
         ref = roi = v0 = None
     window = roi_mask(op.gx, 50.0, 150.0)
-    fld, osc_slice, rep, log = run_and_score(rkl(), op, y0, 1.0, 100, 1e-6, window,
-                                             100.0, v0, "tiny-rho", ref=ref, roi=roi)
-    assert rep.exploded and log["exploded"] and log["explosion_step"] is not None
-    assert rep.osc_metric == float("inf") and np.isnan(rep.price_at_spot)
+    fld, osc_slice, run = run_and_score(rkl(), op, y0, 1.0, 100, 1e-6, window,
+                                        100.0, v0, ref=ref, roi=roi)
+    assert run.exploded and run.explosion_step is not None
+    assert run.osc_metric == float("inf") and np.isnan(run.price_at_spot)
     if ref is None:
-        assert np.isnan(rep.rms_error)
+        assert np.isnan(run.rms_error)
     else:
-        assert rep.rms_error == float("inf")
+        assert run.rms_error == float("inf")
     assert osc_slice.shape == (op.gx.m + 1,) and np.isfinite(osc_slice).all()
     assert np.isfinite(fld).all() and fld.shape == y0.shape

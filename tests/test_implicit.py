@@ -5,7 +5,7 @@ import pytest
 
 from scipy.linalg import get_lapack_funcs
 
-from stslab.experiments import (bs_closed_form, bs_cubic_grid, bs_sinh_grid, call,
+from stslab.experiments import (bs_closed_form, bs_cubic_grid, call,
                                 default_bs_params, default_heston_params,
                                 foulon_grid_v, foulon_grid_x, payoff_eval)
 from stslab.grids import Grid1D, make_uniform
@@ -264,7 +264,7 @@ def test_cn_second_order_at_spot(heston_params, gx_small, gv_small):
 
 
 def test_references_agree_with_closed_form(bs_params):
-    grid = bs_sinh_grid(m=200)
+    grid = foulon_grid_x(100.0, 200)
     op = assemble_bs(bs_params, grid, UpwindPolicy.PARTIAL_FITTING)
     payoff = call(100.0)
     y0 = payoff_eval(payoff, grid)

@@ -405,13 +405,14 @@ def test_explosion_detection():
     assert log.explosion_step == 0
     assert log.explosion_stage == 2  # stage 1 stays finite, stage 2 overflows
     assert np.all(np.isfinite(y))  # last finite state is returned
-    d = log.to_dict()
+    d = dataclasses.asdict(log)
     assert d["exploded"] is True and d["explosion_step"] == 0
     assert d["explosion_stage"] == 2
     assert d["rho"] == 1.0 and d["need"] == 0.5 and d["s_per_step"] == [2]
     assert d["dt"] == 0.5 and d["stage_evals"] == 2  # one step of two stages
     assert d["margin"] == pytest.approx(0.95 * 2.0 / 0.5) and d["margin"] >= 1.0
     assert d["t_select"] >= 0.0
+    assert all(np.isnan(d[k]) for k in ("rms_error", "osc_metric", "price_at_spot"))
 
 
 def reference_super_step(coeffs, op, state, dt):
