@@ -9,13 +9,15 @@ Config parsing is strict: unknown keys and out-of-range values are rejected
 with the offending path, because experiments here differ by one or two keys
 and a silently ignored typo would fake a finding.  Data CSVs contain no
 timings, so identical configs produce byte-identical files; wall times go to
-the run log only.
+the run log only.  JSON files are strict JSON: a non-finite number (an
+unscored field, an infinite margin, an exploded price) is written as null.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -375,16 +377,26 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _finite_or_none(obj):
+    """obj with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_none(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_none(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: Path, obj) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_finite_or_none(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
 def _write_jsonl(path: Path, records) -> None:
     with open(path, "w") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.write(json.dumps(_finite_or_none(rec), sort_keys=True, allow_nan=False)
+                     + "\n")
 
 
 def _slice_rows(gx, gv, field):
@@ -425,7 +437,7 @@ def _cmd_price(cfg: RunConfig, out: Path) -> list[dict]:
         _write_csv(out / f"price_{_sanitize(fam.label)}.csv", ["x", "v", "value"],
                    _slice_rows(gx, gv, fld))
     _write_json(out / "summary.json", {"l": l, "price_at_spot": {
-        r.family: None if r.exploded else r.price_at_spot for r in runs}})
+        r.family: r.price_at_spot for r in runs}})
     return [asdict(r) for r in runs]
 
 

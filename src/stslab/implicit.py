@@ -3,8 +3,10 @@
 The vectorized operator is banded: under row-major vectorization with the v
 index innermost, x neighbors sit n+1 slots away and the cross terms extend the
 bandwidth to n+2 (1 for the tridiagonal 1-D case).  Systems (alpha I + beta M)
-are assembled directly in LAPACK band storage and factored once per run, so a
-Crank-Nicolson run costs one factorization plus one band solve per step.
+are assembled directly in Fortran-ordered LAPACK band storage and factored
+once per run, in place: gbtrf overwrites the band array with its LU factors,
+so a factorization holds no second copy of it.  A Crank-Nicolson run costs
+one factorization plus one band solve per step.
 
 A factorization without row interchanges (gbtrf has not pivoted on the 2-D
 Heston CN systems) keeps its triangles packed: unit-lower L with kl
@@ -84,13 +86,13 @@ class BandedLU:
 
 
 def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMatrix:
-    """Band storage of alpha I + beta M for the vectorized operator."""
+    """Band storage of alpha I + beta M, Fortran-ordered for an in-place gbtrf."""
     if op.is_1d:
         kl = ku = 1
     else:
         kl = ku = op.shape[1] + 1
     n = op.size
-    ab = np.zeros((2 * kl + ku + 1, n))
+    ab = np.zeros((2 * kl + ku + 1, n), order="F")
     mat = op.matrix.tocoo()
     ab[kl + ku + mat.row - mat.col, mat.col] = beta * mat.data
     ab[kl + ku, :] += alpha
@@ -98,8 +100,12 @@ def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMat
 
 
 def banded_factor(bm: BandedMatrix) -> BandedLU:
-    """LU factorization with partial pivoting within the band."""
-    lu, ipiv, info = dgbtrf(bm.ab, bm.kl, bm.ku)
+    """LU factorization with partial pivoting within the band.
+
+    Consumes bm: a Fortran-ordered bm.ab (as operator_banded builds it) is
+    factored in place and becomes the returned lu.
+    """
+    lu, ipiv, info = dgbtrf(bm.ab, bm.kl, bm.ku, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"gbtrf: illegal argument {-info}")
     if info > 0:

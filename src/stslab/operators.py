@@ -35,6 +35,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse
+from scipy.sparse._sparsetools import csr_matvec
 
 from .grids import Grid1D
 
@@ -408,25 +409,27 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
 def apply(op: StencilOperator, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate M f on the lattice; with out given, write it there and return out.
 
-    In 1-D the three-term stencil is cheaper than a sparse matvec, whose
-    dispatch costs more than the arithmetic on a few hundred nodes.  out must
-    not overlap f: the stencil reads f after it starts writing out.
+    out is zeroed and the CSR matvec that `op.matrix @ f.ravel()` runs adds
+    each row into it, so the result is bitwise that product with no
+    temporary.  out must be a C-contiguous float64 array of the operator's
+    shape and must not overlap f: the matvec reads f while it writes out.
     """
     f = np.asarray(f)
     if f.shape != op.shape:
         raise ValueError(f"field shape {f.shape} does not match operator {op.shape}")
-    if out is not None and np.may_share_memory(out, f):
-        raise ValueError("out must not share memory with the field")
-    if not op.is_1d:
-        mf = (op.matrix @ f.ravel()).reshape(op.shape)
-        if out is None:
-            return mf
-        np.copyto(out, mf)
-        return out
-    out = np.multiply(op.b, f, out)
-    lo, hi = out[1:], out[:-1]
-    np.add(lo, op.a[1:] * f[:-1], lo)
-    np.add(hi, op.c[:-1] * f[1:], hi)
+    if out is None:
+        out = np.zeros(op.shape)
+    else:
+        if (out.shape != op.shape or out.dtype != np.float64
+                or not out.flags.c_contiguous):
+            raise ValueError("out must be a C-contiguous float64 array of the "
+                             f"operator shape {op.shape}")
+        if np.may_share_memory(out, f):
+            raise ValueError("out must not share memory with the field")
+        out.fill(0.0)
+    mat = op.matrix
+    csr_matvec(op.size, op.size, mat.indptr, mat.indices, mat.data, f.ravel(),
+               out.reshape(-1))
     return out
 
 

@@ -396,7 +396,8 @@ def super_step(coeffs: StageCoefficients, op, state: np.ndarray,
     detects an explosion; only then is the step re-run with a check per stage.
     """
     F = _as_linear_map(op)
-    y0 = np.asarray(state, dtype=float)
+    # C order: the stage buffers copy y0's layout and apply writes C-ordered ones
+    y0 = np.ascontiguousarray(state, dtype=float)
     # The isfinite checks are the explosion detector; once a stage diverges
     # the overflow warnings on the way to inf carry no information.
     with np.errstate(over="ignore", invalid="ignore"):

@@ -48,18 +48,25 @@ def eigenvalues_dense(mat, scale: float = 1.0) -> Spectrum:
     """Full spectrum of scale * M via dense QR iteration.
 
     mat may be a sparse matrix or a dense array; dimension is capped at
-    DENSE_GUARD.
+    DENSE_GUARD.  One private Fortran-ordered copy of M is scaled in place and
+    overwritten by geev, so the peak is one n x n array; mat is not modified.
     """
     n = np.shape(mat)[0]
     if n > DENSE_GUARD:
         raise ValueError(
             f"matrix dimension {n} exceeds the dense guard {DENSE_GUARD}; "
             "coarsen the grid or use an iterative eigensolver externally")
-    dense = mat.toarray() if scipy.sparse.issparse(mat) else np.asarray(mat)
+    if scipy.sparse.issparse(mat):
+        dense = mat.toarray(order="F")
+    else:
+        dense = np.array(mat, dtype=float, order="F")
     if dense.shape != (n, n):
         raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-    dense = scale * dense  # rebinding frees the unscaled copy before eigvals
-    lam = scipy.linalg.eigvals(dense)
+    dense *= scale
+    # min and max propagate NaN and expose +-inf without an n x n temporary
+    if not (np.isfinite(dense.min()) and np.isfinite(dense.max())):
+        raise ValueError("matrix must not contain infs or NaNs")
+    lam = scipy.linalg.eigvals(dense, overwrite_a=True, check_finite=False)
     order = np.lexsort((lam.imag, lam.real))
     lam = lam[order]
     return Spectrum(eigenvalues=lam,

@@ -144,8 +144,18 @@ def write_config(tmp_path: Path, payload: dict) -> Path:
     return path
 
 
+def reject_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def read_summary(out: Path) -> dict:
+    return json.loads((out / "summary.json").read_text(),
+                      parse_constant=reject_constant)
+
+
 def read_log(out: Path) -> list[dict]:
-    return [json.loads(line) for line in
+    """The run log, parsed as strict JSON (NaN and Infinity are refused)."""
+    return [json.loads(line, parse_constant=reject_constant) for line in
             (out / "run_log.jsonl").read_text().splitlines()]
 
 
@@ -158,7 +168,7 @@ def test_price_smoke_and_determinism(tmp_path):
     assert price.exists()
     data = np.loadtxt(price, delimiter=",", skiprows=1)
     assert data.shape == (17 * 9, 3)
-    summary = json.loads((out1 / "summary.json").read_text())
+    summary = read_summary(out1)
     assert summary["l"] == 5
     assert np.isfinite(summary["price_at_spot"]["rkc(eps=10)"])
     log = read_log(out1)
@@ -190,7 +200,7 @@ def test_converge_smoke(tmp_path):
     assert len(lines) == 3
     first = lines[1].split(",")
     assert first[0] == "5" and float(first[1]) >= 0.0 and first[2] == "false"
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["rkc(eps=10)"]["explosions"] == []
     # each run record carries the score of its CSV row
     log = read_log(out)
@@ -223,11 +233,11 @@ def test_delta_smoke(tmp_path):
     data = np.loadtxt(out / "delta_rkc_eps10.csv", delimiter=",", skiprows=1)
     assert data.shape == (17, 3)
     assert np.all(data[:, 1] == 0.0)       # the slice nearest v = 0
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["osc_metric"]["rkc(eps=10)"] >= 0.0
     log = read_log(out)
     assert {rec["family"]: rec["osc_metric"] for rec in log} == summary["osc_metric"]
-    assert np.isfinite(log[0]["price_at_spot"]) and np.isnan(log[0]["rms_error"])
+    assert np.isfinite(log[0]["price_at_spot"]) and log[0]["rms_error"] is None
 
 
 def test_bs_demo_smoke(tmp_path):
@@ -239,13 +249,15 @@ def test_bs_demo_smoke(tmp_path):
     for name in ("price_trbdf2.csv", "price_rkl.csv", "price_rkg_g2.csv",
                  "spectrum.csv", "summary.json", "run_log.jsonl"):
         assert (out / name).exists()
-    summary = json.loads((out / "summary.json").read_text())
+    summary = read_summary(out)
     assert summary["threshold"] > 0.0
     assert set(summary["osc_metric"]) == {"trbdf2", "rkl", "rkg(g=2)"}
     # the TR-BDF2 baseline is the first record, then one per family
     log = read_log(out)
     assert [rec["family"] for rec in log] == ["trbdf2", "rkl", "rkg(g=2)"]
     assert log[0]["s_per_step"] == [] and log[0]["dt"] == 0.1
+    # non-finite fields (an infinite margin, an unscored rms) are written as null
+    assert log[0]["margin"] is None and log[0]["rms_error"] is None
     assert {rec["family"]: rec["osc_metric"] for rec in log} == summary["osc_metric"]
     assert ({rec["family"]: rec["price_at_spot"] for rec in log}
             == summary["price_at_spot"])
@@ -269,8 +281,8 @@ def test_strict_flag_fails_on_explosion(tmp_path):
     log = read_log(out)
     assert log[0]["exploded"] and log[0]["explosion_step"] is not None
     assert 1 <= log[0]["explosion_stage"] <= log[0]["s_per_step"][0]
-    assert log[0]["margin"] >= 1.0
-    summary = json.loads((out / "summary.json").read_text())
+    assert log[0]["margin"] >= 1.0 and log[0]["price_at_spot"] is None
+    summary = read_summary(out)
     assert summary["price_at_spot"]["rkl"] is None
     # without --strict the run is recorded but the exit status stays 0
     rc = main(["price", "--config", str(cfg_path), "--out",

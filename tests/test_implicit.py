@@ -1,5 +1,7 @@
 """Banded solves and the implicit reference integrators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,31 @@ def test_solve_matches_gbtrs_bitwise(build, pivoted):
         got = lu.solve(rhs)
         assert got.tobytes() == reference_gbtrs_solve(lu, rhs).tobytes()
         assert np.array_equal(rhs, before)
+
+
+@pytest.mark.parametrize("build", [
+    cn_heston_matrix,
+    lambda: trbdf2_bs_matrix(make_uniform(0.0, 150.0, 100)),
+], ids=["heston-cn-41x21", "uniform-101"])
+def test_factor_overwrites_band_array(build):
+    bm = build()
+    assert bm.ab.flags.f_contiguous
+    lu = banded_factor(bm)
+    assert np.shares_memory(lu.lu, bm.ab)
+
+
+def test_factor_peak_below_band_array():
+    """No copy of ab: only the packed triangles, ipiv and the pivot check."""
+    bm = cn_heston_matrix()
+    nbytes = bm.ab.nbytes
+    banded_factor(cn_heston_matrix())  # warm the LAPACK lookups
+    tracemalloc.start()
+    try:
+        banded_factor(bm)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= nbytes, f"peak {peak / nbytes:.2f} x ab.nbytes"
 
 
 def test_crank_nicolson_matches_reference_bitwise(heston_params, gx_small, gv_small):

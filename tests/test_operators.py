@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stslab.experiments import bs_cubic_grid
 from stslab.grids import Grid1D, make_uniform
 from stslab.operators import (BsParams, HestonParams, UpwindPolicy, apply,
                               assemble_bs, assemble_heston, fitting_factor,
@@ -363,6 +364,59 @@ def test_apply_into_out(dim, heston_params, bs_params, gx_small, gv_small):
         apply(op, f, out=f)
     with pytest.raises(ValueError, match="share memory"):
         apply(op, f[..., ::-1], out=f)
+
+
+def reference_apply_1d(op, f):
+    """The three-term 1-D stencil apply ran before it became the CSR matvec.
+
+    Sums (b f + a f_-) + c f_+, a commutation of the matvec's row order
+    (a f_- + b f) + c f_+, so the two agree bit for bit.
+    """
+    out = op.b * f
+    out[1:] += op.a[1:] * f[:-1]
+    out[:-1] += op.c[:-1] * f[1:]
+    return out
+
+
+def apply_case(dim, heston_params, bs_params, gx_small, gv_small):
+    if dim == "1d":
+        return assemble_bs(bs_params, bs_cubic_grid(), UpwindPolicy.PARTIAL_FITTING)
+    return assemble_heston(heston_params, gx_small, gv_small,
+                           UpwindPolicy.PARTIAL_FITTING)
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_apply_is_the_matrix_product_bitwise(dim, heston_params, bs_params,
+                                             gx_small, gv_small):
+    op = apply_case(dim, heston_params, bs_params, gx_small, gv_small)
+    f = np.random.default_rng(13).standard_normal(op.shape)
+    want = (op.matrix @ f.ravel()).reshape(op.shape)
+    buf = np.full(op.shape, np.nan)
+    assert apply(op, f).tobytes() == want.tobytes()
+    assert apply(op, f, out=buf).tobytes() == want.tobytes()
+    # a non-contiguous field reads the same values
+    wide = np.zeros(op.shape[:-1] + (2 * op.shape[-1],))
+    wide[..., ::2] = f
+    assert apply(op, wide[..., ::2], out=buf).tobytes() == want.tobytes()
+    if dim == "1d":
+        assert want.tobytes() == reference_apply_1d(op, f).tobytes()
+        # a digital payoff: zero rows keep the old stencil's sign of zero
+        x = op.gx.nodes
+        step = np.where((x > 10.0) & (x < 100.0), 1.0, 0.0)
+        assert apply(op, step).tobytes() == reference_apply_1d(op, step).tobytes()
+
+
+@pytest.mark.parametrize("dim", ["1d", "2d"])
+def test_apply_out_guards(dim, heston_params, bs_params, gx_small, gv_small):
+    op = apply_case(dim, heston_params, bs_params, gx_small, gv_small)
+    f = np.ones(op.shape)
+    bad = [np.empty(op.size + 1), np.empty(op.shape, dtype=np.float32),
+           np.empty(op.shape[:-1] + (2 * op.shape[-1],))[..., ::2]]
+    if dim == "2d":
+        bad.append(np.empty(op.shape, order="F"))
+    for out in bad:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            apply(op, f, out=out)
 
 
 # --------------------------------------------------- consistency with PDE

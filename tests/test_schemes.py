@@ -498,6 +498,15 @@ def test_super_step_bit_identical_to_reference(family, case, step_cases):
         y = got
 
 
+def test_super_step_accepts_any_field_layout(step_cases):
+    """apply writes C-ordered buffers; a Fortran-ordered field gives the same bits."""
+    op, rho, y = step_cases["partial-2d"]
+    coeffs = make_coefficients(rkc(10.0), select_stage_count(rkc(10.0), 300.0 / rho, rho))
+    want = super_step(coeffs, op, y, 300.0 / rho)
+    got = super_step(coeffs, op, np.asfortranarray(y), 300.0 / rho)
+    assert got.tobytes() == want.tobytes()
+
+
 def _region_fitting_case(family):
     # region fitting on a long expiry: the rungs grow past the float range
     params = dataclasses.replace(default_heston_params(), expiry=500.0)

@@ -1,13 +1,14 @@
 """Gershgorin bounds and dense eigenvalue extraction."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from stslab.experiments import bs_cubic_grid
+from stslab.experiments import bs_cubic_grid, foulon_grid_v, foulon_grid_x
 from stslab.grids import Grid1D, make_uniform
 from stslab.operators import (StencilOperator, UpwindPolicy, assemble_bs,
                               assemble_heston, to_sparse)
@@ -134,6 +135,42 @@ def test_dense_guard_refuses_large_matrices():
 def test_non_square_refused():
     with pytest.raises(ValueError, match="square"):
         eigenvalues_dense(np.zeros((3, 4)))
+
+
+def test_non_finite_refused():
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        eigenvalues_dense(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+@pytest.fixture(scope="module")
+def heston_496(heston_params):
+    """The 31 x 16 partial-fitting Heston operator (n = 496)."""
+    op = assemble_heston(heston_params, foulon_grid_x(100.0, m=30),
+                         foulon_grid_v(n=15), UpwindPolicy.PARTIAL_FITTING)
+    return to_sparse(op)
+
+
+def test_dense_eigensolve_holds_one_copy(heston_496):
+    """One n x n array at the peak: scaled in place and overwritten by geev."""
+    n = heston_496.shape[0]
+    eigenvalues_dense(heston_496, scale=1.0 / 16)  # warm the LAPACK lookups
+    tracemalloc.start()
+    try:
+        eigenvalues_dense(heston_496, scale=1.0 / 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * n * n * 8, f"peak {peak / (n * n * 8):.2f} x n^2 doubles"
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_dense_input_left_unchanged(order, heston_496):
+    dense = np.array(heston_496.toarray(), order=order)
+    before = dense.copy()
+    spec = eigenvalues_dense(dense, scale=0.25)
+    assert np.array_equal(dense, before)
+    want = eigenvalues_dense(heston_496, scale=0.25)
+    assert spec.eigenvalues.tobytes() == want.eigenvalues.tobytes()
 
 
 def test_write_spectrum_roundtrip(tmp_path, heston_spectrum):
