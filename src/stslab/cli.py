@@ -24,15 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (BsScenario, ConvergenceStudy, DEFAULT_LADDER, Payoff,
-                          PayoffKind, call, digital_range, payoff_eval,
-                          price_at_spot, put, run_bs_study,
-                          run_delta_comparison, run_time_convergence)
+from .experiments import (DEFAULT_LADDER, Payoff, PayoffKind, call,
+                          digital_range, prepare, put, run_and_score,
+                          run_bs_study, run_delta_comparison,
+                          run_time_convergence)
 from .grids import Grid1D, StretchKind, StretchSpec, make_grid
-from .operators import (BsParams, HestonParams, UpwindPolicy, assemble_bs,
-                        assemble_heston, to_sparse)
-from .schemes import FamilyKind, SchemeFamily, run_integrator
-from .spectra import eigenvalues_dense, gershgorin_radius, write_spectrum
+from .operators import BsParams, HestonParams, UpwindPolicy, to_sparse
+from .schemes import FamilyKind, SchemeFamily
+from .spectra import eigenvalues_dense, write_spectrum
 
 __all__ = ["ConfigError", "GridConfig", "RunConfig", "parse_config",
            "default_config", "dispatch", "main"]
@@ -325,6 +324,12 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError("schemes: expected a non-empty list")
     schemes = tuple(_parse_scheme(s, f"schemes[{i}]")
                     for i, s in enumerate(schemes_raw))
+    # every command keys its files and summaries on the label
+    labels = [fam.label for fam in schemes]
+    for i, label in enumerate(labels):
+        if labels.index(label) != i:
+            raise ConfigError(f"schemes[{labels.index(label)}] and schemes[{i}] "
+                              f"share the label {label!r}")
 
     ladder_raw = raw.get("ladder", list(DEFAULT_LADDER))
     if (not isinstance(ladder_raw, list) or not ladder_raw
@@ -414,25 +419,14 @@ def _sanitize(label: str) -> str:
             .replace(".", "p").replace(",", "_"))
 
 
-def _assemble(cfg: RunConfig):
-    gx, gv = cfg.build_grids()
-    if cfg.model == "heston":
-        op = assemble_heston(cfg.params, gx, gv, cfg.policy)
-    else:
-        op = assemble_bs(cfg.params, gx, cfg.policy)
-    return gx, gv, op
-
-
 def _cmd_price(cfg: RunConfig, out: Path) -> list[dict]:
-    gx, gv, op = _assemble(cfg)
+    gx, gv = cfg.build_grids()
+    op, y0, rho, window = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
     l = cfg.l or 100
-    y0 = payoff_eval(cfg.payoff, gx, gv)
     runs = []
     for fam in cfg.schemes:
-        fld, run = run_integrator(fam, op, y0, cfg.params.expiry, l)
-        if not run.exploded:
-            run.price_at_spot = price_at_spot(fld, op.gx, cfg.params.spot, op.gv,
-                                              getattr(cfg.params, "v0", None))
+        fld, _, run = run_and_score(fam, op, y0, cfg.params.expiry, l, rho, window,
+                                    cfg.params.spot, getattr(cfg.params, "v0", None))
         runs.append(run)
         _write_csv(out / f"price_{_sanitize(fam.label)}.csv", ["x", "v", "value"],
                    _slice_rows(gx, gv, fld))
@@ -445,34 +439,32 @@ def _cmd_converge(cfg: RunConfig, out: Path) -> list[dict]:
     if cfg.model != "heston":
         raise ConfigError("converge drives the 2-D model; set model='heston'")
     gx, gv = cfg.build_grids()
-    runs = []
+    result = run_time_convergence(cfg.params, gx, gv, cfg.policy, cfg.payoff,
+                                  cfg.schemes, cfg.ladder, cfg.l_ref,
+                                  cfg.validate_reference)
     summary = {}
     for fam in cfg.schemes:
-        study = ConvergenceStudy(
-            params=cfg.params, gx=gx, gv=gv, policy=cfg.policy, family=fam,
-            payoff=cfg.payoff, ladder=cfg.ladder, l_ref=cfg.l_ref,
-            validate_reference=cfg.validate_reference)
-        result = run_time_convergence(study)
+        runs = [r for r in result.runs if r.family == fam.label]
         _write_csv(out / f"convergence_{_sanitize(fam.label)}.csv",
                    ["l", "rms_error", "exploded", "osc_metric", "price_at_spot"],
                    ((r.l, r.rms_error, r.exploded, r.osc_metric, r.price_at_spot)
-                    for r in result.runs))
-        runs.extend(result.runs)
+                    for r in runs))
         summary[fam.label] = {
             "reference_check": result.reference_check,
-            "explosions": [r.l for r in result.runs if r.exploded],
+            "explosions": [r.l for r in runs if r.exploded],
         }
     _write_json(out / "summary.json", summary)
-    return [asdict(r) for r in runs]
+    return [asdict(r) for r in result.runs]
 
 
 def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[dict]:
-    gx, gv, op = _assemble(cfg)
+    gx, gv = cfg.build_grids()
+    op, _, rho, _ = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
     l = cfg.l or 16
     scale = cfg.params.expiry / l
     spec = eigenvalues_dense(to_sparse(op), scale=scale)
     write_spectrum(spec, out / "spectrum.csv")
-    return [{"rho_gershgorin": gershgorin_radius(op), "scale": scale,
+    return [{"rho_gershgorin": rho, "scale": scale,
              "max_real": spec.max_real, "max_abs_imag": spec.max_abs_imag}]
 
 
@@ -481,8 +473,8 @@ def _cmd_delta(cfg: RunConfig, out: Path) -> list[dict]:
         raise ConfigError("delta drives the 2-D model; set model='heston'")
     gx, gv = cfg.build_grids()
     l = cfg.l or 10
-    results = run_delta_comparison(cfg.params, gx, gv, cfg.policy,
-                                   families=cfg.schemes, l=l, payoff=cfg.payoff)
+    results = run_delta_comparison(cfg.params, gx, gv, cfg.policy, cfg.payoff,
+                                   cfg.schemes, l)
     v0_row = gv.nodes[0]
     for label, (delta, _) in results.items():
         _write_csv(out / f"delta_{_sanitize(label)}.csv", ["x", "v", "value"],
@@ -496,10 +488,8 @@ def _cmd_bs_demo(cfg: RunConfig, out: Path) -> list[dict]:
     if cfg.model != "bs":
         raise ConfigError("bs-demo drives the 1-D model; set model='bs'")
     gx, _ = cfg.build_grids()
-    scenario = BsScenario(params=cfg.params, payoff=cfg.payoff, grid=gx,
-                          policy=cfg.policy, l=cfg.l or 100,
-                          families=cfg.schemes)
-    result = run_bs_study(scenario)
+    result = run_bs_study(cfg.params, gx, cfg.policy, cfg.payoff, cfg.schemes,
+                          cfg.l or 100)
     for label, curve in result.curves.items():
         _write_csv(out / f"price_{_sanitize(label)}.csv", ["x", "v", "value"],
                    ((x, 0.0, val) for x, val in zip(gx.nodes, curve)))

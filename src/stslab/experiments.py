@@ -1,10 +1,14 @@
 """Payoffs, error metrics, and the experiment drivers.
 
-Three studies are provided on top of the operator/integrator stack:
+Every run starts from `prepare`, which assembles the operator and returns it
+with the payoff values, the spectral bound stage selection runs against and
+the window the oscillation metric reads; every scheme is then run and scored
+by `run_and_score`.  Three studies are built on these two steps:
 
-* a time-convergence ladder for the stochastic-volatility model against a
-  Crank-Nicolson/Rannacher reference on the same grid and upwinding policy,
-  exposing the explosion of region-restricted fitting at low step counts;
+* a time-convergence ladder for the stochastic-volatility model: each family
+  in turn runs the ladder against one Crank-Nicolson/Rannacher reference,
+  computed once on the shared operator, exposing the explosion of
+  region-restricted fitting at low step counts;
 * a delta-oscillation comparison of the super-time-stepping families near
   v = 0;
 * the flat-volatility barrier study on uniform and stretched grids; on the
@@ -30,7 +34,7 @@ from .grids import Grid1D, StretchKind, StretchSpec, make_cubic, make_sinh, make
 from .implicit import crank_nicolson_run, trbdf2_run
 from .operators import (BsParams, HestonParams, StencilOperator, UpwindPolicy,
                         assemble_bs, assemble_heston, to_sparse)
-from .schemes import RunLog, SchemeFamily, rkc, rkg, rkl, run_integrator
+from .schemes import RunLog, SchemeFamily, run_integrator
 from .spectra import Spectrum, eigenvalues_dense, gershgorin_radius
 
 __all__ = [
@@ -48,6 +52,7 @@ __all__ = [
     "clean_threshold",
     "price_at_spot",
     "run_and_score",
+    "prepare",
     "default_heston_params",
     "default_bs_params",
     "foulon_grid_x",
@@ -55,11 +60,9 @@ __all__ = [
     "bs_uniform_grid",
     "bs_cubic_grid",
     "DEFAULT_LADDER",
-    "ConvergenceStudy",
     "ConvergenceResult",
     "run_time_convergence",
     "run_delta_comparison",
-    "BsScenario",
     "BsStudyResult",
     "run_bs_study",
 ]
@@ -272,6 +275,24 @@ def run_and_score(family: SchemeFamily, op: StencilOperator, y0: np.ndarray,
     return fld, osc_slice, log
 
 
+def prepare(params: HestonParams | BsParams, gx: Grid1D, gv: Grid1D | None,
+            policy: UpwindPolicy, payoff: Payoff):
+    """The setup every run on one operator shares: (op, y0, rho, window).
+
+    The 1-D model is assembled when gv is None and the 2-D one otherwise.
+    This is the one place that picks the spectral bound stage selection runs
+    against (the Gershgorin radius of op) and the x window the oscillation
+    metric reads (half to one and a half times the payoff level).
+    """
+    if gv is None:
+        op = assemble_bs(params, gx, policy)
+    else:
+        op = assemble_heston(params, gx, gv, policy)
+    y0 = payoff_eval(payoff, gx, gv)
+    window = roi_mask(gx, 0.5 * payoff.level, 1.5 * payoff.level)
+    return op, y0, gershgorin_radius(op), window
+
+
 def default_heston_params() -> HestonParams:
     """The small-vol-of-vol, large-drift-asymmetry stress case."""
     return HestonParams(v0=0.12, theta=0.12, kappa=3.0, sigma=0.04, rho=0.6,
@@ -313,89 +334,56 @@ DEFAULT_LADDER = (10, 20, 40, 80, 100, 200, 400, 800, 1600)
 
 
 @dataclass
-class ConvergenceStudy:
-    """Configuration of the time-convergence ladder on the 2-D model."""
-
-    params: HestonParams
-    gx: Grid1D
-    gv: Grid1D
-    policy: UpwindPolicy
-    family: SchemeFamily
-    payoff: Payoff
-    ladder: tuple[int, ...] = DEFAULT_LADDER
-    l_ref: int = 4000
-    validate_reference: bool = True
-
-
-@dataclass
 class ConvergenceResult:
-    runs: list[RunLog]
-    reference: np.ndarray
+    runs: list[RunLog]  # family-major: each family's ladder in turn
     reference_check: float | None
 
 
-def run_time_convergence(study: ConvergenceStudy) -> ConvergenceResult:
-    """Run the ladder against a CN/Rannacher reference on the same operator."""
-    op = assemble_heston(study.params, study.gx, study.gv, study.policy)
-    y0 = payoff_eval(study.payoff, study.gx, study.gv)
-    t = study.params.expiry
-    k = study.payoff.level
-    roi = roi_mask(study.gx, 0.5 * k, 1.5 * k, study.gv, 0.0, 1.0)
-    ref = crank_nicolson_run(op, y0, t, study.l_ref)
+def run_time_convergence(params: HestonParams, gx: Grid1D, gv: Grid1D,
+                         policy: UpwindPolicy, payoff: Payoff,
+                         families: tuple[SchemeFamily, ...],
+                         ladder: tuple[int, ...] = DEFAULT_LADDER,
+                         l_ref: int = 4000,
+                         validate_reference: bool = True) -> ConvergenceResult:
+    """Run each family's ladder against one CN/Rannacher reference.
+
+    The reference is computed once on the shared operator, whatever the
+    number of families, and with validate_reference its self-convergence
+    against 2 * l_ref is checked once too.
+    """
+    op, y0, rho, window = prepare(params, gx, gv, policy, payoff)
+    t = params.expiry
+    roi = roi_mask(gx, 0.5 * payoff.level, 1.5 * payoff.level, gv, 0.0, 1.0)
+    ref = crank_nicolson_run(op, y0, t, l_ref)
     ref_check = None
-    if study.validate_reference:
-        ref2 = crank_nicolson_run(op, y0, t, 2 * study.l_ref)
+    if validate_reference:
+        ref2 = crank_nicolson_run(op, y0, t, 2 * l_ref)
         ref_check = rms_error(ref, ref2, roi)
         if not ref_check < 1e-4:
             raise RuntimeError(
-                f"reference not self-converged: rms(l={study.l_ref}, "
-                f"l={2 * study.l_ref}) = {ref_check:.3e}")
-    rho = gershgorin_radius(op)
-    x_window = roi_mask(study.gx, 0.5 * k, 1.5 * k)
-    runs = []
-    for l in study.ladder:
-        _, _, run = run_and_score(study.family, op, y0, t, l, rho, x_window,
-                                  study.params.spot, study.params.v0,
-                                  ref=ref, roi=roi)
-        runs.append(run)
-    return ConvergenceResult(runs, ref, ref_check)
+                f"reference not self-converged: rms(l={l_ref}, "
+                f"l={2 * l_ref}) = {ref_check:.3e}")
+    runs = [run_and_score(fam, op, y0, t, l, rho, window, params.spot,
+                          params.v0, ref=ref, roi=roi)[2]
+            for fam in families for l in ladder]
+    return ConvergenceResult(runs, ref_check)
 
 
 def run_delta_comparison(params: HestonParams, gx: Grid1D, gv: Grid1D,
-                         policy: UpwindPolicy,
-                         families: tuple[SchemeFamily, ...] | None = None,
-                         l: int = 10, payoff: Payoff | None = None):
+                         policy: UpwindPolicy, payoff: Payoff,
+                         families: tuple[SchemeFamily, ...], l: int):
     """Delta slices nearest v = 0 for each family; returns label -> (delta, RunLog).
 
     The oscillation metric is evaluated on the forward-difference delta at the
     lowest variance row, inside the x window around the payoff level.
     """
-    if families is None:
-        families = (rkc(10.0), rkl(), rkg(2.0))
-    if payoff is None:
-        payoff = call(params.strike)
-    op = assemble_heston(params, gx, gv, policy)
-    y0 = payoff_eval(payoff, gx, gv)
-    rho = gershgorin_radius(op)
-    window = roi_mask(gx, 0.5 * payoff.level, 1.5 * payoff.level)
+    op, y0, rho, window = prepare(params, gx, gv, policy, payoff)
     out = {}
     for fam in families:
         _, delta0, run = run_and_score(fam, op, y0, params.expiry, l, rho,
                                        window, params.spot, params.v0)
         out[fam.label] = (delta0, run)
     return out
-
-
-@dataclass
-class BsScenario:
-    """One flat-volatility barrier scenario (grid, policy, step count)."""
-
-    params: BsParams
-    payoff: Payoff
-    grid: Grid1D
-    policy: UpwindPolicy
-    l: int
-    families: tuple[SchemeFamily, ...] = (rkl(), rkg(2.0), rkc(10.0))
 
 
 @dataclass
@@ -406,7 +394,9 @@ class BsStudyResult:
     spectrum: Spectrum
 
 
-def run_bs_study(scenario: BsScenario) -> BsStudyResult:
+def run_bs_study(params: BsParams, gx: Grid1D, policy: UpwindPolicy,
+                 payoff: Payoff, families: tuple[SchemeFamily, ...],
+                 l: int) -> BsStudyResult:
     """Price the barrier with each family plus TR-BDF2; calibrate cleanliness.
 
     The oscillation threshold is three times the worst of two baselines,
@@ -417,25 +407,20 @@ def run_bs_study(scenario: BsScenario) -> BsStudyResult:
     the threshold lands above every family, and no family can be judged
     oscillating by it; compare such a scenario against a fitted one instead.
     """
-    p = scenario.params
-    op = assemble_bs(p, scenario.grid, scenario.policy)
-    y0 = payoff_eval(scenario.payoff, scenario.grid)
-    window = roi_mask(scenario.grid, 0.5 * scenario.payoff.level,
-                      1.5 * scenario.payoff.level)
-    rho = gershgorin_radius(op)
+    op, y0, rho, window = prepare(params, gx, None, policy, payoff)
 
     t0 = time.perf_counter()
-    f_ref = trbdf2_run(op, y0, p.expiry, scenario.l)
+    f_ref = trbdf2_run(op, y0, params.expiry, l)
     curves = {"trbdf2": f_ref}
-    runs = [RunLog(family="trbdf2", eps_or_g=None, l=scenario.l,
-                   dt=float(p.expiry / scenario.l),
+    runs = [RunLog(family="trbdf2", eps_or_g=None, l=l,
+                   dt=float(params.expiry / l),
                    wall_time=time.perf_counter() - t0,
                    osc_metric=oscillation_metric(f_ref[window]),
-                   price_at_spot=price_at_spot(f_ref, scenario.grid, p.spot))]
+                   price_at_spot=price_at_spot(f_ref, gx, params.spot))]
 
-    for fam in scenario.families:
-        fld, _, run = run_and_score(fam, op, y0, p.expiry, scenario.l, rho,
-                                    window, p.spot, None)
+    for fam in families:
+        fld, _, run = run_and_score(fam, op, y0, params.expiry, l, rho,
+                                    window, params.spot, None)
         curves[fam.label] = fld
         runs.append(run)
 
@@ -445,5 +430,5 @@ def run_bs_study(scenario: BsScenario) -> BsStudyResult:
     if not baselines:
         raise RuntimeError("no finite clean baseline to calibrate the threshold")
     threshold = clean_threshold(*baselines)
-    spectrum = eigenvalues_dense(to_sparse(op), scale=p.expiry / scenario.l)
+    spectrum = eigenvalues_dense(to_sparse(op), scale=params.expiry / l)
     return BsStudyResult(runs, threshold, curves, spectrum)

@@ -144,8 +144,6 @@ class StencilOperator:
     cross: np.ndarray
     gx: Grid1D
     gv: Grid1D | None
-    r: float
-    policy: UpwindPolicy
     fitted_x: np.ndarray = field(repr=False, default=None)
     fitted_v: np.ndarray = field(repr=False, default=None)
     matrix: scipy.sparse.csr_matrix = field(init=False, repr=False)
@@ -363,7 +361,7 @@ def assemble_heston(params: HestonParams, gx: Grid1D, gv: Grid1D, policy: Upwind
     fit_v_full = np.zeros(shape, dtype=bool)
     if n >= 2:
         fit_v_full[1:m, 1:n] = fit_v[1:n][None, :]
-    return StencilOperator(a, b, c, d, e, cross, gx, gv, r, policy, fit_x_full, fit_v_full)
+    return StencilOperator(a, b, c, d, e, cross, gx, gv, fit_x_full, fit_v_full)
 
 
 def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOperator:
@@ -402,8 +400,8 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
 
     fit_full = fit_x.copy()
     fit_full[0] = fit_full[m] = False
-    return StencilOperator(a, b, c, zeros, zeros.copy(), zeros.copy(), gx, None, r,
-                           policy, fit_full, np.zeros(m + 1, dtype=bool))
+    return StencilOperator(a, b, c, zeros, zeros.copy(), zeros.copy(), gx, None,
+                           fit_full, np.zeros(m + 1, dtype=bool))
 
 
 def apply(op: StencilOperator, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

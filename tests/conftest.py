@@ -43,15 +43,17 @@ def gv_small():
 def row_sum_check():
     """Callable asserting every row of M sums to -r, relative to the row scale.
 
+    r is the discount rate of the parameters the operator was assembled from.
+
     Coefficients reach ~6e4 on the stretched grids, so the identity can only
     hold relative to the per-row coefficient magnitude; on O(1) rows the bound
     coincides with an absolute 1e-12.
     """
-    def check(op, tol=1e-12):
+    def check(op, r, tol=1e-12):
         mat = to_sparse(op).tocsr()
         sums = np.asarray(mat.sum(axis=1)).ravel()
         scale = np.asarray(abs(mat).sum(axis=1)).ravel()
-        err = np.abs(sums + op.r)
+        err = np.abs(sums + r)
         bound = tol * np.maximum(1.0, scale)
         worst = (err - bound).max()
         assert worst <= 0.0, (

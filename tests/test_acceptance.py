@@ -18,15 +18,14 @@ import numpy as np
 import pytest
 from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
-from stslab.experiments import (DEFAULT_LADDER, BsScenario, BsStudyResult,
-                                ConvergenceStudy, bs_closed_form,
+from stslab.experiments import (DEFAULT_LADDER, BsStudyResult, bs_closed_form,
                                 bs_cubic_grid, bs_uniform_grid, call, default_bs_params,
                                 default_heston_params, digital_range,
                                 foulon_grid_v, foulon_grid_x, payoff_eval,
                                 price_at_spot, rms_error, roi_mask,
                                 run_bs_study, run_delta_comparison,
                                 run_time_convergence)
-from stslab.implicit import banded_factor, operator_banded
+from stslab.implicit import banded_factor, crank_nicolson_run, operator_banded
 from stslab.operators import (UpwindPolicy, assemble_bs, assemble_heston,
                               to_sparse)
 from stslab.schemes import (FamilyKind, InfeasibleStepError, explicit_euler,
@@ -58,11 +57,9 @@ def ladder_results(stress):
     t0 = perf_counter()
     results = {}
     for policy, ladder in ladders.items():
-        study = ConvergenceStudy(
-            params=params, gx=gx, gv=gv, policy=policy, family=rkc(10.0),
-            payoff=call(params.strike), ladder=ladder, l_ref=4000,
-            validate_reference=True)
-        results[policy] = run_time_convergence(study)
+        results[policy] = run_time_convergence(
+            params, gx, gv, policy, call(params.strike), (rkc(10.0),),
+            ladder=ladder, l_ref=4000, validate_reference=True)
     return results, perf_counter() - t0
 
 
@@ -72,17 +69,15 @@ def bs_results():
     payoff = digital_range(10.0, 100.0)
     uniform = bs_uniform_grid(m=100)
     cubic = bs_cubic_grid(m=400, alpha=0.01)
+    families = (rkl(), rkg(2.0), rkc(10.0))
     scenarios = {
-        "uniform-none": BsScenario(params, payoff, uniform,
-                                   UpwindPolicy.NONE, 100),
-        "uniform-partial": BsScenario(params, payoff, uniform,
-                                      UpwindPolicy.PARTIAL_FITTING, 100),
-        "cubic-20": BsScenario(params, payoff, cubic,
-                               UpwindPolicy.PARTIAL_FITTING, 20),
-        "cubic-50": BsScenario(params, payoff, cubic,
-                               UpwindPolicy.PARTIAL_FITTING, 50),
+        "uniform-none": (uniform, UpwindPolicy.NONE, 100),
+        "uniform-partial": (uniform, UpwindPolicy.PARTIAL_FITTING, 100),
+        "cubic-20": (cubic, UpwindPolicy.PARTIAL_FITTING, 20),
+        "cubic-50": (cubic, UpwindPolicy.PARTIAL_FITTING, 50),
     }
-    return {key: run_bs_study(sc) for key, sc in scenarios.items()}
+    return {key: run_bs_study(params, grid, policy, payoff, families, l)
+            for key, (grid, policy, l) in scenarios.items()}
 
 
 def test_a1_time_convergence_ladders(ladder_results, capsys):
@@ -139,6 +134,7 @@ def test_a2_spectrum_imaginary_ratio(stress, capsys):
 def test_a3_delta_oscillation_by_family(stress, capsys):
     params, gx, gv = stress
     out = run_delta_comparison(params, gx, gv, UpwindPolicy.PARTIAL_FITTING,
+                               call(params.strike), (rkc(10.0), rkl(), rkg(2.0)),
                                l=10)
     osc = {label: run.osc_metric for label, (_, run) in out.items()}
     floor = max(osc["rkc(eps=10)"], 1e-8)
@@ -296,7 +292,7 @@ def test_a7_unit_oracles(stress, row_sum_check, capsys):
     # discount-telescoping row sums under every policy
     params, gx, gv = stress
     for policy in UpwindPolicy:
-        row_sum_check(assemble_heston(params, gx, gv, policy), tol=1e-12)
+        row_sum_check(assemble_heston(params, gx, gv, policy), params.r, tol=1e-12)
 
     # Dirichlet Laplacian eigenvalues against the sine formula
     import scipy.sparse as sp
@@ -336,20 +332,20 @@ def test_a7_unit_oracles(stress, row_sum_check, capsys):
     assert poly_ok and order_ok and toeplitz_ok and band_ok and vanilla_ok
 
 
-def test_a8_euler_guard_and_convergence(stress, ladder_results, capsys):
+def test_a8_euler_guard_and_convergence(stress, capsys):
     params, gx, gv = stress
     op = assemble_heston(params, gx, gv, UpwindPolicy.PARTIAL_FITTING)
     rho = gershgorin_radius(op)
     l_feas = math.ceil(params.expiry * rho / 1.9)
     assert select_stage_count(explicit_euler(), params.expiry / l_feas, rho) == 1
-    with pytest.raises(InfeasibleStepError):
-        run_integrator(explicit_euler(), op,
-                       payoff_eval(call(params.strike), gx, gv),
-                       params.expiry, l_feas // 2, rho=rho)
-
-    ref = ladder_results[0][UpwindPolicy.PARTIAL_FITTING].reference
-    roi = roi_mask(gx, 0.5 * params.strike, 1.5 * params.strike, gv, 0.0, 1.0)
     y0 = payoff_eval(call(params.strike), gx, gv)
+    with pytest.raises(InfeasibleStepError):
+        run_integrator(explicit_euler(), op, y0, params.expiry, l_feas // 2,
+                       rho=rho)
+
+    # the A1 reference: CN/Rannacher at l = 4000 on the same operator
+    ref = crank_nicolson_run(op, y0, params.expiry, 4000)
+    roi = roi_mask(gx, 0.5 * params.strike, 1.5 * params.strike, gv, 0.0, 1.0)
     errs = []
     for l in (l_feas, 2 * l_feas):
         fld, log = run_integrator(explicit_euler(), op, y0, params.expiry, l,

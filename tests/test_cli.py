@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import stslab.experiments
 from stslab.cli import (ConfigError, default_config, dispatch, main,
                         parse_config)
 from stslab.experiments import DEFAULT_LADDER, PayoffKind
@@ -92,6 +93,9 @@ def test_roundtrip_with_overrides():
     ('{"schemes": [{"family": "ab3"}]}', "schemes[0].family"),
     ('{"schemes": [{"family": "rkl", "eps": 5}]}', "only valid for family 'rkc'"),
     ('{"schemes": [{"family": "rkc", "g": 3}]}', "only valid for family 'rkg'"),
+    ('{"schemes": [{"family": "rkl"}, {"family": "rkc", "eps": 10}, '
+     '{"family": "rkc", "eps": 10.0000001}]}',
+     "schemes[1] and schemes[2] share the label 'rkc(eps=10)'"),
     ('{"ladder": [10, 10]}', "strictly increasing"),
     ('{"ladder": [10, 5.5]}', "list of integers"),
     ('{"reference": {"l_ref": 2}}', "reference.l_ref: need value >= 3"),
@@ -209,6 +213,68 @@ def test_converge_smoke(tmp_path):
         _, rms, _, osc, price = line.split(",")
         assert (rec["rms_error"], rec["osc_metric"], rec["price_at_spot"]) == \
             (float(rms), float(osc), float(price))
+
+
+THREE_FAMILIES = [{"family": "rkc", "eps": 10.0}, {"family": "rkl"},
+                  {"family": "rkg", "g": 2.0}]
+# the grids, ladder and reference of test_time_convergence_small
+SMALL_CONVERGE = {
+    "model": "heston",
+    "grid": {"x": {"m": 40}, "v": {"m": 20}},
+    "ladder": [20, 40],
+    "reference": {"l_ref": 400, "validate": True},
+}
+
+
+@pytest.fixture(scope="module")
+def converge_three(tmp_path_factory):
+    """A 3-scheme converge, with the l of every CN run it made."""
+    out = tmp_path_factory.mktemp("converge3")
+    cn_steps = []
+    real = stslab.experiments.crank_nicolson_run
+
+    def counting(op, y0, expiry, l):
+        cn_steps.append(l)
+        return real(op, y0, expiry, l)
+
+    cfg = parse_config(json.dumps(dict(SMALL_CONVERGE, schemes=THREE_FAMILIES)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stslab.experiments, "crank_nicolson_run", counting)
+        assert dispatch("converge", cfg, out_dir=str(out)) == 0
+    return out, cn_steps
+
+
+def test_converge_runs_one_reference_pair(converge_three):
+    out, cn_steps = converge_three
+    assert cn_steps == [400, 800]
+    summary = read_summary(out)
+    assert set(summary) == {"rkc(eps=10)", "rkl", "rkg(g=2)"}
+    assert len({entry["reference_check"] for entry in summary.values()}) == 1
+    # the run log is family-major in config order
+    assert [(rec["family"], rec["l"]) for rec in read_log(out)] == [
+        (label, l) for label in ("rkc(eps=10)", "rkl", "rkg(g=2)") for l in (20, 40)]
+
+
+@pytest.mark.parametrize("scheme", THREE_FAMILIES, ids=lambda s: s["family"])
+def test_converge_csv_matches_one_scheme_run(scheme, converge_three, tmp_path):
+    out, _ = converge_three
+    cfg = parse_config(json.dumps(dict(SMALL_CONVERGE, schemes=[scheme])))
+    assert dispatch("converge", cfg, out_dir=str(tmp_path)) == 0
+    csv, = tmp_path.glob("convergence_*.csv")
+    assert csv.read_bytes() == (out / csv.name).read_bytes()
+
+
+def test_price_and_delta_score_oscillation_alike(tmp_path):
+    cfg = parse_config(json.dumps(dict(TINY_HESTON, schemes=THREE_FAMILIES)))
+    osc = {}
+    for cmd in ("price", "delta"):
+        assert dispatch(cmd, cfg, out_dir=str(tmp_path / cmd)) == 0
+        osc[cmd] = {rec["family"]: rec["osc_metric"]
+                    for rec in read_log(tmp_path / cmd)}
+    assert set(osc["price"]) == {"rkc(eps=10)", "rkl", "rkg(g=2)"}
+    assert all(isinstance(v, float) for v in osc["price"].values())
+    assert osc["price"] == osc["delta"]
+    assert osc["delta"] == read_summary(tmp_path / "delta")["osc_metric"]
 
 
 def test_spectrum_smoke(tmp_path):

@@ -8,18 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from stslab.experiments import (BsScenario, ConvergenceStudy, bs_closed_form,
-                                bs_cubic_grid, bs_uniform_grid,
+from stslab.experiments import (bs_closed_form, bs_cubic_grid, bs_uniform_grid,
                                 call, clean_threshold, default_bs_params,
                                 default_heston_params, delta_surface,
                                 digital_range, foulon_grid_v, foulon_grid_x,
                                 oscillation_metric, payoff_eval, price_at_spot,
-                                put, rms_error, roi_mask, run_and_score,
-                                run_bs_study, run_delta_comparison,
-                                run_time_convergence)
+                                prepare, put, rms_error, roi_mask,
+                                run_and_score, run_bs_study,
+                                run_delta_comparison, run_time_convergence)
 from stslab.grids import Grid1D, make_uniform
+from stslab.implicit import crank_nicolson_run
 from stslab.operators import BsParams, UpwindPolicy, assemble_bs, assemble_heston
-from stslab.schemes import rkc, rkl
+from stslab.schemes import rkc, rkg, rkl
 
 # --------------------------------------------------------------- oscillation
 
@@ -236,12 +236,10 @@ def test_bs_grid_builders():
 # ---------------------------------------------------------------- the drivers
 
 def test_time_convergence_small(heston_params, gx_small, gv_small):
-    study = ConvergenceStudy(
-        params=heston_params, gx=gx_small, gv=gv_small,
-        policy=UpwindPolicy.PARTIAL_FITTING, family=rkc(10.0),
-        payoff=call(heston_params.strike), ladder=(20, 40),
-        l_ref=400, validate_reference=True)
-    res = run_time_convergence(study)
+    res = run_time_convergence(
+        heston_params, gx_small, gv_small, UpwindPolicy.PARTIAL_FITTING,
+        call(heston_params.strike), (rkc(10.0),), ladder=(20, 40), l_ref=400,
+        validate_reference=True)
     assert res.reference_check is not None and res.reference_check < 1e-4
     assert [r.l for r in res.runs] == [20, 40]
     assert not any(r.exploded for r in res.runs)
@@ -249,14 +247,19 @@ def test_time_convergence_small(heston_params, gx_small, gv_small):
     assert all(np.isfinite(r.price_at_spot) for r in res.runs)
     assert all(r.family == "rkc(eps=10)" for r in res.runs)
     # a call gains value with variance; check the reference at the money
+    op, y0, _, _ = prepare(heston_params, gx_small, gv_small,
+                           UpwindPolicy.PARTIAL_FITTING, call(heston_params.strike))
+    ref = crank_nicolson_run(op, y0, heston_params.expiry, 400)
     i = int(np.argmin(np.abs(gx_small.nodes - heston_params.strike)))
-    dv = np.diff(res.reference[i, :])
-    assert dv.min() > -1e-8 * np.abs(res.reference[i, :]).max()
+    dv = np.diff(ref[i, :])
+    assert dv.min() > -1e-8 * np.abs(ref[i, :]).max()
 
 
 def test_delta_comparison_smoke(heston_params, gx_small, gv_small):
     out = run_delta_comparison(heston_params, gx_small, gv_small,
-                               UpwindPolicy.PARTIAL_FITTING, l=10)
+                               UpwindPolicy.PARTIAL_FITTING,
+                               call(heston_params.strike),
+                               (rkc(10.0), rkl(), rkg(2.0)), l=10)
     assert set(out) == {"rkc(eps=10)", "rkl", "rkg(g=2)"}
     for label, (delta, run) in out.items():
         assert np.isfinite(run.osc_metric) and run.osc_metric >= 0.0
@@ -266,10 +269,9 @@ def test_delta_comparison_smoke(heston_params, gx_small, gv_small):
 
 
 def test_bs_study_structure(bs_params):
-    scenario = BsScenario(params=bs_params, payoff=digital_range(10.0, 100.0),
-                          grid=bs_uniform_grid(m=60), policy=UpwindPolicy.NONE,
-                          l=40)
-    res = run_bs_study(scenario)
+    res = run_bs_study(bs_params, bs_uniform_grid(m=60), UpwindPolicy.NONE,
+                       digital_range(10.0, 100.0), (rkl(), rkg(2.0), rkc(10.0)),
+                       l=40)
     assert [r.family for r in res.runs] == ["trbdf2", "rkl", "rkg(g=2)",
                                             "rkc(eps=10)"]
     assert set(res.curves) == {"trbdf2", "rkl", "rkg(g=2)", "rkc(eps=10)"}

@@ -23,8 +23,7 @@ def scalar_op(z: float) -> StencilOperator:
     zeros = np.zeros(2)
     return StencilOperator(a=zeros.copy(), b=np.full(2, float(z)),
                            c=zeros.copy(), d=zeros.copy(), e=zeros.copy(),
-                           cross=zeros.copy(), gx=g, gv=None, r=-z,
-                           policy=UpwindPolicy.NONE,
+                           cross=zeros.copy(), gx=g, gv=None,
                            fitted_x=np.zeros(2, dtype=bool),
                            fitted_v=np.zeros(2, dtype=bool))
 

@@ -22,13 +22,13 @@ POLICIES_1D = [p for p in ALL_POLICIES if p is not UpwindPolicy.FOULON_REGION]
 def test_row_sums_equal_minus_r_stress(policy, heston_params, gx_stress,
                                        gv_stress, row_sum_check):
     op = assemble_heston(heston_params, gx_stress, gv_stress, policy)
-    row_sum_check(op)
+    row_sum_check(op, heston_params.r)
 
 
 @pytest.mark.parametrize("policy", POLICIES_1D, ids=lambda p: p.value)
 def test_row_sums_equal_minus_r_bs(policy, bs_params, row_sum_check):
     op = assemble_bs(bs_params, make_uniform(0.0, 150.0, 100), policy)
-    row_sum_check(op)
+    row_sum_check(op, bs_params.r)
 
 
 @given(m=st.integers(min_value=3, max_value=12),
@@ -59,7 +59,7 @@ def test_two_node_variance_grid(heston_params, gx_small, row_sum_check):
     pinned = HestonParams(v0=0.12, theta=0.05, kappa=3.0, sigma=0.04, rho=0.6,
                           r=0.01, q=0.04, spot=100.0, strike=100.0, expiry=1.0)
     op = assemble_heston(pinned, gx_small, gv, UpwindPolicy.NONE)
-    row_sum_check(op)
+    row_sum_check(op, pinned.r)
 
 
 # --------------------------------------------------- stencil value oracles

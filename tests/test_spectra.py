@@ -27,8 +27,7 @@ def toeplitz_op(m: int, h: float) -> StencilOperator:
     b[0] = b[-1] = 0.0
     z = np.zeros(m + 1)
     return StencilOperator(a=a, b=b, c=c, d=z.copy(), e=z.copy(),
-                           cross=z.copy(), gx=g, gv=None, r=0.0,
-                           policy=UpwindPolicy.NONE,
+                           cross=z.copy(), gx=g, gv=None,
                            fitted_x=np.zeros(m + 1, dtype=bool),
                            fitted_v=np.zeros(m + 1, dtype=bool))
 
