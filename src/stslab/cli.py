@@ -19,12 +19,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import (DEFAULT_LADDER, Payoff, PayoffKind, call,
+                          default_bs_params, default_heston_params,
                           digital_range, prepare, put, run_and_score,
                           run_bs_study, run_delta_comparison,
                           run_time_convergence)
@@ -93,10 +94,6 @@ class GridConfig:
         spec = StretchSpec(StretchKind(self.kind), center=self.center,
                            lam=self.lam, alpha=self.alpha)
         return make_grid(self.a, self.b, spec, self.m)
-
-    def to_dict(self) -> dict:
-        return {"kind": self.kind, "a": self.a, "b": self.b, "m": self.m,
-                "center": self.center, "lam": self.lam, "alpha": self.alpha}
 
 
 _GRID_KEYS = {"kind", "a", "b", "m", "center", "lam", "alpha"}
@@ -198,8 +195,8 @@ class RunConfig:
     def to_json(self) -> str:
         cfg = {
             "model": self.model,
-            "params": _params_dict(self.params),
-            "grid": {"x": self.grid_x.to_dict()},
+            "params": asdict(self.params),
+            "grid": {"x": asdict(self.grid_x)},
             "policy": self.policy.value,
             "schemes": [_scheme_dict(s) for s in self.schemes],
             "ladder": list(self.ladder),
@@ -209,17 +206,8 @@ class RunConfig:
             "out_dir": self.out_dir,
         }
         if self.grid_v is not None:
-            cfg["grid"]["v"] = self.grid_v.to_dict()
+            cfg["grid"]["v"] = asdict(self.grid_v)
         return json.dumps(cfg, indent=2, sort_keys=True)
-
-
-def _params_dict(p) -> dict:
-    if isinstance(p, HestonParams):
-        return {"v0": p.v0, "theta": p.theta, "kappa": p.kappa, "sigma": p.sigma,
-                "rho": p.rho, "r": p.r, "q": p.q, "spot": p.spot,
-                "strike": p.strike, "expiry": p.expiry}
-    return {"sigma": p.sigma, "r": p.r, "q": p.q, "spot": p.spot,
-            "expiry": p.expiry}
 
 
 def _scheme_dict(s: SchemeFamily) -> dict:
@@ -239,38 +227,25 @@ def _payoff_dict(p: Payoff) -> dict:
 
 _TOP_KEYS = {"model", "params", "grid", "policy", "schemes", "ladder",
              "reference", "payoff", "l", "out_dir"}
-_HESTON_PARAM_KEYS = {"v0", "theta", "kappa", "sigma", "rho", "r", "q",
-                      "spot", "strike", "expiry"}
-_BS_PARAM_KEYS = {"sigma", "r", "q", "spot", "expiry"}
+# the accepted parameter keys, in the order they are checked, with their bounds
+_HESTON_BOUNDS = {
+    "v0": {"lo": 0.0}, "theta": {"lo": 0.0}, "kappa": {"lo": 0.0, "lo_open": True},
+    "sigma": {"lo": 0.0}, "rho": {"lo": -1.0, "hi": 1.0}, "r": {}, "q": {},
+    "spot": {"lo": 0.0, "lo_open": True}, "strike": {"lo": 0.0, "lo_open": True},
+    "expiry": {"lo": 0.0, "lo_open": True},
+}
+_BS_BOUNDS = {
+    "sigma": {"lo": 0.0, "lo_open": True}, "r": {}, "q": {},
+    "spot": {"lo": 0.0, "lo_open": True}, "expiry": {"lo": 0.0, "lo_open": True},
+}
 
 
-def _parse_heston_params(d: dict) -> HestonParams:
+def _parse_params(d: dict, base, bounds: dict):
+    """base, the model's default parameters, with the values given in d."""
     d = _mapping(d, "params")
-    _check_keys(d, _HESTON_PARAM_KEYS, "params")
-    return HestonParams(
-        v0=_num(d, "v0", 0.12, "params", lo=0.0),
-        theta=_num(d, "theta", 0.12, "params", lo=0.0),
-        kappa=_num(d, "kappa", 3.0, "params", lo=0.0, lo_open=True),
-        sigma=_num(d, "sigma", 0.04, "params", lo=0.0),
-        rho=_num(d, "rho", 0.6, "params", lo=-1.0, hi=1.0),
-        r=_num(d, "r", 0.01, "params"),
-        q=_num(d, "q", 0.04, "params"),
-        spot=_num(d, "spot", 100.0, "params", lo=0.0, lo_open=True),
-        strike=_num(d, "strike", 100.0, "params", lo=0.0, lo_open=True),
-        expiry=_num(d, "expiry", 1.0, "params", lo=0.0, lo_open=True),
-    )
-
-
-def _parse_bs_params(d: dict) -> BsParams:
-    d = _mapping(d, "params")
-    _check_keys(d, _BS_PARAM_KEYS, "params")
-    return BsParams(
-        sigma=_num(d, "sigma", 0.02, "params", lo=0.0, lo_open=True),
-        r=_num(d, "r", 0.10, "params"),
-        q=_num(d, "q", 0.0, "params"),
-        spot=_num(d, "spot", 100.0, "params", lo=0.0, lo_open=True),
-        expiry=_num(d, "expiry", 1.0, "params", lo=0.0, lo_open=True),
-    )
+    _check_keys(d, set(bounds), "params")
+    return replace(base, **{key: _num(d, key, getattr(base, key), "params", **kw)
+                            for key, kw in bounds.items()})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -287,14 +262,15 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"model: expected 'heston' or 'bs', got {model!r}")
 
     if model == "heston":
-        params = _parse_heston_params(raw.get("params", {}))
+        params = _parse_params(raw.get("params", {}), default_heston_params(),
+                               _HESTON_BOUNDS)
         gx_default = GridConfig("sinh", 0.0, 8.0 * params.strike, 100,
                                 center=params.strike, lam=params.strike / 5.0)
         gv_default = GridConfig("sinh", 0.0, 5.0, 50, center=0.0, lam=0.01)
         policy_default = UpwindPolicy.PARTIAL_FITTING
         payoff_default = call(params.strike)
     else:
-        params = _parse_bs_params(raw.get("params", {}))
+        params = _parse_params(raw.get("params", {}), default_bs_params(), _BS_BOUNDS)
         gx_default = GridConfig("uniform", 0.0, 150.0, 100)
         gv_default = None
         policy_default = UpwindPolicy.NONE
@@ -519,6 +495,8 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
                           f"expected one of {sorted(_COMMANDS)}")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # written first, so a run that fails still leaves the config that replays it
+    (out / "config.json").write_text(replace(cfg, out_dir=str(out)).to_json() + "\n")
     records = _COMMANDS[cmd](cfg, out)
     _write_jsonl(out / "run_log.jsonl", records)
     if strict and any(rec.get("exploded") for rec in records):

@@ -9,7 +9,7 @@ so a factorization holds no second copy of it.  A Crank-Nicolson run costs
 one factorization plus one band solve per step.
 
 A factorization without row interchanges (gbtrf has not pivoted on the 2-D
-Heston CN systems) keeps its triangles packed: unit-lower L with kl
+Heston CN systems) keeps only its triangles, packed: unit-lower L with kl
 subdiagonals and U with only ku superdiagonals, since the fill rows above U
 stay zero.  Its solve is two BLAS `tbsv` calls, bit-identical to `gbtrs` and
 about half its time, because `gbtrs` sweeps U over kl + ku superdiagonals.
@@ -61,10 +61,11 @@ class BandedLU:
     """Factored band matrix; solve() is reusable and read-only.
 
     lower/upper: L and U of an unpivoted factorization in BLAS band storage,
-    None when gbtrf pivoted.
+    None when gbtrf pivoted.  lu: the gbtrf factors that gbtrs solves with
+    when it pivoted, None otherwise.
     """
 
-    lu: np.ndarray
+    lu: np.ndarray | None
     ipiv: np.ndarray
     kl: int
     ku: int
@@ -103,7 +104,8 @@ def banded_factor(bm: BandedMatrix) -> BandedLU:
     """LU factorization with partial pivoting within the band.
 
     Consumes bm: a Fortran-ordered bm.ab (as operator_banded builds it) is
-    factored in place and becomes the returned lu.
+    factored in place.  It becomes the returned lu if gbtrf pivoted;
+    otherwise only the packed triangles are kept and lu is None.
     """
     lu, ipiv, info = dgbtrf(bm.ab, bm.kl, bm.ku, overwrite_ab=1)
     if info < 0:
@@ -116,6 +118,7 @@ def banded_factor(bm: BandedMatrix) -> BandedLU:
     if np.array_equal(ipiv, np.arange(bm.n)):  # ipiv is 0-based: no interchange
         lower = np.asfortranarray(lu[kl + ku:])
         upper = np.asfortranarray(lu[kl:kl + ku + 1])
+        lu = None
     return BandedLU(lu=lu, ipiv=ipiv, kl=kl, ku=ku, n=bm.n, lower=lower, upper=upper)
 
 

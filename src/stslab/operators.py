@@ -14,23 +14,24 @@ one-sided advection).  Edge rows use one-sided closures: pure advection plus
 discounting at the x edges (value linear in x), one-sided v-advection at the
 v edges.
 
-Coefficients are stored per node and do not include the time step; the
-integrators multiply by dt themselves.  An operator holds six coefficient
-arrays a, b, c, d, e, cross so that
+Coefficients do not include the time step; the integrators multiply by dt
+themselves.  Assembly computes the nine-point coefficients a, b, c, d, e,
+cross on the lattice,
 
     (M f)_{ij} = a_{ij} f_{i-1,j} + b_{ij} f_{ij} + c_{ij} f_{i+1,j}
                + d_{ij} f_{i,j-1} + e_{ij} f_{i,j+1}
                + cross_{ij} (f_{i+1,j+1} - f_{i+1,j-1} - f_{i-1,j+1} + f_{i-1,j-1})
 
-with out-of-lattice neighbors contributing zero because their coefficients
-vanish by construction.  Each operator also carries M itself as a CSR matrix,
-built once from these arrays; `_band_entries` is the one place that maps a
-coefficient to its lattice neighbor.
+(the 1-D stencil has a, b, c only), and `_lattice_matrix` maps them to M,
+the one place that places a coefficient at its lattice neighbor; an
+out-of-lattice neighbor's coefficient vanishes by construction.  The operator
+keeps only M, as a CSR matrix, and its grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -134,38 +135,28 @@ PECLET_THRESHOLD = 2.0
 
 @dataclass
 class StencilOperator:
-    """Nine-point (2-D) or three-point (1-D) discrete operator M."""
+    """The discrete operator M on the (m+1) or (m+1) x (n+1) lattice of its grids.
 
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    cross: np.ndarray
+    matrix is M as a CSR matrix over the lattice flattened in row-major
+    order (v index fastest).
+    """
+
+    matrix: scipy.sparse.csr_matrix
     gx: Grid1D
     gv: Grid1D | None
-    fitted_x: np.ndarray = field(repr=False, default=None)
-    fitted_v: np.ndarray = field(repr=False, default=None)
-    matrix: scipy.sparse.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        # The vectorized M, built once; explicit zeros are dropped.
-        rows, cols, vals = (np.concatenate(parts) for parts in zip(*_band_entries(self)))
-        keep = vals != 0.0
-        self.matrix = scipy.sparse.csr_matrix(
-            (vals[keep], (rows[keep], cols[keep])), shape=(self.size, self.size))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.b.shape
+        # plain attributes, not properties: apply reads them on every call
+        mm = self.gx.m + 1
+        self.shape = (mm,) if self.gv is None else (mm, self.gv.m + 1)
+        self.size = math.prod(self.shape)
+        if self.matrix.shape != (self.size, self.size):
+            raise ValueError(f"matrix shape {self.matrix.shape} does not match "
+                             f"the {self.size} lattice nodes")
 
     @property
     def is_1d(self) -> bool:
         return self.gv is None
-
-    @property
-    def size(self) -> int:
-        return self.b.size
 
 
 def peclet(params, gx: Grid1D, gv: Grid1D | None = None):
@@ -356,12 +347,7 @@ def assemble_heston(params: HestonParams, gx: Grid1D, gv: Grid1D, policy: Upwind
     b[m, :] = -(r - mu * x[m] / h[m - 1])
     d[m, :] = e[m, :] = cross[m, :] = 0.0
 
-    fit_x_full = fit_x.copy()
-    fit_x_full[0, :] = fit_x_full[m, :] = False
-    fit_v_full = np.zeros(shape, dtype=bool)
-    if n >= 2:
-        fit_v_full[1:m, 1:n] = fit_v[1:n][None, :]
-    return StencilOperator(a, b, c, d, e, cross, gx, gv, fit_x_full, fit_v_full)
+    return StencilOperator(_lattice_matrix(a, b, c, d, e, cross), gx, gv)
 
 
 def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOperator:
@@ -377,7 +363,6 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
     a = np.zeros(m + 1)
     b = np.zeros(m + 1)
     c = np.zeros(m + 1)
-    zeros = np.zeros(m + 1)
 
     px, _ = peclet(params, gx)
     fit_x, _ = _policy_masks(policy, px[:, None], np.empty(0), x)
@@ -398,10 +383,7 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
     a[m] = -mu * x[m] / h[m - 1]
     b[m] = -(r - mu * x[m] / h[m - 1])
 
-    fit_full = fit_x.copy()
-    fit_full[0] = fit_full[m] = False
-    return StencilOperator(a, b, c, zeros, zeros.copy(), zeros.copy(), gx, None,
-                           fit_full, np.zeros(m + 1, dtype=bool))
+    return StencilOperator(_lattice_matrix(a, b, c), gx, None)
 
 
 def apply(op: StencilOperator, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -431,39 +413,31 @@ def apply(op: StencilOperator, f: np.ndarray, out: np.ndarray | None = None) -> 
     return out
 
 
-def _band_entries(op: StencilOperator):
-    """Yield (rows, cols, vals) for every nonzero band of the vectorized operator.
+def _lattice_matrix(a, b, c, d=None, e=None, cross=None) -> scipy.sparse.csr_matrix:
+    """M from the lattice coefficients of the stencil; explicit zeros are dropped.
 
-    The lattice is flattened in row-major order (v index fastest), so x
-    neighbors sit n+1 columns away and the bandwidth is at most n+2.
+    The 1-D stencil passes a, b, c only.  The lattice is flattened in
+    row-major order (v index fastest), so x neighbors sit n+1 columns away
+    and the bandwidth is at most n+2.
     """
-    if op.is_1d:
-        mm = op.shape[0]
-        idx = np.arange(mm)
-        yield idx, idx, op.b
-        yield idx[1:], idx[:-1], op.a[1:]
-        yield idx[:-1], idx[1:], op.c[:-1]
-        return
-    mm, nn = op.shape
-    pij = (np.arange(mm)[:, None] * nn + np.arange(nn)[None, :])
-    bands = [
-        (op.b, 0, 0, 1.0),
-        (op.a, -1, 0, 1.0),
-        (op.c, 1, 0, 1.0),
-        (op.d, 0, -1, 1.0),
-        (op.e, 0, 1, 1.0),
-        (op.cross, 1, 1, 1.0),
-        (op.cross, 1, -1, -1.0),
-        (op.cross, -1, 1, -1.0),
-        (op.cross, -1, -1, 1.0),
-    ]
+    mm, nn = b.shape if b.ndim == 2 else (b.size, 1)
+    node = np.arange(mm * nn).reshape(mm, nn)
+    bands = [(b, 0, 0, 1.0), (a, -1, 0, 1.0), (c, 1, 0, 1.0)]
+    if d is not None:
+        bands += [(d, 0, -1, 1.0), (e, 0, 1, 1.0), (cross, 1, 1, 1.0),
+                  (cross, 1, -1, -1.0), (cross, -1, 1, -1.0), (cross, -1, -1, 1.0)]
+    rows, cols, vals = [], [], []
     for arr, di, dj, sign in bands:
-        i_lo, i_hi = max(0, -di), mm - max(0, di)
-        j_lo, j_hi = max(0, -dj), nn - max(0, dj)
-        rows = pij[i_lo:i_hi, j_lo:j_hi]
-        cols = pij[i_lo + di:i_hi + di, j_lo + dj:j_hi + dj]
-        vals = sign * arr[i_lo:i_hi, j_lo:j_hi]
-        yield rows.ravel(), cols.ravel(), vals.ravel()
+        # the nodes whose neighbor (i + di, j + dj) lies on the lattice
+        i = slice(max(0, -di), mm - max(0, di))
+        j = slice(max(0, -dj), nn - max(0, dj))
+        rows.append(node[i, j].ravel())
+        cols.append(rows[-1] + (di * nn + dj))
+        vals.append((sign * arr.reshape(mm, nn)[i, j]).ravel())
+    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
+    keep = vals != 0.0
+    return scipy.sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+                                   shape=(mm * nn, mm * nn))
 
 
 def to_sparse(op: StencilOperator) -> scipy.sparse.csr_matrix:

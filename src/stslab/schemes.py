@@ -343,30 +343,22 @@ def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
     return _smallest_covering(s, lambda k: SAFETY * _certified(family, k)[1] >= need)
 
 
-def _as_linear_map(op):
-    """F(y, out) = M y: a StencilOperator writes into out, a callable ignores it."""
-    if isinstance(op, StencilOperator):
-        # the global is looked up per call, so rebinding it reaches every stage
-        return lambda y, out: apply_operator(op, y, out)
-    if callable(op):
-        return lambda y, out: op(y)
-    raise TypeError(f"expected StencilOperator or callable, got {type(op)!r}")
-
-
-def _stages(coeffs: StageCoefficients, F, y0: np.ndarray, dt: float,
-            check_each: bool) -> np.ndarray:
-    """Y_s of the stage recurrence from Y_0 = y0, in preallocated buffers.
+def _stages(coeffs: StageCoefficients, op: StencilOperator, y0: np.ndarray,
+            dt: float, check_each: bool) -> np.ndarray:
+    """Y_s of the stage recurrence from Y_0 = y0 with F = M, in preallocated buffers.
 
     Every product and sum is one ufunc in the order of the written formula
     mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0 + dt (mt F(Y_{j-1}) + gt F(Y_0)),
     so the result does not depend on check_each.  With check_each, raises
-    ExplosionError at the first stage value that is not finite.
+    ExplosionError at the first stage value that is not finite.  F is the
+    module global apply_operator, looked up at every stage, so rebinding it
+    reaches every stage.
     """
     mul, add = np.multiply, np.add
     # Y[j % 3] holds stage j >= 1: stage j overwrites stage j - 3.
     Y = [np.empty_like(y0) for _ in range(3)]
     fy, t1, t2 = (np.empty_like(y0) for _ in range(3))
-    f0 = F(y0, np.empty_like(y0))
+    f0 = apply_operator(op, y0, np.empty_like(y0))
     y1 = add(y0, mul(f0, coeffs.mu_tilde[1] * dt, Y[1]), Y[1])
     if check_each and not np.isfinite(y1).all():
         raise ExplosionError(stage=1)
@@ -374,7 +366,7 @@ def _stages(coeffs: StageCoefficients, F, y0: np.ndarray, dt: float,
     tables = (coeffs.mu[2:].tolist(), coeffs.nu[2:].tolist(),
               coeffs.mu_tilde[2:].tolist(), coeffs.gamma_tilde[2:].tolist())
     for j, mu, nu, mt, gt in zip(range(2, coeffs.s + 1), *tables):
-        fy = F(ym1, fy)
+        apply_operator(op, ym1, fy)
         y = mul(ym1, mu, Y[j % 3])
         add(y, mul(ym2, nu, t1), y)
         add(y, mul(y0, 1.0 - mu - nu, t1), y)
@@ -386,7 +378,7 @@ def _stages(coeffs: StageCoefficients, F, y0: np.ndarray, dt: float,
     return ym1
 
 
-def super_step(coeffs: StageCoefficients, op, state: np.ndarray,
+def super_step(coeffs: StageCoefficients, op: StencilOperator, state: np.ndarray,
                dt: float) -> np.ndarray:
     """One macro-step of size dt of the stage recurrence; returns Y_s.
 
@@ -395,15 +387,14 @@ def super_step(coeffs: StageCoefficients, op, state: np.ndarray,
     (mu_j != 0 carries them forward and M spreads them), so one check of Y_s
     detects an explosion; only then is the step re-run with a check per stage.
     """
-    F = _as_linear_map(op)
     # C order: the stage buffers copy y0's layout and apply writes C-ordered ones
     y0 = np.ascontiguousarray(state, dtype=float)
     # The isfinite checks are the explosion detector; once a stage diverges
     # the overflow warnings on the way to inf carry no information.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _stages(coeffs, F, y0, dt, check_each=False)
+        y = _stages(coeffs, op, y0, dt, check_each=False)
         if not np.isfinite(y).all():
-            y = _stages(coeffs, F, y0, dt, check_each=True)
+            y = _stages(coeffs, op, y0, dt, check_each=True)
     return y
 
 
@@ -434,8 +425,8 @@ class RunLog:
     price_at_spot: float = math.nan
 
 
-def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
-                   l: int, rho: float | None = None):
+def run_integrator(family: SchemeFamily, op: StencilOperator, initial: np.ndarray,
+                   expiry: float, l: int, rho: float | None = None):
     """Integrate df/dt = M f over [0, expiry] in l macro-steps.
 
     Returns (field, RunLog).  On explosion the last finite field is returned
@@ -447,8 +438,6 @@ def run_integrator(family: SchemeFamily, op, initial: np.ndarray, expiry: float,
     if not expiry > 0.0:
         raise ValueError(f"need expiry > 0, got {expiry!r}")
     if rho is None:
-        if not isinstance(op, StencilOperator):
-            raise ValueError("need rho for a bare callable")
         from .spectra import gershgorin_radius
 
         rho = gershgorin_radius(op)

@@ -1,4 +1,7 @@
-"""Shared fixtures: stress-case parameters and grids reused across test modules."""
+"""Shared fixtures: stress-case parameters and grids reused across test modules.
+
+Also `band`, which reads one stencil coefficient array off the matrix M.
+"""
 
 import numpy as np
 import pytest
@@ -59,3 +62,19 @@ def row_sum_check():
         assert worst <= 0.0, (
             f"row-sum deviation exceeds {tol} relative to row scale by {worst:.3e}")
     return check
+
+
+def band(op, di, dj=0):
+    """Lattice array of M's entries that couple node (i, j) to (i + di, j + dj).
+
+    Read from op.matrix; 0 where the neighbour lies off the lattice.  In 1-D
+    only di is used.
+    """
+    offsets = (di,) if op.gv is None else (di, dj)
+    rows = tuple(slice(max(0, -o), n - max(0, o)) for o, n in zip(offsets, op.shape))
+    cols = tuple(slice(max(0, o), n + min(0, o)) for o, n in zip(offsets, op.shape))
+    node = np.arange(op.size).reshape(op.shape)
+    out = np.zeros(op.shape)
+    entries = op.matrix[node[rows].ravel(), node[cols].ravel()]
+    out[rows] = np.asarray(entries).reshape(out[rows].shape)
+    return out

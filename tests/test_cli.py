@@ -1,6 +1,7 @@
 """Config parsing, subcommand dispatch, and output determinism."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 import stslab.experiments
 from stslab.cli import (ConfigError, default_config, dispatch, main,
                         parse_config)
-from stslab.experiments import DEFAULT_LADDER, PayoffKind
+from stslab.experiments import (DEFAULT_LADDER, PayoffKind, bs_uniform_grid,
+                                default_bs_params, default_heston_params,
+                                foulon_grid_v, foulon_grid_x)
 from stslab.operators import BsParams, HestonParams, UpwindPolicy
 from stslab.schemes import FamilyKind
 
@@ -41,6 +44,19 @@ def test_bs_defaults():
     assert cfg.policy is UpwindPolicy.NONE
     assert cfg.payoff.kind is PayoffKind.DIGITAL_RANGE
     assert (cfg.payoff.low, cfg.payoff.high) == (10.0, 100.0)
+
+
+def test_defaults_are_the_experiment_defaults():
+    cfg = default_config()
+    assert cfg.params == default_heston_params()
+    gx, gv = cfg.build_grids()
+    assert gx.nodes.tobytes() == foulon_grid_x(100.0, 100).nodes.tobytes()
+    assert gv.nodes.tobytes() == foulon_grid_v(50).nodes.tobytes()
+    cfg = default_config("bs")
+    assert cfg.params == default_bs_params()
+    gx, gv = cfg.build_grids()
+    assert gv is None
+    assert gx.nodes.tobytes() == bs_uniform_grid().nodes.tobytes()
 
 
 @pytest.mark.parametrize("model", ["heston", "bs"])
@@ -354,6 +370,43 @@ def test_strict_flag_fails_on_explosion(tmp_path):
     rc = main(["price", "--config", str(cfg_path), "--out",
                str(tmp_path / "out2")])
     assert rc == 0
+
+
+REPLAYED = {
+    "price": TINY_HESTON,
+    "converge": dict(TINY_HESTON, ladder=[5, 10],
+                     reference={"l_ref": 60, "validate": False}),
+    "spectrum": dict(TINY_HESTON, grid={"x": {"m": 10}, "v": {"m": 5}}),
+    "delta": TINY_HESTON,
+    "bs-demo": {"model": "bs", "grid": {"x": {"m": 30}},
+                "schemes": [{"family": "rkl"}], "l": 10},
+}
+
+
+@pytest.mark.parametrize("cmd", list(REPLAYED))
+def test_config_json_replays_the_run(cmd, tmp_path):
+    """Each run writes its resolved config, and running that config again
+    writes the same data files."""
+    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    cfg = parse_config(json.dumps(REPLAYED[cmd]))
+    assert dispatch(cmd, cfg, out_dir=str(out1)) == 0
+    assert parse_config((out1 / "config.json").read_text()) == \
+        replace(cfg, out_dir=str(out1))
+    assert main([cmd, "--config", str(out1 / "config.json"), "--out", str(out2)]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        if name not in ("config.json", "run_log.jsonl"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_config_json_written_before_the_run(tmp_path):
+    # the command refuses the model, after the config was written
+    bs = parse_config('{"model": "bs"}')
+    with pytest.raises(ConfigError, match="model='heston'"):
+        dispatch("converge", bs, out_dir=str(tmp_path))
+    assert parse_config((tmp_path / "config.json").read_text()) == \
+        replace(bs, out_dir=str(tmp_path))
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

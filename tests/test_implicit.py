@@ -1,11 +1,13 @@
 """Banded solves and the implicit reference integrators."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
-
-from scipy.linalg import get_lapack_funcs
+import scipy.sparse
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from stslab.experiments import (bs_closed_form, bs_cubic_grid, call,
                                 default_bs_params, default_heston_params,
@@ -19,13 +21,8 @@ from stslab.operators import (StencilOperator, UpwindPolicy, apply, assemble_bs,
 
 def scalar_op(z: float) -> StencilOperator:
     """Two decoupled copies of the scalar equation y' = z y."""
-    g = Grid1D(np.array([0.0, 1.0]))
-    zeros = np.zeros(2)
-    return StencilOperator(a=zeros.copy(), b=np.full(2, float(z)),
-                           c=zeros.copy(), d=zeros.copy(), e=zeros.copy(),
-                           cross=zeros.copy(), gx=g, gv=None,
-                           fitted_x=np.zeros(2, dtype=bool),
-                           fitted_v=np.zeros(2, dtype=bool))
+    return StencilOperator(scipy.sparse.csr_matrix(float(z) * np.eye(2)),
+                           Grid1D(np.array([0.0, 1.0])), None)
 
 
 def trbdf2_amplification(z: float) -> float:
@@ -36,11 +33,17 @@ def trbdf2_amplification(z: float) -> float:
     return (c_mid * mid - c_old) / (1.0 - (1.0 - g) * z / (2.0 - g))
 
 
-def reference_gbtrs_solve(lu, rhs: np.ndarray) -> np.ndarray:
+def reference_gbtrf(bm):
+    """The oracle's own gbtrf factorization of a copy of bm.ab."""
+    lu, ipiv, info = dgbtrf(bm.ab, bm.kl, bm.ku)
+    assert info == 0
+    return lu, ipiv, bm.kl, bm.ku
+
+
+def reference_gbtrs_solve(ref, rhs: np.ndarray) -> np.ndarray:
     """The plain gbtrs solve over the full factorization: the bit-for-bit oracle."""
-    rhs = np.asarray(rhs, dtype=float)
-    gbtrs, = get_lapack_funcs(("gbtrs",), (lu.lu, rhs))
-    x, info = gbtrs(lu.lu, lu.kl, lu.ku, rhs, lu.ipiv)
+    lu, ipiv, kl, ku = ref
+    x, info = dgbtrs(lu, kl, ku, np.asarray(rhs, dtype=float), ipiv)
     assert info == 0
     return x
 
@@ -48,7 +51,7 @@ def reference_gbtrs_solve(lu, rhs: np.ndarray) -> np.ndarray:
 def reference_crank_nicolson_run(op, initial, expiry, l):
     """The CN/Rannacher loop with per-step temporaries and gbtrs solves."""
     k = expiry / l
-    lu = banded_factor(operator_banded(op, 1.0, -0.5 * k))
+    lu = reference_gbtrf(operator_banded(op, 1.0, -0.5 * k))
     y = np.array(initial, dtype=float, copy=True)
     for _ in range(4):
         y = reference_gbtrs_solve(lu, y.ravel()).reshape(op.shape)
@@ -62,8 +65,8 @@ def reference_trbdf2_run(op, initial, expiry, l):
     """The TR-BDF2 loop with per-step temporaries and gbtrs solves."""
     g = TRBDF2_GAMMA
     k = expiry / l
-    lu_tr = banded_factor(operator_banded(op, 1.0, -0.5 * g * k))
-    lu_bdf = banded_factor(operator_banded(op, 1.0, -k * (1.0 - g) / (2.0 - g)))
+    lu_tr = reference_gbtrf(operator_banded(op, 1.0, -0.5 * g * k))
+    lu_bdf = reference_gbtrf(operator_banded(op, 1.0, -k * (1.0 - g) / (2.0 - g)))
     c_mid = 1.0 / (g * (2.0 - g))
     c_old = (1.0 - g) ** 2 / (g * (2.0 - g))
     y = np.array(initial, dtype=float, copy=True)
@@ -163,14 +166,16 @@ def tiny_diagonal_matrix():
 ], ids=["heston-cn-41x21", "uniform-101", "cubic-401", "tiny-diagonal"])
 def test_solve_matches_gbtrs_bitwise(build, pivoted):
     bm = build()
+    ref = reference_gbtrf(bm)  # before banded_factor consumes bm
     lu = banded_factor(bm)
     assert (not np.array_equal(lu.ipiv, np.arange(bm.n))) == pivoted
     assert (lu.upper is None) == pivoted
+    assert (lu.lu is None) == (not pivoted)
     rng = np.random.default_rng(11)
     for rhs in (rng.standard_normal(bm.n), np.linspace(0.0, 50.0, bm.n)):
         before = rhs.copy()
         got = lu.solve(rhs)
-        assert got.tobytes() == reference_gbtrs_solve(lu, rhs).tobytes()
+        assert got.tobytes() == reference_gbtrs_solve(ref, rhs).tobytes()
         assert np.array_equal(rhs, before)
 
 
@@ -179,10 +184,15 @@ def test_solve_matches_gbtrs_bitwise(build, pivoted):
     lambda: trbdf2_bs_matrix(make_uniform(0.0, 150.0, 100)),
 ], ids=["heston-cn-41x21", "uniform-101"])
 def test_factor_overwrites_band_array(build):
+    """An unpivoted factorization keeps no reference to the band array."""
     bm = build()
     assert bm.ab.flags.f_contiguous
+    ab = weakref.ref(bm.ab)
     lu = banded_factor(bm)
-    assert np.shares_memory(lu.lu, bm.ab)
+    del bm
+    gc.collect()
+    assert lu.upper is not None and lu.lu is None
+    assert ab() is None
 
 
 def test_factor_peak_below_band_array():

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
+from conftest import band
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stslab.experiments import bs_cubic_grid
 from stslab.grids import Grid1D, make_uniform
-from stslab.operators import (BsParams, HestonParams, UpwindPolicy, apply,
-                              assemble_bs, assemble_heston, fitting_factor,
-                              peclet, to_sparse)
+from stslab.operators import (BsParams, HestonParams, StencilOperator,
+                              UpwindPolicy, apply, assemble_bs, assemble_heston,
+                              fitting_factor, peclet, to_sparse)
 
 ALL_POLICIES = list(UpwindPolicy)
 POLICIES_2D = ALL_POLICIES
@@ -78,7 +80,7 @@ def test_interior_x_coefficient_straight_line(heston_params, gx_stress, gv_stres
     assert abs(px[i, j]) < 2.0  # x direction unfitted here under every policy
     for policy in ALL_POLICIES:
         op = assemble_heston(heston_params, gx_stress, gv_stress, policy)
-        assert op.a[i, j] == pytest.approx(oracle, rel=1e-14)
+        assert band(op, -1)[i, j] == pytest.approx(oracle, rel=1e-14)
 
 
 def test_x_edge_rows(heston_params, gx_stress, gv_stress):
@@ -86,12 +88,14 @@ def test_x_edge_rows(heston_params, gx_stress, gv_stress):
     x, h = gx_stress.nodes, gx_stress.spacings
     m = gx_stress.m
     mu, r = heston_params.mu, heston_params.r
-    assert np.all(op.a[0, :] == 0.0)
-    assert np.allclose(op.c[0, :], mu * x[0] / h[0], rtol=1e-15)
-    assert np.allclose(op.b[0, :], -(r + mu * x[0] / h[0]), rtol=1e-15)
-    assert np.all(op.c[m, :] == 0.0)
-    assert np.allclose(op.a[m, :], -mu * x[m] / h[m - 1], rtol=1e-15)
-    assert np.allclose(op.b[m, :], -(r - mu * x[m] / h[m - 1]), rtol=1e-15)
+    a, b, c = band(op, -1), band(op, 0), band(op, 1)
+    assert np.allclose(c[0, :], mu * x[0] / h[0], rtol=1e-15)
+    assert np.allclose(b[0, :], -(r + mu * x[0] / h[0]), rtol=1e-15)
+    assert np.allclose(a[m, :], -mu * x[m] / h[m - 1], rtol=1e-15)
+    assert np.allclose(b[m, :], -(r - mu * x[m] / h[m - 1]), rtol=1e-15)
+    # an edge row couples to nothing but its x neighbour
+    for di, dj in [(0, -1), (0, 1), (1, 1), (1, -1), (-1, 1), (-1, -1)]:
+        assert np.all(band(op, di, dj)[[0, m], :] == 0.0)
 
 
 def test_v_edge_rows(heston_params, gx_stress, gv_stress):
@@ -101,20 +105,40 @@ def test_v_edge_rows(heston_params, gx_stress, gv_stress):
     kap, th = heston_params.kappa, heston_params.theta
     adv0 = kap * (th - v[0]) / w[0]
     advn = kap * (th - v[n]) / w[n - 1]
-    assert np.all(op.d[:, 0] == 0.0)
-    assert np.allclose(op.e[1:-1, 0], adv0, rtol=1e-15)
-    assert np.all(op.e[:, n] == 0.0)
-    assert np.allclose(op.d[1:-1, n], -advn, rtol=1e-15)
+    d, e = band(op, 0, -1), band(op, 0, 1)
+    assert np.allclose(e[1:-1, 0], adv0, rtol=1e-15)
+    assert np.allclose(d[1:-1, n], -advn, rtol=1e-15)
+
+
+CORNERS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
 
 
 def test_cross_zero_on_boundary_ring(heston_params, gx_stress, gv_stress):
     for policy in ALL_POLICIES:
         op = assemble_heston(heston_params, gx_stress, gv_stress, policy)
-        assert np.all(op.cross[0, :] == 0.0)
-        assert np.all(op.cross[-1, :] == 0.0)
-        assert np.all(op.cross[:, 0] == 0.0)
-        assert np.all(op.cross[:, -1] == 0.0)
-        assert np.any(op.cross[1:-1, 1:-1] != 0.0)
+        for di, dj in CORNERS:
+            corner = band(op, di, dj)
+            assert np.all(corner[0, :] == 0.0)
+            assert np.all(corner[-1, :] == 0.0)
+            assert np.all(corner[:, 0] == 0.0)
+            assert np.all(corner[:, -1] == 0.0)
+            assert np.any(corner[1:-1, 1:-1] != 0.0)
+
+
+def test_corner_bands_carry_the_cross_term(heston_params, gx_stress, gv_stress):
+    """On interior nodes the corners of M are +cross, -cross, -cross, +cross."""
+    x, v = gx_stress.nodes, gv_stress.nodes
+    span_x = (x[2:] - x[:-2])[:, None]
+    span_v = (v[2:] - v[:-2])[None, :]
+    cross = (heston_params.rho * heston_params.sigma * x[1:-1, None] * v[None, 1:-1]
+             / (span_x * span_v))
+    for policy in ALL_POLICIES:
+        op = assemble_heston(heston_params, gx_stress, gv_stress, policy)
+        inner = {k: band(op, *k)[1:-1, 1:-1] for k in CORNERS}
+        assert np.allclose(inner[1, 1], cross, rtol=1e-13, atol=0.0)
+        assert np.array_equal(inner[1, -1], -inner[1, 1])
+        assert np.array_equal(inner[-1, 1], -inner[1, 1])
+        assert np.array_equal(inner[-1, -1], inner[1, 1])
 
 
 # ------------------------------------------------------- Peclet diagnostics
@@ -204,45 +228,72 @@ def test_fitting_factor_vectorized():
 
 # ------------------------------------------------------------ policy masks
 
+def expected_masks(params, gx, gv, policy):
+    """Nodes a fitting or one-sided policy treats in x and in v, from peclet.
+
+    |P| >= 2 flags a node, the region policy keeps the v rows with v = v_min
+    or v > 1, and the edge rows (one-sided closures) are never fitted.
+    """
+    px, pv = peclet(params, gx, gv)
+    v = gv.nodes
+    region = (v == v[0]) | (v > 1.0)
+    fx = np.abs(px) >= 2.0
+    fv = np.zeros(px.shape, dtype=bool)
+    fv[:, 1:-1] = (np.abs(pv) >= 2.0)[None, 1:-1]
+    if policy is UpwindPolicy.FOULON_REGION:
+        fx &= region[None, :]
+        fv &= region[None, :]
+    fx[[0, -1], :] = fv[[0, -1], :] = False
+    return fx, fv
+
+
+def assert_fitted_exactly_on(op, op_none, fx, fv):
+    """The x and v bands differ from the central operator's on fx and fv only."""
+    for (di, dj), mask in [((-1, 0), fx), ((1, 0), fx), ((0, -1), fv), ((0, 1), fv)]:
+        got, central = band(op, di, dj), band(op_none, di, dj)
+        assert np.all(got[mask] != central[mask]), (di, dj)
+        assert np.array_equal(got[~mask], central[~mask]), (di, dj)
+    unfitted = ~(fx | fv)
+    assert np.array_equal(band(op, 0)[unfitted], band(op_none, 0)[unfitted])
+    for di, dj in CORNERS:
+        assert np.array_equal(band(op, di, dj), band(op_none, di, dj))
+
+
 def test_partial_fitting_bit_identical_off_mask(heston_params, gx_stress, gv_stress):
     op_n = assemble_heston(heston_params, gx_stress, gv_stress, UpwindPolicy.NONE)
     op_p = assemble_heston(heston_params, gx_stress, gv_stress,
                            UpwindPolicy.PARTIAL_FITTING)
-    px, pv = peclet(heston_params, gx_stress, gv_stress)
-    assert np.array_equal(op_p.fitted_x[1:-1, :], np.abs(px[1:-1, :]) >= 2.0)
-    assert np.array_equal(op_p.fitted_v[1:-1, 1:-1],
-                          (np.abs(pv[1:-1]) >= 2.0)[None, :]
-                          & np.ones((gx_stress.m - 1, 1), dtype=bool))
-    ux = ~op_p.fitted_x
-    uv = ~op_p.fitted_v
-    assert np.array_equal(op_p.a[ux], op_n.a[ux])
-    assert np.array_equal(op_p.c[ux], op_n.c[ux])
-    assert np.array_equal(op_p.d[uv], op_n.d[uv])
-    assert np.array_equal(op_p.e[uv], op_n.e[uv])
-    assert np.array_equal(op_p.b[ux & uv], op_n.b[ux & uv])
-    assert np.array_equal(op_p.cross, op_n.cross)
-    assert op_p.fitted_x.any() and op_p.fitted_v.any()
+    fx, fv = expected_masks(heston_params, gx_stress, gv_stress,
+                            UpwindPolicy.PARTIAL_FITTING)
+    assert fx.any() and fv.any()
+    assert_fitted_exactly_on(op_p, op_n, fx, fv)
 
 
 def test_foulon_region_mask(heston_params, gx_stress, gv_stress):
     op = assemble_heston(heston_params, gx_stress, gv_stress,
                          UpwindPolicy.FOULON_REGION)
-    _, pv = peclet(heston_params, gx_stress, gv_stress)
-    v = gv_stress.nodes
-    region = (v == v[0]) | (v > 1.0)
-    expect_v = (np.abs(pv) >= 2.0) & region
-    assert np.array_equal(op.fitted_v[1:-1, 1:-1], expect_v[None, 1:-1]
-                          & np.ones((gx_stress.m - 1, 1), dtype=bool))
+    op_n = assemble_heston(heston_params, gx_stress, gv_stress, UpwindPolicy.NONE)
+    fx, fv = expected_masks(heston_params, gx_stress, gv_stress,
+                            UpwindPolicy.FOULON_REGION)
+    assert_fitted_exactly_on(op, op_n, fx, fv)
     # the restricted region leaves the strained low-v columns central
-    op_p = assemble_heston(heston_params, gx_stress, gv_stress,
-                           UpwindPolicy.PARTIAL_FITTING)
-    assert op_p.fitted_v.sum() > op.fitted_v.sum()
+    _, fv_p = expected_masks(heston_params, gx_stress, gv_stress,
+                             UpwindPolicy.PARTIAL_FITTING)
+    assert fv_p.sum() > fv.sum() > 0
 
 
 def test_none_policy_has_no_fitted_nodes(heston_params, gx_small, gv_small):
+    """Every interior x coupling of the NONE operator is the central one."""
     op = assemble_heston(heston_params, gx_small, gv_small, UpwindPolicy.NONE)
-    assert not op.fitted_x.any()
-    assert not op.fitted_v.any()
+    x, v, h = gx_small.nodes, gv_small.nodes, gx_small.spacings
+    adv = heston_params.mu * x[1:-1, None]
+    diff = v[None, :] * x[1:-1, None] ** 2
+    h_lo, h_hi = h[:-1, None], h[1:, None]
+    span = h_lo + h_hi
+    assert np.allclose(band(op, -1)[1:-1], -(adv * h_hi - diff) / (h_lo * span),
+                       rtol=1e-13, atol=0.0)
+    assert np.allclose(band(op, 1)[1:-1], (adv * h_lo + diff) / (h_hi * span),
+                       rtol=1e-13, atol=0.0)
 
 
 def test_fitted_rows_keep_nonnegative_offdiagonals(heston_params, gx_stress,
@@ -250,23 +301,27 @@ def test_fitted_rows_keep_nonnegative_offdiagonals(heston_params, gx_stress,
     """Exponential fitting must not flip an off-diagonal sign on a graded mesh."""
     op = assemble_heston(heston_params, gx_stress, gv_stress,
                          UpwindPolicy.PARTIAL_FITTING)
-    fx = op.fitted_x
-    fv = op.fitted_v
-    assert np.all(op.a[fx] >= 0.0)
-    assert np.all(op.c[fx] >= 0.0)
-    assert np.all(op.d[fv] >= 0.0)
-    assert np.all(op.e[fv] >= 0.0)
+    fx, fv = expected_masks(heston_params, gx_stress, gv_stress,
+                            UpwindPolicy.PARTIAL_FITTING)
+    assert np.all(band(op, -1)[fx] >= 0.0)
+    assert np.all(band(op, 1)[fx] >= 0.0)
+    assert np.all(band(op, 0, -1)[fv] >= 0.0)
+    assert np.all(band(op, 0, 1)[fv] >= 0.0)
 
 
 def test_fitted_diffusion_not_smaller(heston_params, gx_stress, gv_stress):
     op_n = assemble_heston(heston_params, gx_stress, gv_stress, UpwindPolicy.NONE)
     op_p = assemble_heston(heston_params, gx_stress, gv_stress,
                            UpwindPolicy.PARTIAL_FITTING)
-    fv = op_p.fitted_v
+    fx, fv = expected_masks(heston_params, gx_stress, gv_stress,
+                            UpwindPolicy.PARTIAL_FITTING)
+
+    def pair_sum(op, d):  # the two off-diagonals of one direction
+        return band(op, *d) + band(op, *(-k for k in d))
+
     # advection parts agree, so the off-diagonal sum isolates the diffusion
-    assert np.all((op_p.d + op_p.e)[fv] >= (op_n.d + op_n.e)[fv] - 1e-12)
-    fx = op_p.fitted_x
-    assert np.all((op_p.a + op_p.c)[fx] >= (op_n.a + op_n.c)[fx] - 1e-12)
+    assert np.all(pair_sum(op_p, (0, 1))[fv] >= pair_sum(op_n, (0, 1))[fv] - 1e-12)
+    assert np.all(pair_sum(op_p, (1, 0))[fx] >= pair_sum(op_n, (1, 0))[fx] - 1e-12)
 
 
 def test_osullivan_one_sided_signs(bs_params):
@@ -276,7 +331,8 @@ def test_osullivan_one_sided_signs(bs_params):
                             (-1, BsParams(sigma=0.02, r=0.0, q=0.10,
                                           spot=100.0, expiry=1.0))]:
         op = assemble_bs(params, g, UpwindPolicy.OSULLIVAN)
-        fit = op.fitted_x.copy()
+        a, c = band(op, -1), band(op, 1)
+        fit = np.abs(peclet(params, g)[0]) >= 2.0
         fit[0] = fit[-1] = False
         idx = np.nonzero(fit)[0]
         assert idx.size > 0
@@ -285,38 +341,39 @@ def test_osullivan_one_sided_signs(bs_params):
         span = h_lo + h_hi
         if mu_sign > 0:
             # downwind coefficient is pure diffusion; upwind gains advection
-            assert np.allclose(op.a[idx], diff / (h_lo * span), rtol=1e-13)
-            assert np.all(op.c[idx] >= diff / (h_hi * span) - 1e-13)
+            assert np.allclose(a[idx], diff / (h_lo * span), rtol=1e-13)
+            assert np.all(c[idx] >= diff / (h_hi * span) - 1e-13)
         else:
-            assert np.allclose(op.c[idx], diff / (h_hi * span), rtol=1e-13)
-            assert np.all(op.a[idx] >= diff / (h_lo * span) - 1e-13)
-        assert np.all(op.a[idx] >= 0.0)
-        assert np.all(op.c[idx] >= 0.0)
+            assert np.allclose(c[idx], diff / (h_hi * span), rtol=1e-13)
+            assert np.all(a[idx] >= diff / (h_lo * span) - 1e-13)
+        assert np.all(a[idx] >= 0.0)
+        assert np.all(c[idx] >= 0.0)
 
 
 def test_osullivan_heston_offdiagonals(heston_params, gx_stress, gv_stress):
     op = assemble_heston(heston_params, gx_stress, gv_stress,
                          UpwindPolicy.OSULLIVAN)
-    fv = op.fitted_v
-    assert np.all(op.d[fv] >= -1e-15)
-    assert np.all(op.e[fv] >= -1e-15)
+    _, fv = expected_masks(heston_params, gx_stress, gv_stress,
+                           UpwindPolicy.OSULLIVAN)
+    assert fv.any()
+    assert np.all(band(op, 0, -1)[fv] >= -1e-15)
+    assert np.all(band(op, 0, 1)[fv] >= -1e-15)
 
 
 # ----------------------------------------------- apply / sparse consistency
 
 def stencil_apply(op, f):
-    """M f on the 2-D lattice by the nine-point stencil, read off the arrays.
+    """M f on the 2-D lattice by the nine-point stencil, its bands read off M.
 
-    Independent of the band table the operator's matrix is built from.
+    Uses no entry of M outside the nine bands, so it also checks that M
+    couples each node to its lattice neighbours only.
     """
-    out = op.b * f
-    out[1:, :] += op.a[1:, :] * f[:-1, :]
-    out[:-1, :] += op.c[:-1, :] * f[1:, :]
-    out[:, 1:] += op.d[:, 1:] * f[:, :-1]
-    out[:, :-1] += op.e[:, :-1] * f[:, 1:]
-    out[1:-1, 1:-1] += op.cross[1:-1, 1:-1] * (
-        f[2:, 2:] - f[2:, :-2] - f[:-2, 2:] + f[:-2, :-2]
-    )
+    mm, nn = op.shape
+    padded = np.pad(f, 1)
+    out = np.zeros(op.shape)
+    for di in (-1, 0, 1):
+        for dj in (-1, 0, 1):
+            out += band(op, di, dj) * padded[1 + di:1 + di + mm, 1 + dj:1 + dj + nn]
     return out
 
 
@@ -372,9 +429,9 @@ def reference_apply_1d(op, f):
     Sums (b f + a f_-) + c f_+, a commutation of the matvec's row order
     (a f_- + b f) + c f_+, so the two agree bit for bit.
     """
-    out = op.b * f
-    out[1:] += op.a[1:] * f[:-1]
-    out[:-1] += op.c[:-1] * f[1:]
+    out = band(op, 0) * f
+    out[1:] += band(op, -1)[1:] * f[:-1]
+    out[:-1] += band(op, 1)[:-1] * f[1:]
     return out
 
 
@@ -486,8 +543,8 @@ def test_heston_reduces_to_bs_per_column():
         bp = BsParams(sigma=float(np.sqrt(vj)), r=hp.r, q=hp.q, spot=100.0,
                       expiry=1.0)
         op_b = assemble_bs(bp, gx, UpwindPolicy.NONE)
-        assert np.allclose(op_h.a[:, j], op_b.a, rtol=1e-14, atol=1e-16)
-        assert np.allclose(op_h.c[:, j], op_b.c, rtol=1e-14, atol=1e-16)
+        assert np.allclose(band(op_h, -1)[:, j], band(op_b, -1), rtol=1e-14, atol=1e-16)
+        assert np.allclose(band(op_h, 1)[:, j], band(op_b, 1), rtol=1e-14, atol=1e-16)
         # v-advection rows telescope to zero on a v-constant field
         assert np.allclose(out[:, j], apply(op_b, g), rtol=1e-12, atol=1e-10)
 
@@ -501,6 +558,14 @@ def test_assembly_guards(heston_params, gx_small, bs_params):
     with pytest.raises(ValueError, match="two-dimensional"):
         assemble_bs(bs_params, make_uniform(0.0, 150.0, 10),
                     UpwindPolicy.FOULON_REGION)
+
+
+def test_matrix_must_match_the_lattice():
+    g = make_uniform(0.0, 1.0, 4)
+    with pytest.raises(ValueError, match="does not match the 5 lattice nodes"):
+        StencilOperator(scipy.sparse.csr_matrix(np.eye(4)), g, None)
+    with pytest.raises(ValueError, match="does not match the 15 lattice nodes"):
+        StencilOperator(scipy.sparse.csr_matrix(np.eye(5)), g, make_uniform(0.0, 1.0, 2))
 
 
 def test_params_validation():

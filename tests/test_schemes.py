@@ -5,6 +5,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse
 import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ import stslab.schemes as schemes
 from stslab.experiments import (bs_cubic_grid, call, default_bs_params,
                                 default_heston_params, foulon_grid_v,
                                 foulon_grid_x, payoff_eval)
+from stslab.grids import Grid1D
 from stslab.operators import (StencilOperator, UpwindPolicy, apply,
                               assemble_bs, assemble_heston)
 from stslab.schemes import (EXTENT_TOL, ExplosionError, FamilyKind,
@@ -26,6 +28,13 @@ from stslab.schemes import (EXTENT_TOL, ExplosionError, FamilyKind,
 from stslab.spectra import gershgorin_radius
 
 FAMILIES = [rkc(0.0), rkc(10.0), rkl(), rkg(2.0), rkg(0.7)]
+
+
+def matrix_op(m) -> StencilOperator:
+    """The dense matrix m as an operator on a grid of len(m) nodes."""
+    m = np.atleast_2d(m)
+    return StencilOperator(scipy.sparse.csr_matrix(m),
+                           Grid1D(np.arange(float(len(m)))), None)
 
 
 def brute_force_extent(coeffs):
@@ -317,7 +326,8 @@ def test_cold_run_builds_no_table_beyond_selection(family, monkeypatch):
     by_selection = list(built)
     schemes._certified.cache_clear()
     built.clear()
-    _, log = run_integrator(family, lambda y: -y, np.ones(3), 0.1, 1, rho=6100.0)
+    _, log = run_integrator(family, matrix_op(-np.eye(3)), np.ones(3), 0.1, 1,
+                            rho=6100.0)
     assert log.s_per_step == [s]
     assert built == by_selection
 
@@ -380,8 +390,8 @@ def test_super_step_matches_polynomial_on_diagonal_system():
         rho = 40.0
         if fam.kind is FamilyKind.EULER and dt * rho > 1.9:
             continue
-        y, log = run_integrator(fam, lambda y: lam * y, np.ones(4), expiry, l,
-                                rho=rho)
+        y, log = run_integrator(fam, matrix_op(np.diag(lam)), np.ones(4), expiry,
+                                l, rho=rho)
         coeffs = make_coefficients(fam, log.s_per_step[0])
         want = np.array([stability_poly_eval(coeffs, dt * li) for li in lam]) ** l
         assert np.allclose(y, want, rtol=1e-12, atol=1e-13), fam.label
@@ -392,15 +402,15 @@ def test_super_step_matches_polynomial_on_diagonal_system():
 
 def test_explosion_detection():
     coeffs = make_coefficients(rkc(10.0), 4)
-    grow = lambda y: 1e120 * y
+    grow = matrix_op(1e120 * np.eye(3))
     with pytest.raises(ExplosionError) as want:
         reference_super_step(coeffs, grow, np.ones(3), 1e200)
     with pytest.raises(ExplosionError) as exc:
         super_step(coeffs, grow, np.ones(3), 1e200)
     assert exc.value.stage == want.value.stage
     # a bad user-supplied spectral bound is detected, not silently integrated
-    y, log = run_integrator(rkl(), lambda y: -1e200 * y, np.ones(2), 1.0, 2,
-                            rho=1.0)
+    y, log = run_integrator(rkl(), matrix_op(-1e200 * np.eye(2)), np.ones(2), 1.0,
+                            2, rho=1.0)
     assert log.exploded
     assert log.explosion_step == 0
     assert log.explosion_stage == 2  # stage 1 stays finite, stage 2 overflows
@@ -421,10 +431,9 @@ def reference_super_step(coeffs, op, state, dt):
     Every term is a new array and every stage is checked for finiteness; the
     fused loop must give the same bits and raise at the same stage.
     """
-    F = (lambda y: apply(op, y)) if isinstance(op, StencilOperator) else op
     y0 = np.asarray(state, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        f0 = F(y0)
+        f0 = apply(op, y0)
         y1 = y0 + coeffs.mu_tilde[1] * dt * f0
         if not np.isfinite(y1).all():
             raise ExplosionError(stage=1)
@@ -434,7 +443,7 @@ def reference_super_step(coeffs, op, state, dt):
         mt, gt = coeffs.mu_tilde, coeffs.gamma_tilde
         ym2, ym1 = y0, y1
         for j in range(2, coeffs.s + 1):
-            fy = F(ym1)
+            fy = apply(op, ym1)
             y = (mu[j] * ym1 + nu[j] * ym2 + (1.0 - mu[j] - nu[j]) * y0
                  + dt * (mt[j] * fy + gt[j] * f0))
             if not np.isfinite(y).all():
@@ -456,17 +465,20 @@ def reference_run(family, op, initial, expiry, l, rho):
     return y, None, None
 
 
-def _dense_callable():
+def _dense_8x8():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((8, 8))
     m = -(a @ a.T) + 0.3 * (a - a.T)  # negative semi-definite symmetric part
     rho = float(np.abs(m).sum(axis=1).max())
-    return (lambda y: m @ y), rho, np.linspace(-1.0, 2.0, 8)
+    return matrix_op(m), rho, np.linspace(-1.0, 2.0, 8)
 
 
 @pytest.fixture(scope="module")
 def step_cases():
-    """name -> (operator or callable, spectral bound, initial field)."""
+    """name -> (operator, spectral bound, initial field).
+
+    "callable" is a dense 8 x 8 matrix wrapped as an operator.
+    """
     gx = bs_cubic_grid(m=400, alpha=0.01)
     cubic = assemble_bs(default_bs_params(), gx, UpwindPolicy.PARTIAL_FITTING)
     hx, hv = foulon_grid_x(100.0, m=40), foulon_grid_v(n=20)
@@ -477,7 +489,7 @@ def step_cases():
                      payoff_eval(call(100.0), gx)),
         "partial-2d": (heston, gershgorin_radius(heston),
                        payoff_eval(call(100.0), hx, hv)),
-        "callable": _dense_callable(),
+        "callable": _dense_8x8(),
     }
 
 
@@ -517,8 +529,8 @@ def _region_fitting_case(family):
 
 
 EXPLODING_RUNS = {
-    "grow-callable": lambda: (rkl(), lambda y: -1e200 * y, np.ones(2), 1.0, 2,
-                              1.0),
+    "grow-callable": lambda: (rkl(), matrix_op(-1e200 * np.eye(2)), np.ones(2),
+                              1.0, 2, 1.0),
     "region-rkl": lambda: _region_fitting_case(rkl()),
     "region-rkc0": lambda: _region_fitting_case(rkc(0.0)),
 }
@@ -548,16 +560,14 @@ def test_poly_eval_complex_matches_real_block(family):
     assert got.dtype == np.complex128
     for z, p in zip(zs, got):
         block = np.array([[z.real, -z.imag], [z.imag, z.real]])
-        re, im = super_step(coeffs, lambda v: block @ v, np.array([1.0, 0.0]),
-                            1.0)
+        re, im = super_step(coeffs, matrix_op(block), np.array([1.0, 0.0]), 1.0)
         assert abs(p - complex(re, im)) <= 1e-12 * max(1.0, abs(p)), z
     assert isinstance(stability_poly_eval(coeffs, -0.5), float)
 
 
 def test_run_integrator_guards():
+    op = matrix_op(-np.eye(2))
     with pytest.raises(ValueError, match="l >= 1"):
-        run_integrator(rkl(), lambda y: -y, np.ones(1), 1.0, 0, rho=1.0)
+        run_integrator(rkl(), op, np.ones(2), 1.0, 0, rho=1.0)
     with pytest.raises(ValueError, match="expiry > 0"):
-        run_integrator(rkl(), lambda y: -y, np.ones(1), 0.0, 4, rho=1.0)
-    with pytest.raises(ValueError, match="need rho for a bare callable"):
-        run_integrator(rkl(), lambda y: -y, np.ones(1), 1.0, 4)
+        run_integrator(rkl(), op, np.ones(2), 0.0, 4, rho=1.0)
