@@ -60,6 +60,8 @@ def _num(d: dict, key: str, default, path: str, lo=None, hi=None,
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
     val = float(val)
+    if not math.isfinite(val):  # json reads NaN and Infinity tokens
+        raise ConfigError(f"{path}.{key}: need a finite number, got {val!r}")
     if lo is not None and (val <= lo if lo_open else val < lo):
         op = ">" if lo_open else ">="
         raise ConfigError(f"{path}.{key}: need value {op} {lo}, got {val:g}")

@@ -87,15 +87,18 @@ class BandedLU:
 
 
 def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMatrix:
-    """Band storage of alpha I + beta M, Fortran-ordered for an in-place gbtrf."""
-    if op.is_1d:
-        kl = ku = 1
-    else:
-        kl = ku = op.shape[1] + 1
+    """Band storage of alpha I + beta M, Fortran-ordered for an in-place gbtrf.
+
+    Each diagonal of M (DIA form) fills one row of ab.  Only its nonzeros are
+    written, so ab holds +0.0 where M has no entry, never -0.0 from beta < 0.
+    """
+    kl = ku = 1 if op.is_1d else op.shape[1] + 1
     n = op.size
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
-    mat = op.matrix.tocoo()
-    ab[kl + ku + mat.row - mat.col, mat.col] = beta * mat.data
+    for off, diag in zip(op.matrix.offsets.tolist(), op.matrix.data):
+        lo, hi = max(0, off), min(n, n + off, diag.size)
+        np.multiply(diag[lo:hi], beta, out=ab[kl + ku - off, lo:hi],
+                    where=diag[lo:hi] != 0.0)
     ab[kl + ku, :] += alpha
     return BandedMatrix(ab=ab, kl=kl, ku=ku, n=n)
 

@@ -25,7 +25,8 @@ cross on the lattice,
 (the 1-D stencil has a, b, c only), and `_lattice_matrix` maps them to M,
 the one place that places a coefficient at its lattice neighbor; an
 out-of-lattice neighbor's coefficient vanishes by construction.  The operator
-keeps only M, as a CSR matrix, and its grids.
+keeps only its grids and M, in diagonal (DIA) form: nine diagonals (three in
+1-D) with ascending offsets.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse
-from scipy.sparse._sparsetools import csr_matvec
+from scipy.sparse._sparsetools import dia_matvec
 
 from .grids import Grid1D
 
@@ -137,15 +138,19 @@ PECLET_THRESHOLD = 2.0
 class StencilOperator:
     """The discrete operator M on the (m+1) or (m+1) x (n+1) lattice of its grids.
 
-    matrix is M as a CSR matrix over the lattice flattened in row-major
-    order (v index fastest).
+    matrix is M over the lattice flattened in row-major order (v index
+    fastest), stored as a DIA matrix with strictly increasing offsets; any
+    other sparse or dense matrix given is converted.
     """
 
-    matrix: scipy.sparse.csr_matrix
+    matrix: scipy.sparse.dia_matrix
     gx: Grid1D
     gv: Grid1D | None
 
     def __post_init__(self):
+        self.matrix = scipy.sparse.dia_matrix(self.matrix)
+        if not np.all(np.diff(self.matrix.offsets) > 0):  # apply's row order
+            raise ValueError(f"offsets {self.matrix.offsets} must be strictly increasing")
         # plain attributes, not properties: apply reads them on every call
         mm = self.gx.m + 1
         self.shape = (mm,) if self.gv is None else (mm, self.gv.m + 1)
@@ -389,10 +394,12 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
 def apply(op: StencilOperator, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate M f on the lattice; with out given, write it there and return out.
 
-    out is zeroed and the CSR matvec that `op.matrix @ f.ravel()` runs adds
-    each row into it, so the result is bitwise that product with no
-    temporary.  out must be a C-contiguous float64 array of the operator's
-    shape and must not overlap f: the matvec reads f while it writes out.
+    out is zeroed and the DIA matvec of `op.matrix @ f.ravel()` adds each
+    diagonal into it, with no temporary.  Offsets ascend, so each row sums its
+    products from +0.0 in column order, and DIA's extra zeros add only +-0:
+    for finite f the result is bitwise M f in sorted CSR form.  out must be a
+    C-contiguous float64 array of the operator's shape and must not overlap
+    f: the matvec reads f while it writes out.
     """
     f = np.asarray(f)
     if f.shape != op.shape:
@@ -408,38 +415,35 @@ def apply(op: StencilOperator, f: np.ndarray, out: np.ndarray | None = None) -> 
             raise ValueError("out must not share memory with the field")
         out.fill(0.0)
     mat = op.matrix
-    csr_matvec(op.size, op.size, mat.indptr, mat.indices, mat.data, f.ravel(),
-               out.reshape(-1))
+    dia_matvec(op.size, op.size, len(mat.offsets), mat.data.shape[1],
+               mat.offsets, mat.data, f.ravel(), out.reshape(-1))
     return out
 
 
-def _lattice_matrix(a, b, c, d=None, e=None, cross=None) -> scipy.sparse.csr_matrix:
-    """M from the lattice coefficients of the stencil; explicit zeros are dropped.
+def _lattice_matrix(a, b, c, d=None, e=None, cross=None) -> scipy.sparse.dia_matrix:
+    """M from the lattice coefficients of the stencil, in DIA form.
 
-    The 1-D stencil passes a, b, c only.  The lattice is flattened in
-    row-major order (v index fastest), so x neighbors sit n+1 columns away
-    and the bandwidth is at most n+2.
+    The 1-D stencil passes a, b, c only.  On the lattice flattened in
+    row-major order (v index fastest) the neighbor (i + di, j + dj) lies on
+    the diagonal at offset di (n+1) + dj, whose data row holds it at the
+    neighbor's node.  Bands that share an offset (fewer than three v nodes)
+    sit at disjoint nodes and are added into one row.
     """
     mm, nn = b.shape if b.ndim == 2 else (b.size, 1)
-    node = np.arange(mm * nn).reshape(mm, nn)
     bands = [(b, 0, 0, 1.0), (a, -1, 0, 1.0), (c, 1, 0, 1.0)]
     if d is not None:
         bands += [(d, 0, -1, 1.0), (e, 0, 1, 1.0), (cross, 1, 1, 1.0),
                   (cross, 1, -1, -1.0), (cross, -1, 1, -1.0), (cross, -1, -1, 1.0)]
-    rows, cols, vals = [], [], []
+    offsets = sorted({di * nn + dj for _, di, dj, _ in bands})
+    data = np.zeros((len(offsets), mm, nn))
     for arr, di, dj, sign in bands:
-        # the nodes whose neighbor (i + di, j + dj) lies on the lattice
-        i = slice(max(0, -di), mm - max(0, di))
-        j = slice(max(0, -dj), nn - max(0, dj))
-        rows.append(node[i, j].ravel())
-        cols.append(rows[-1] + (di * nn + dj))
-        vals.append((sign * arr.reshape(mm, nn)[i, j]).ravel())
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    keep = vals != 0.0
-    return scipy.sparse.csr_matrix((vals[keep], (rows[keep], cols[keep])),
+        src = arr.reshape(mm, nn)[max(0, -di):mm - max(0, di), max(0, -dj):nn - max(0, dj)]
+        row = data[offsets.index(di * nn + dj)]
+        row[max(0, di):mm + min(0, di), max(0, dj):nn + min(0, dj)] += sign * src
+    return scipy.sparse.dia_matrix((data.reshape(len(offsets), mm * nn), offsets),
                                    shape=(mm * nn, mm * nn))
 
 
-def to_sparse(op: StencilOperator) -> scipy.sparse.csr_matrix:
-    """The operator's matrix M (shared, not a copy; explicit zeros dropped)."""
+def to_sparse(op: StencilOperator) -> scipy.sparse.dia_matrix:
+    """The operator's matrix M in DIA form (shared, not a copy)."""
     return op.matrix

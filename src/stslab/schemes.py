@@ -247,6 +247,11 @@ def _certified(family: SchemeFamily, s: int) -> tuple[StageCoefficients, float]:
     coeffs = make_coefficients(family, s)
     A, B, w0 = _recurrence_multipliers(family, s)
     a, b, w1 = float(coeffs.a[s]), float(coeffs.b[s]), coeffs.w1
+    # an overflowed table, or b_s below the normal range, is not the polynomial
+    table = (w1, coeffs.a, coeffs.b, coeffs.mu, coeffs.nu, coeffs.mu_tilde, coeffs.gamma_tilde)
+    if not (all(np.isfinite(t).all() for t in table) and abs(b) >= np.finfo(float).tiny):
+        raise RuntimeError(f"{family.label} s={s}: the coefficient table is not "
+                           "finite or b_s is not a normal float")
     top = 1.0 + EXTENT_TOL
     # |Q_s| <= Q_s(w0) on [-w0, w0]: |T_s| <= 1 and, for g > 0, |C_s^g| <=
     # C_s^g(1) on [-1, 1], and past 1 every zero lies behind.  P_s is affine in

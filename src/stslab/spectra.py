@@ -39,9 +39,10 @@ class Spectrum:
 def gershgorin_radius(op: StencilOperator) -> float:
     """Max over rows of |diagonal| + sum of |off-diagonals| of M.
 
-    Upper bound on the spectral radius.
+    Upper bound on the spectral radius.  Rows are summed in CSR form: the
+    DIA row sum groups a row's terms differently and can differ in the last bit.
     """
-    return float(abs(op.matrix).sum(axis=1).max())
+    return float(abs(op.matrix).tocsr().sum(axis=1).max())
 
 
 def eigenvalues_dense(mat, scale: float = 1.0) -> Spectrum:

@@ -98,6 +98,10 @@ def test_roundtrip_with_overrides():
     ('{"params": {"rho": 1.5}}', "params.rho: need value <= 1.0, got 1.5"),
     ('{"params": {"kappa": 0}}', "params.kappa: need value > 0"),
     ('{"params": {"expiry": "soon"}}', "params.expiry: expected a number"),
+    # json reads NaN and Infinity, and these keys have no bounds to catch them
+    ('{"params": {"r": Infinity}}', "params.r: need a finite number, got inf"),
+    ('{"model": "bs", "params": {"q": NaN}}', "params.q: need a finite number, got nan"),
+    ('{"grid": {"x": {"center": -Infinity}}}', "grid.x.center: need a finite number"),
     ('{"model": "bs", "params": {"v0": 0.1}}', "params: unknown key(s) v0"),
     ('{"grid": {"x": {"kind": "log"}}}', "grid.x.kind"),
     ('{"grid": {"x": {"a": 5, "b": 1}}}', "grid.x: need a < b"),

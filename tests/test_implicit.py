@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse
+from conftest import csr_oracle, operator_cases
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from stslab.experiments import (bs_closed_form, bs_cubic_grid, call,
@@ -78,6 +79,31 @@ def reference_trbdf2_run(op, initial, expiry, l):
 
 
 # ------------------------------------------------------------- banded algebra
+
+def reference_operator_banded(op, alpha, beta):
+    """Band array of alpha I + beta M scattered from M's nonzeros in COO form.
+
+    The assembly operator_banded ran while M was stored in CSR form: the
+    bit-for-bit oracle of the diagonal-by-diagonal copy.
+    """
+    kl = ku = 1 if op.is_1d else op.shape[1] + 1
+    ab = np.zeros((2 * kl + ku + 1, op.size), order="F")
+    mat = csr_oracle(op).tocoo()
+    ab[kl + ku + mat.row - mat.col, mat.col] = beta * mat.data
+    ab[kl + ku, :] += alpha
+    return ab
+
+
+@pytest.mark.parametrize("build", operator_cases())
+def test_band_array_matches_the_coo_scatter_bitwise(build):
+    op = build()
+    for alpha, beta in ((1.0, -0.37), (1.0, 0.25), (0.0, -1.0)):
+        bm = operator_banded(op, alpha, beta)
+        want = reference_operator_banded(op, alpha, beta)
+        assert bm.ab.flags.f_contiguous
+        # +0.0 where M has no entry, never -0.0 from beta < 0
+        assert bm.ab.tobytes(order="F") == want.tobytes(order="F")
+
 
 def test_band_storage_layout(heston_params, gx_small, gv_small):
     op = assemble_heston(heston_params, gx_small, gv_small,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse
-from conftest import band
+from conftest import band, csr_oracle, operator_cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -447,7 +447,7 @@ def test_apply_is_the_matrix_product_bitwise(dim, heston_params, bs_params,
                                              gx_small, gv_small):
     op = apply_case(dim, heston_params, bs_params, gx_small, gv_small)
     f = np.random.default_rng(13).standard_normal(op.shape)
-    want = (op.matrix @ f.ravel()).reshape(op.shape)
+    want = (op.matrix.tocsr() @ f.ravel()).reshape(op.shape)
     buf = np.full(op.shape, np.nan)
     assert apply(op, f).tobytes() == want.tobytes()
     assert apply(op, f, out=buf).tobytes() == want.tobytes()
@@ -461,6 +461,46 @@ def test_apply_is_the_matrix_product_bitwise(dim, heston_params, bs_params,
         x = op.gx.nodes
         step = np.where((x > 10.0) & (x < 100.0), 1.0, 0.0)
         assert apply(op, step).tobytes() == reference_apply_1d(op, step).tobytes()
+
+
+def oracle_fields(op):
+    """Random, 1e300-scaled, all-zero and digital-step fields on op's lattice."""
+    rng = np.random.default_rng(17)
+    f = rng.standard_normal(op.shape)
+    x = op.gx.nodes
+    step = np.where((x > 0.4 * x[-1]) & (x < 0.6 * x[-1]), 1.0, 0.0)
+    if not op.is_1d:
+        step = np.repeat(step[:, None], op.shape[1], axis=1)
+    return {"random": f, "huge": 1e300 * f, "zero": np.zeros(op.shape), "step": step}
+
+
+@pytest.mark.parametrize("build", operator_cases())
+def test_apply_is_the_sorted_csr_product_bitwise(build):
+    op = build()
+    assert isinstance(op.matrix, scipy.sparse.dia_matrix)
+    oracle = csr_oracle(op)
+    buf = np.empty(op.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, f in oracle_fields(op).items():
+            want = (oracle @ f.ravel()).reshape(op.shape)
+            assert apply(op, f).tobytes() == want.tobytes(), name
+            assert apply(op, f, out=buf).tobytes() == want.tobytes(), name
+
+
+def test_matrix_is_stored_by_diagonals():
+    g = make_uniform(0.0, 1.0, 3)
+    dense = np.diag([1.0, 2.0, 3.0, 4.0]) + np.diag([5.0, 6.0, 7.0], -1)
+    for given in (dense, scipy.sparse.csr_matrix(dense)):
+        op = StencilOperator(given, g, None)
+        assert isinstance(op.matrix, scipy.sparse.dia_matrix)
+        assert np.array_equal(op.matrix.toarray(), dense)
+    # a DIA matrix is kept as it is, not copied
+    dia = scipy.sparse.dia_matrix(dense)
+    assert StencilOperator(dia, g, None).matrix.data is dia.data
+    # apply sums each row in offset order, so the offsets must ascend
+    unsorted = scipy.sparse.dia_matrix((dia.data[::-1], dia.offsets[::-1]), shape=(4, 4))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        StencilOperator(unsorted, g, None)
 
 
 @pytest.mark.parametrize("dim", ["1d", "2d"])

@@ -239,6 +239,29 @@ def test_extent_refuses_uncertified_table(monkeypatch):
         stability_extent(make_coefficients(rkl(), 7))
 
 
+@pytest.mark.parametrize("s, broken", [(596, "mu is nan"), (144, "b_s is 0")])
+def test_extent_refuses_a_degenerate_table(s, broken):
+    # rkc(eps=1e5): U_s**2 overflows, so b_s underflows to 0 (and at s = 596
+    # the mu, nu and mu_tilde entries are nan); a_s then rounds to 1, P_s is
+    # 1 in floating point and the bisection would certify a spurious extent
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = make_coefficients(rkc(1e5), s)
+        assert coeffs.b[s] == 0.0
+        assert np.isnan(coeffs.mu).any() == (s == 596), broken
+        schemes._certified.cache_clear()
+        with pytest.raises(RuntimeError, match="not finite or b_s is not a normal"):
+            stability_extent(coeffs)
+
+
+def test_selection_refuses_heavy_damping_it_cannot_certify():
+    # dt * rho of the 61x31 region-fitting operator at l = 10; this returned
+    # s = 596 from a table with nan entries
+    schemes._certified.cache_clear()
+    with (np.errstate(over="ignore", invalid="ignore"),
+          pytest.raises(RuntimeError, match="b_s is not a normal float")):
+        select_stage_count(rkc(1e5), 0.1, 21687.0)
+
+
 def test_damping_interior():
     coeffs = make_coefficients(rkc(10.0), 30)
     beta = stability_extent(coeffs)
