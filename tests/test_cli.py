@@ -418,3 +418,15 @@ def test_main_reports_config_errors(tmp_path, capsys):
     bad.write_text('{"model": "cir"}')
     assert main(["price", "--config", str(bad)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_reports_uncertifiable_table(tmp_path, capsys):
+    # rkc(eps=1e5) overflows its coefficient table at the stage count l = 10 needs
+    cfg = tmp_path / "rkc1e5.json"
+    cfg.write_text(json.dumps({
+        "grid": {"x": {"m": 60}, "v": {"m": 30}}, "policy": "foulon-region-fitting",
+        "schemes": [{"family": "rkc", "eps": 100000.0}], "l": 10}))
+    assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: rkc(eps=100000) s=") and err.count("\n") == 1
+    assert "the coefficient table is not finite" in err

@@ -1,6 +1,9 @@
 """Payoffs, metrics, and the experiment drivers."""
 
+import json
 import math
+import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from stslab.experiments import (bs_closed_form, bs_cubic_grid, bs_uniform_grid,
 from stslab.grids import Grid1D, make_uniform
 from stslab.implicit import crank_nicolson_run
 from stslab.operators import BsParams, UpwindPolicy, assemble_bs, assemble_heston
+import stslab.experiments
 from stslab.schemes import rkc, rkg, rkl
 
 # --------------------------------------------------------------- oscillation
@@ -253,6 +257,78 @@ def test_time_convergence_small(heston_params, gx_small, gv_small):
     i = int(np.argmin(np.abs(gx_small.nodes - heston_params.strike)))
     dv = np.diff(ref[i, :])
     assert dv.min() > -1e-8 * np.abs(ref[i, :]).max()
+
+
+def serial_time_convergence(params, gx, gv, policy, payoff, families, ladder, l_ref):
+    """The serial driver: both CN runs first, then each rung scored against ref."""
+    op, y0, rho, window = prepare(params, gx, gv, policy, payoff)
+    roi = roi_mask(gx, 0.5 * payoff.level, 1.5 * payoff.level, gv, 0.0, 1.0)
+    ref = crank_nicolson_run(op, y0, params.expiry, l_ref)
+    ref2 = crank_nicolson_run(op, y0, params.expiry, 2 * l_ref)
+    scored = [run_and_score(fam, op, y0, params.expiry, l, rho, window, params.spot,
+                            params.v0, ref=ref, roi=roi)
+              for fam in families for l in ladder]
+    return scored, rms_error(ref, ref2, roi)
+
+
+def scored_record(log):
+    """A RunLog as exact text, without its timings (repr round-trips floats)."""
+    d = asdict(log)
+    del d["wall_time"], d["t_select"]
+    return json.dumps(d, sort_keys=True)
+
+
+@pytest.mark.parametrize("rho_scale, exploded", [
+    (1.0, [False] * 4),
+    (0.5, [False, True, False, False]),  # the inf score beside overflowed ones
+])
+def test_time_convergence_matches_serial_oracle_bitwise(rho_scale, exploded, heston_params,
+                                                        gx_small, gv_small, monkeypatch):
+    real_radius = stslab.experiments.gershgorin_radius
+    monkeypatch.setattr(stslab.experiments, "gershgorin_radius",
+                        lambda op: rho_scale * real_radius(op))
+    args = (heston_params, gx_small, gv_small, UpwindPolicy.PARTIAL_FITTING,
+            call(heston_params.strike), (rkc(10.0), rkl()), (10, 20))
+    want, want_check = serial_time_convergence(*args, 400)
+    fields = []
+    real_score = stslab.experiments.run_and_score
+
+    def recording(*a, **kw):
+        out = real_score(*a, **kw)
+        fields.append(out[0])
+        return out
+
+    monkeypatch.setattr(stslab.experiments, "run_and_score", recording)
+    res = run_time_convergence(*args, l_ref=400, validate_reference=True)
+    assert res.reference_check == want_check
+    assert [r.exploded for r in res.runs] == exploded
+    if rho_scale == 1.0:
+        assert all(0.0 < r.rms_error < 1e-2 for r in res.runs)
+    assert [scored_record(r) for r in res.runs] == [scored_record(w[2]) for w in want]
+    assert [f.tobytes() for f in fields] == [w[0].tobytes() for w in want]
+
+
+def test_time_convergence_unconverged_reference_raises(heston_params, gx_small,
+                                                       gv_small):
+    with pytest.raises(RuntimeError,
+                       match=r"reference not self-converged: rms\(l=3, l=6\) = "):
+        run_time_convergence(heston_params, gx_small, gv_small,
+                             UpwindPolicy.PARTIAL_FITTING, call(heston_params.strike),
+                             (rkc(10.0),), ladder=(20,), l_ref=3)
+
+
+def test_time_convergence_reference_error_propagates(heston_params, gx_small,
+                                                     gv_small, monkeypatch):
+    def failing(op, y0, expiry, l):
+        raise np.linalg.LinAlgError(f"no reference at l={l}")
+
+    before = threading.active_count()
+    monkeypatch.setattr(stslab.experiments, "crank_nicolson_run", failing)
+    with pytest.raises(np.linalg.LinAlgError, match="no reference at l=400"):
+        run_time_convergence(heston_params, gx_small, gv_small,
+                             UpwindPolicy.PARTIAL_FITTING, call(heston_params.strike),
+                             (rkc(10.0),), ladder=(20,), l_ref=400)
+    assert threading.active_count() == before
 
 
 def test_delta_comparison_smoke(heston_params, gx_small, gv_small):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse
 from conftest import csr_oracle, operator_cases
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from stslab.experiments import (bs_closed_form, bs_cubic_grid, call,
@@ -47,6 +48,12 @@ def reference_gbtrs_solve(ref, rhs: np.ndarray) -> np.ndarray:
     x, info = dgbtrs(lu, kl, ku, np.asarray(rhs, dtype=float), ipiv)
     assert info == 0
     return x
+
+
+def reference_tbsv_solve(lu, rhs: np.ndarray) -> np.ndarray:
+    """The f2py `dtbsv` pair on the packed triangles: the oracle of the pointer call."""
+    x = dtbsv(lu.kl, lu.lower, np.array(rhs, dtype=float), lower=1, diag=1)
+    return dtbsv(lu.ku, lu.upper, x)
 
 
 def reference_crank_nicolson_run(op, initial, expiry, l):
@@ -155,8 +162,23 @@ def test_singular_band_matrix_raises():
 def test_solve_length_guard():
     op = scalar_op(-1.0)
     lu = banded_factor(operator_banded(op, 1.0, -0.1))
-    with pytest.raises(ValueError, match="rhs length"):
-        lu.solve(np.zeros(5))
+    for rhs in (np.zeros(5), np.zeros((2, 1)), np.float64(0.0)):
+        with pytest.raises(ValueError, match="rhs length"):
+            lu.solve(rhs)
+
+
+def test_operator_banded_rejects_offsets_outside_the_band():
+    # -I + E_3 on 5 nodes: E_3 lies past the 1-D band kl = ku = 1.  Copied
+    # into band storage it would wrap onto another row, and the solve of
+    # (I - 0.5 M) would give [0, .67, 1.33, 2, 3.33], not the dense
+    # [.67, 1.56, 1.33, 2, 2.67].
+    mat = -np.eye(5) + np.eye(5, k=3)
+    op = StencilOperator(scipy.sparse.csr_matrix(mat), Grid1D(np.linspace(0.0, 1.0, 5)),
+                         None)
+    with pytest.raises(ValueError, match=r"offsets \[0 3\] beyond the half-bandwidth 1"):
+        operator_banded(op, 1.0, -0.5)
+    dense = np.linalg.solve(np.eye(5) - 0.5 * mat, np.arange(5.0))
+    assert np.allclose(dense, [2 / 3, 14 / 9, 4 / 3, 2, 8 / 3])
 
 
 def cn_heston_matrix():
@@ -203,6 +225,23 @@ def test_solve_matches_gbtrs_bitwise(build, pivoted):
         got = lu.solve(rhs)
         assert got.tobytes() == reference_gbtrs_solve(ref, rhs).tobytes()
         assert np.array_equal(rhs, before)
+
+
+@pytest.mark.parametrize("build", [case for case in operator_cases()
+                                   if not case.id.startswith("1d-")])
+def test_pointer_solve_matches_f2py_tbsv_and_gbtrs_bitwise(build):
+    """The 2-D CN systems (l = 50 and l_ref = 4000) solve without gbtrs."""
+    op = build()
+    rng = np.random.default_rng(7)
+    for l in (50, 4000):
+        bm = operator_banded(op, 1.0, -0.5 / l)
+        ref = reference_gbtrf(bm)
+        lu = banded_factor(bm)
+        assert lu.upper is not None
+        for rhs in (rng.standard_normal(op.size), np.linspace(0.0, 50.0, op.size)):
+            got = lu.solve(rhs).tobytes()
+            assert got == reference_tbsv_solve(lu, rhs).tobytes()
+            assert got == reference_gbtrs_solve(ref, rhs).tobytes()
 
 
 @pytest.mark.parametrize("build", [
