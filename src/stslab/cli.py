@@ -5,9 +5,12 @@ config (defaults fill everything, so an empty object is a valid config),
 runs the matching experiment driver and writes plot-ready CSV files plus a
 JSON-lines run log into the output directory.
 
-Config parsing is strict: unknown keys and out-of-range values are rejected
-with the offending path, because experiments here differ by one or two keys
-and a silently ignored typo would fake a finding.  Data CSVs contain no
+Config parsing is strict, because experiments here differ by one or two keys
+and a silently ignored typo would fake a finding.  The parser checks the JSON
+shape (known keys, types, finite numbers) and builds the parameters, grids,
+schemes and payoff, whose own bound checks it reports with the config path.
+It also checks the rules that span two keys, so a config that parses runs and
+one that cannot fails before anything is written.  Data CSVs contain no
 timings, so identical configs produce byte-identical files; wall times go to
 the run log only.  JSON files are strict JSON: a non-finite number (an
 unscored field, an infinite margin, an exploded price) is written as null.
@@ -19,15 +22,15 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import (DEFAULT_LADDER, Payoff, PayoffKind, call,
                           default_bs_params, default_heston_params,
-                          digital_range, prepare, put, run_and_score,
-                          run_bs_study, run_delta_comparison,
+                          digital_range, prepare, put, roi_mask,
+                          run_and_score, run_bs_study, run_delta_comparison,
                           run_time_convergence)
 from .grids import Grid1D, StretchKind, StretchSpec, make_grid
 from .operators import BsParams, HestonParams, UpwindPolicy, to_sparse
@@ -54,20 +57,13 @@ def _mapping(obj, path: str) -> dict:
     return obj
 
 
-def _num(d: dict, key: str, default, path: str, lo=None, hi=None,
-         lo_open: bool = False, hi_open: bool = False):
+def _num(d: dict, key: str, default, path: str) -> float:
     val = d.get(key, default)
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise ConfigError(f"{path}.{key}: expected a number, got {val!r}")
     val = float(val)
     if not math.isfinite(val):  # json reads NaN and Infinity tokens
         raise ConfigError(f"{path}.{key}: need a finite number, got {val!r}")
-    if lo is not None and (val <= lo if lo_open else val < lo):
-        op = ">" if lo_open else ">="
-        raise ConfigError(f"{path}.{key}: need value {op} {lo}, got {val:g}")
-    if hi is not None and (val >= hi if hi_open else val > hi):
-        op = "<" if hi_open else "<="
-        raise ConfigError(f"{path}.{key}: need value {op} {hi}, got {val:g}")
     return val
 
 
@@ -78,6 +74,14 @@ def _int(d: dict, key: str, default, path: str, lo=None):
     if lo is not None and val < lo:
         raise ConfigError(f"{path}.{key}: need value >= {lo}, got {val}")
     return val
+
+
+def _built(path: str, make, *args, **kwargs):
+    """make(*args, **kwargs), its ValueError raised as a ConfigError naming path."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -102,24 +106,18 @@ _GRID_KEYS = {"kind", "a", "b", "m", "center", "lam", "alpha"}
 _KINDS = {k.value for k in StretchKind}
 
 
-def _parse_grid(d: dict, defaults: GridConfig, path: str) -> GridConfig:
+def _parse_grid(d: dict, defaults: GridConfig, path: str):
+    """(GridConfig, the grid it builds)."""
     d = _mapping(d, path)
     _check_keys(d, _GRID_KEYS, path)
     kind = d.get("kind", defaults.kind)
     if kind not in _KINDS:
         raise ConfigError(f"{path}.kind: expected one of {sorted(_KINDS)}, "
                           f"got {kind!r}")
-    a = _num(d, "a", defaults.a, path)
-    b = _num(d, "b", defaults.b, path)
-    if not a < b:
-        raise ConfigError(f"{path}: need a < b, got [{a:g}, {b:g}]")
-    return GridConfig(
-        kind=kind, a=a, b=b,
-        m=_int(d, "m", defaults.m, path, lo=1),
-        center=_num(d, "center", defaults.center, path),
-        lam=_num(d, "lam", defaults.lam, path, lo=0.0, lo_open=True),
-        alpha=_num(d, "alpha", defaults.alpha, path, lo=0.0, lo_open=True),
-    )
+    cfg = GridConfig(kind=kind, m=_int(d, "m", defaults.m, path),
+                     **{key: _num(d, key, getattr(defaults, key), path)
+                        for key in ("a", "b", "center", "lam", "alpha")})
+    return cfg, _built(path, cfg.build)
 
 
 _POLICIES = {p.value: p for p in UpwindPolicy}
@@ -134,13 +132,12 @@ def _parse_scheme(d, path: str) -> SchemeFamily:
     if name not in _FAMILY_NAMES:
         raise ConfigError(
             f"{path}.family: expected one of {sorted(_FAMILY_NAMES)}, got {name!r}")
-    eps = _num(d, "eps", 0.0, path, lo=0.0)
-    g = _num(d, "g", 2.0, path, lo=0.0, lo_open=True)
     if name != "rkc" and "eps" in d:
         raise ConfigError(f"{path}.eps: only valid for family 'rkc'")
     if name != "rkg" and "g" in d:
         raise ConfigError(f"{path}.g: only valid for family 'rkg'")
-    return SchemeFamily(FamilyKind(name), eps=eps, g=g)
+    return _built(path, SchemeFamily, FamilyKind(name),
+                  eps=_num(d, "eps", 0.0, path), g=_num(d, "g", 2.0, path))
 
 
 _PAYOFF_KEYS = {"kind", "strike", "low", "high"}
@@ -159,17 +156,14 @@ def _parse_payoff(d, default: Payoff, path: str) -> Payoff:
     if kind == PayoffKind.DIGITAL_RANGE.value:
         if "strike" in d:
             raise ConfigError(f"{path}.strike: only valid for kind 'call' or 'put'")
-        low = _num(d, "low", default.low, path, lo=0.0)
+        low = _num(d, "low", default.low, path)
         high = _num(d, "high", default.high if default.high > 0 else low + 1.0, path)
-        if not low < high:
-            raise ConfigError(f"{path}: need low < high, got ({low:g}, {high:g})")
-        return digital_range(low, high)
+        return _built(path, digital_range, low, high)
     for key in ("low", "high"):
         if key in d:
             raise ConfigError(f"{path}.{key}: only valid for kind 'digital-range'")
-    strike = _num(d, "strike", default.strike if default.strike > 0 else 100.0,
-                  path, lo=0.0, lo_open=True)
-    return call(strike) if kind == PayoffKind.CALL.value else put(strike)
+    strike = _num(d, "strike", default.strike if default.strike > 0 else 100.0, path)
+    return _built(path, call if kind == PayoffKind.CALL.value else put, strike)
 
 
 @dataclass(frozen=True)
@@ -229,25 +223,15 @@ def _payoff_dict(p: Payoff) -> dict:
 
 _TOP_KEYS = {"model", "params", "grid", "policy", "schemes", "ladder",
              "reference", "payoff", "l", "out_dir"}
-# the accepted parameter keys, in the order they are checked, with their bounds
-_HESTON_BOUNDS = {
-    "v0": {"lo": 0.0}, "theta": {"lo": 0.0}, "kappa": {"lo": 0.0, "lo_open": True},
-    "sigma": {"lo": 0.0}, "rho": {"lo": -1.0, "hi": 1.0}, "r": {}, "q": {},
-    "spot": {"lo": 0.0, "lo_open": True}, "strike": {"lo": 0.0, "lo_open": True},
-    "expiry": {"lo": 0.0, "lo_open": True},
-}
-_BS_BOUNDS = {
-    "sigma": {"lo": 0.0, "lo_open": True}, "r": {}, "q": {},
-    "spot": {"lo": 0.0, "lo_open": True}, "expiry": {"lo": 0.0, "lo_open": True},
-}
 
 
-def _parse_params(d: dict, base, bounds: dict):
+def _parse_params(d: dict, base):
     """base, the model's default parameters, with the values given in d."""
     d = _mapping(d, "params")
-    _check_keys(d, set(bounds), "params")
-    return replace(base, **{key: _num(d, key, getattr(base, key), "params", **kw)
-                            for key, kw in bounds.items()})
+    keys = [f.name for f in fields(base)]
+    _check_keys(d, set(keys), "params")
+    return _built("params", replace, base,
+                  **{key: _num(d, key, getattr(base, key), "params") for key in keys})
 
 
 def parse_config(text: str) -> RunConfig:
@@ -264,15 +248,14 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"model: expected 'heston' or 'bs', got {model!r}")
 
     if model == "heston":
-        params = _parse_params(raw.get("params", {}), default_heston_params(),
-                               _HESTON_BOUNDS)
+        params = _parse_params(raw.get("params", {}), default_heston_params())
         gx_default = GridConfig("sinh", 0.0, 8.0 * params.strike, 100,
                                 center=params.strike, lam=params.strike / 5.0)
         gv_default = GridConfig("sinh", 0.0, 5.0, 50, center=0.0, lam=0.01)
         policy_default = UpwindPolicy.PARTIAL_FITTING
         payoff_default = call(params.strike)
     else:
-        params = _parse_params(raw.get("params", {}), default_bs_params(), _BS_BOUNDS)
+        params = _parse_params(raw.get("params", {}), default_bs_params())
         gx_default = GridConfig("uniform", 0.0, 150.0, 100)
         gv_default = None
         policy_default = UpwindPolicy.NONE
@@ -280,13 +263,16 @@ def parse_config(text: str) -> RunConfig:
 
     grid_raw = _mapping(raw.get("grid", {}), "grid")
     _check_keys(grid_raw, {"x", "v"}, "grid")
-    grid_x = _parse_grid(grid_raw.get("x", {}), gx_default, "grid.x")
+    grid_x, gx = _parse_grid(grid_raw.get("x", {}), gx_default, "grid.x")
     if model == "bs":
         if "v" in grid_raw:
             raise ConfigError("grid.v: not meaningful for the 1-D model")
         grid_v = None
     else:
-        grid_v = _parse_grid(grid_raw.get("v", {}), gv_default, "grid.v")
+        grid_v, gv = _parse_grid(grid_raw.get("v", {}), gv_default, "grid.v")
+        if gv.nodes[0] < 0.0:
+            raise ConfigError(f"grid.v.a: the variance grid must start at v >= 0, "
+                              f"got {grid_v.a:g}")
 
     policy_name = raw.get("policy", policy_default.value)
     if policy_name not in _POLICIES:
@@ -326,6 +312,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"reference.validate: expected a boolean, got {validate!r}")
 
     payoff = _parse_payoff(raw.get("payoff"), payoff_default, "payoff")
+    lo, hi = payoff.window
+    held = np.count_nonzero(roi_mask(gx, lo, hi))
+    if held < 3:  # the oscillation metric needs a slice of 3 nodes
+        raise ConfigError(f"grid.x: need >= 3 nodes in the payoff's oscillation "
+                          f"window [{lo:g}, {hi:g}], got {held}")
 
     l = raw.get("l")
     if l is not None and (isinstance(l, bool) or not isinstance(l, int) or l < 1):
@@ -470,7 +461,7 @@ def _cmd_bs_demo(cfg: RunConfig, out: Path) -> list[dict]:
                           cfg.l or 100)
     for label, curve in result.curves.items():
         _write_csv(out / f"price_{_sanitize(label)}.csv", ["x", "v", "value"],
-                   ((x, 0.0, val) for x, val in zip(gx.nodes, curve)))
+                   _slice_rows(gx, None, curve))
     write_spectrum(result.spectrum, out / "spectrum.csv")
     _write_json(out / "summary.json", {
         "threshold": result.threshold,

@@ -86,8 +86,11 @@ class Payoff:
     high: float = 0.0
 
     def __post_init__(self):
-        if self.kind is PayoffKind.DIGITAL_RANGE and not self.low < self.high:
-            raise ValueError(f"need low < high, got ({self.low!r}, {self.high!r})")
+        if self.kind is PayoffKind.DIGITAL_RANGE:
+            if not 0.0 <= self.low < self.high:
+                raise ValueError(f"need 0 <= low < high, got ({self.low!r}, {self.high!r})")
+        elif not self.strike > 0.0:
+            raise ValueError(f"need strike > 0, got {self.strike!r}")
 
     @property
     def level(self) -> float:
@@ -95,6 +98,11 @@ class Payoff:
         if self.kind is PayoffKind.DIGITAL_RANGE:
             return self.high
         return self.strike
+
+    @property
+    def window(self) -> tuple[float, float]:
+        """x bounds of the oscillation window and the rms region: (0.5, 1.5) * level."""
+        return 0.5 * self.level, 1.5 * self.level
 
 
 def call(strike: float) -> Payoff:
@@ -155,7 +163,9 @@ def bs_closed_form(params: BsParams, payoff: Payoff) -> float:
 
 
 def rms_error(a: np.ndarray, b: np.ndarray, region: np.ndarray | None = None) -> float:
-    """Root mean square of a - b, optionally restricted to a boolean region."""
+    """Root mean square of a - b, optionally restricted to a boolean region.
+
+    A sum of squares that overflows is rescaled by max|a - b| instead."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -167,7 +177,12 @@ def rms_error(a: np.ndarray, b: np.ndarray, region: np.ndarray | None = None) ->
         diff = diff[region]
         if diff.size == 0:
             raise ValueError("empty region")
-    return float(np.sqrt(np.mean(diff**2)))
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.mean(diff**2))
+    if np.isinf(rms) and np.all(np.isfinite(diff)):  # a square overflowed
+        top = np.abs(diff).max()
+        rms = top * np.sqrt(np.mean((diff / top) ** 2))
+    return float(rms)
 
 
 def roi_mask(gx: Grid1D, x_low: float, x_high: float, gv: Grid1D | None = None,
@@ -284,14 +299,14 @@ def prepare(params: HestonParams | BsParams, gx: Grid1D, gv: Grid1D | None,
     The 1-D model is assembled when gv is None and the 2-D one otherwise.
     This is the one place that picks the spectral bound stage selection runs
     against (the Gershgorin radius of op) and the x window the oscillation
-    metric reads (half to one and a half times the payoff level).
+    metric reads (`payoff.window`).
     """
     if gv is None:
         op = assemble_bs(params, gx, policy)
     else:
         op = assemble_heston(params, gx, gv, policy)
     y0 = payoff_eval(payoff, gx, gv)
-    window = roi_mask(gx, 0.5 * payoff.level, 1.5 * payoff.level)
+    window = roi_mask(gx, *payoff.window)
     return op, y0, gershgorin_radius(op), window
 
 
@@ -357,7 +372,7 @@ def run_time_convergence(params: HestonParams, gx: Grid1D, gv: Grid1D,
     """
     op, y0, rho, window = prepare(params, gx, gv, policy, payoff)
     t = params.expiry
-    roi = roi_mask(gx, 0.5 * payoff.level, 1.5 * payoff.level, gv, 0.0, 1.0)
+    roi = roi_mask(gx, *payoff.window, gv, 0.0, 1.0)
     steps = (l_ref, 2 * l_ref) if validate_reference else (l_ref,)
     with ThreadPoolExecutor(max_workers=1) as pool:
         refs = pool.map(crank_nicolson_run, repeat(op), repeat(y0), repeat(t), steps)

@@ -39,6 +39,12 @@ class StretchSpec:
     lam: float = 1.0
     alpha: float = 1.0
 
+    def __post_init__(self):
+        if not self.lam > 0.0:
+            raise ValueError(f"need lam > 0, got {self.lam!r}")
+        if not self.alpha > 0.0:
+            raise ValueError(f"need alpha > 0, got {self.alpha!r}")
+
 
 @dataclass(frozen=True)
 class Grid1D:
@@ -85,8 +91,6 @@ def make_sinh(a: float, b: float, spec: StretchSpec, m: int) -> Grid1D:
         raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
-    if not spec.lam > 0.0:
-        raise ValueError(f"need lam > 0, got {spec.lam!r}")
     c1 = np.arcsinh((a - spec.center) / spec.lam)
     c2 = np.arcsinh((b - spec.center) / spec.lam)
     eta = np.linspace(0.0, 1.0, m + 1)
@@ -127,8 +131,6 @@ def make_cubic(a: float, b: float, spec: StretchSpec, m: int) -> Grid1D:
         raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
     if m < 4:
         raise ValueError(f"need m >= 4 for a cubic mesh, got {m}")
-    if not spec.alpha > 0.0:
-        raise ValueError(f"need alpha > 0, got {spec.alpha!r}")
     if not a <= spec.center <= b:
         raise ValueError(f"center {spec.center!r} outside [{a!r}, {b!r}]")
     ua = _solve_depressed_cubic(spec.alpha, a - spec.center)

@@ -55,6 +55,14 @@ __all__ = [
 ]
 
 
+def _check_signs(params, positive=(), nonnegative=()):
+    """Raise a ValueError that names the first field out of its bound and its value."""
+    for name in (*positive, *nonnegative):
+        val, strict = getattr(params, name), name in positive
+        if not (val > 0.0 if strict else val >= 0.0):
+            raise ValueError(f"need {name} {'>' if strict else '>='} 0, got {val!r}")
+
+
 @dataclass(frozen=True)
 class HestonParams:
     """Model parameters of the stochastic-volatility dynamics."""
@@ -71,18 +79,11 @@ class HestonParams:
     expiry: float
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValueError(f"need kappa > 0, got {self.kappa!r}")
-        if self.sigma < 0.0:
-            raise ValueError(f"need sigma >= 0, got {self.sigma!r}")
+        _check_signs(self, positive=("kappa",), nonnegative=("sigma",))
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError(f"need rho in [-1, 1], got {self.rho!r}")
-        if self.v0 < 0.0 or self.theta < 0.0:
-            raise ValueError("need v0 >= 0 and theta >= 0")
-        if not self.spot > 0.0 or not self.strike > 0.0:
-            raise ValueError("need spot > 0 and strike > 0")
-        if not self.expiry > 0.0:
-            raise ValueError(f"need expiry > 0, got {self.expiry!r}")
+        _check_signs(self, positive=("spot", "strike", "expiry"),
+                     nonnegative=("v0", "theta"))
 
     @property
     def mu(self) -> float:
@@ -101,12 +102,7 @@ class BsParams:
     expiry: float
 
     def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError(f"need sigma > 0, got {self.sigma!r}")
-        if not self.spot > 0.0:
-            raise ValueError(f"need spot > 0, got {self.spot!r}")
-        if not self.expiry > 0.0:
-            raise ValueError(f"need expiry > 0, got {self.expiry!r}")
+        _check_signs(self, positive=("sigma", "spot", "expiry"))
 
     @property
     def mu(self) -> float:
@@ -164,6 +160,14 @@ class StencilOperator:
         return self.gv is None
 
 
+def _backward_spacings(g: Grid1D) -> np.ndarray:
+    """spacings with the first one repeated, one per node."""
+    h = np.empty_like(g.nodes)
+    h[1:] = g.spacings
+    h[0] = h[1]
+    return h
+
+
 def peclet(params, gx: Grid1D, gv: Grid1D | None = None):
     """Per-node cell Peclet numbers evaluated with fitting factor 1.
 
@@ -174,28 +178,19 @@ def peclet(params, gx: Grid1D, gv: Grid1D | None = None):
     assembly policies handle those through the limiting form of the fitted
     diffusion, and edge rows use one-sided closures regardless.
     """
-    x = gx.nodes
-    hx = np.empty_like(x)
-    hx[1:] = gx.spacings
-    hx[0] = hx[1]
-    mu = params.mu
+    x, hx = gx.nodes, _backward_spacings(gx)
     if gv is None:
-        den = params.sigma**2 * x
-        with np.errstate(divide="ignore", invalid="ignore"):
-            px = np.where(den != 0.0, 2.0 * hx * mu / den, np.inf * np.sign(mu))
-        return px, np.empty(0)
-    v = gv.nodes
-    wv = np.empty_like(v)
-    wv[1:] = gv.spacings
-    wv[0] = wv[1]
-    den_x = v[None, :] * x[:, None]
-    num_x = 2.0 * hx[:, None] * mu
-    adv_v = params.kappa * (params.theta - v)
-    den_v = params.sigma**2 * v
-    num_v = 2.0 * wv * adv_v
+        var, pv = params.sigma**2, np.empty(0)
+    else:
+        var, x, hx = gv.nodes[None, :], x[:, None], hx[:, None]
+    num_x, den_x = 2.0 * hx * params.mu, var * x
     with np.errstate(divide="ignore", invalid="ignore"):
         px = np.where(den_x != 0.0, num_x / den_x, np.inf * np.sign(num_x))
-        pv = np.where(den_v != 0.0, num_v / den_v, np.inf * np.sign(num_v))
+        if gv is not None:
+            v = gv.nodes
+            num_v = 2.0 * _backward_spacings(gv) * (params.kappa * (params.theta - v))
+            den_v = params.sigma**2 * v
+            pv = np.where(den_v != 0.0, num_v / den_v, np.inf * np.sign(num_v))
     return px, pv
 
 
@@ -281,38 +276,41 @@ def _direction_parts(adv, diff, h_lo, h_hi, flagged, onesided):
     return lo, mid, hi
 
 
+def _x_stencil(params, gx: Grid1D, var, fit_x, onesided: bool):
+    """a, b, c of  mu x f_x + (var x^2/2) f_xx - r f  on every row of the lattice.
+
+    var is sigma^2 in 1-D and v[None, :] in 2-D, where every v column has the
+    same x stencil.  The x-edge rows, where the value is linear in x, keep
+    only one-sided advection and the discount.
+    """
+    col = (slice(None),) if np.ndim(var) == 0 else (slice(None), None)
+    x, h = gx.nodes[col], gx.spacings[col]
+    m, mu, r = gx.m, params.mu, params.r
+    shape = np.broadcast_shapes(x.shape, np.shape(var))
+    a, b, c = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    xi = x[1:m]
+    ax, bx, cx = _direction_parts(mu * xi, var * xi**2, h[:-1], h[1:], fit_x[1:m],
+                                  onesided)
+    a[1:m], b[1:m], c[1:m] = ax, bx - r, cx
+    c[0] = mu * x[0] / h[0]
+    b[0] = -(r + mu * x[0] / h[0])
+    a[m] = -mu * x[m] / h[m - 1]
+    b[m] = -(r - mu * x[m] / h[m - 1])
+    return a, b, c
+
+
 def assemble_heston(params: HestonParams, gx: Grid1D, gv: Grid1D, policy: UpwindPolicy) -> StencilOperator:
     """Assemble the 2-D operator on the (m+1) x (n+1) lattice."""
     x, v = gx.nodes, gv.nodes
     m, n = gx.m, gv.m
     if v[0] < 0.0:
         raise ValueError(f"variance grid must start at v >= 0, got {v[0]!r}")
-    h = gx.spacings
     w = gv.spacings
-    mu = params.mu
-    r = params.r
-    shape = (m + 1, n + 1)
-    a = np.zeros(shape)
-    b = np.zeros(shape)
-    c = np.zeros(shape)
-    d = np.zeros(shape)
-    e = np.zeros(shape)
-    cross = np.zeros(shape)
-
     px, pv = peclet(params, gx, gv)
     fit_x, fit_v = _policy_masks(policy, px, pv, v)
     onesided = policy is UpwindPolicy.OSULLIVAN
-
-    # x-direction parts on rows i = 1..m-1, every v column (the v-edge rows
-    # keep the same x stencil).
-    h_lo = h[:-1][:, None]
-    h_hi = h[1:][:, None]
-    xi = x[1:m][:, None]
-    ax, bx, cx = _direction_parts(mu * xi, v[None, :] * xi**2, h_lo, h_hi,
-                                  fit_x[1:m, :], onesided)
-    a[1:m, :] = ax
-    c[1:m, :] = cx
-    b[1:m, :] = bx - r
+    a, b, c = _x_stencil(params, gx, v[None, :], fit_x, onesided)
+    d, e, cross = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
 
     if n >= 2:
         # v-direction parts on the interior columns j = 1..n-1.
@@ -327,30 +325,20 @@ def assemble_heston(params: HestonParams, gx: Grid1D, gv: Grid1D, policy: Upwind
         d[1:m, 1:n] = dv
         e[1:m, 1:n] = ev
         b[1:m, 1:n] += bv
-        cross[1:m, 1:n] = params.rho * params.sigma * xi * vj / ((h_lo + h_hi) * (w_lo + w_hi))
+        span_x = (gx.spacings[:-1] + gx.spacings[1:])[:, None]
+        cross[1:m, 1:n] = params.rho * params.sigma * x[1:m, None] * vj / (span_x * (w_lo + w_hi))
     elif params.kappa * (params.theta - v[0]) != 0.0:
         raise ValueError("a variance grid without interior nodes needs "
                          "kappa*(theta - v_min) = 0")
 
-    if n >= 1:
-        # v = v_min row: one-sided (forward) advection in v, no v diffusion.
-        adv0 = params.kappa * (params.theta - v[0]) / w[0]
-        b[1:m, 0] -= adv0
-        e[1:m, 0] = adv0
-        # v = v_max row: one-sided (backward) advection in v.
-        advn = params.kappa * (params.theta - v[n]) / w[n - 1]
-        b[1:m, n] += advn
-        d[1:m, n] = -advn
-
-    # x-edge rows (all j): value linear in x, so only advection and discount.
-    a[0, :] = 0.0
-    c[0, :] = mu * x[0] / h[0]
-    b[0, :] = -(r + mu * x[0] / h[0])
-    d[0, :] = e[0, :] = cross[0, :] = 0.0
-    a[m, :] = -mu * x[m] / h[m - 1]
-    c[m, :] = 0.0
-    b[m, :] = -(r - mu * x[m] / h[m - 1])
-    d[m, :] = e[m, :] = cross[m, :] = 0.0
+    # v = v_min row: one-sided (forward) advection in v, no v diffusion.
+    adv0 = params.kappa * (params.theta - v[0]) / w[0]
+    b[1:m, 0] -= adv0
+    e[1:m, 0] = adv0
+    # v = v_max row: one-sided (backward) advection in v.
+    advn = params.kappa * (params.theta - v[n]) / w[n - 1]
+    b[1:m, n] += advn
+    d[1:m, n] = -advn
 
     return StencilOperator(_lattice_matrix(a, b, c, d, e, cross), gx, gv)
 
@@ -360,34 +348,10 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
     if policy is UpwindPolicy.FOULON_REGION:
         raise ValueError("foulon-region-fitting selects rows by variance level "
                          "and only applies to the two-dimensional model")
-    x = gx.nodes
-    m = gx.m
-    h = gx.spacings
-    mu = params.mu
-    r = params.r
-    a = np.zeros(m + 1)
-    b = np.zeros(m + 1)
-    c = np.zeros(m + 1)
-
     px, _ = peclet(params, gx)
-    fit_x, _ = _policy_masks(policy, px[:, None], np.empty(0), x)
-    fit_x = fit_x[:, 0]
-    onesided = policy is UpwindPolicy.OSULLIVAN
-
-    h_lo = h[:-1]
-    h_hi = h[1:]
-    xi = x[1:m]
-    ax, bx, cx = _direction_parts(mu * xi, params.sigma**2 * xi**2, h_lo, h_hi,
-                                  fit_x[1:m], onesided)
-    a[1:m] = ax
-    c[1:m] = cx
-    b[1:m] = bx - r
-
-    c[0] = mu * x[0] / h[0]
-    b[0] = -(r + mu * x[0] / h[0])
-    a[m] = -mu * x[m] / h[m - 1]
-    b[m] = -(r - mu * x[m] / h[m - 1])
-
+    fit_x, _ = _policy_masks(policy, px[:, None], np.empty(0), gx.nodes)
+    a, b, c = _x_stencil(params, gx, params.sigma**2, fit_x[:, 0],
+                         policy is UpwindPolicy.OSULLIVAN)
     return StencilOperator(_lattice_matrix(a, b, c), gx, None)
 
 

@@ -95,8 +95,8 @@ def test_roundtrip_with_overrides():
     ("[1, 2]", "config: expected an object"),
     ('{"surprise": 1}', "config: unknown key(s) surprise"),
     ('{"model": "cir"}', "expected 'heston' or 'bs'"),
-    ('{"params": {"rho": 1.5}}', "params.rho: need value <= 1.0, got 1.5"),
-    ('{"params": {"kappa": 0}}', "params.kappa: need value > 0"),
+    ('{"params": {"rho": 1.5}}', "params: need rho in [-1, 1], got 1.5"),
+    ('{"params": {"kappa": 0}}', "params: need kappa > 0, got 0.0"),
     ('{"params": {"expiry": "soon"}}', "params.expiry: expected a number"),
     # json reads NaN and Infinity, and these keys have no bounds to catch them
     ('{"params": {"r": Infinity}}', "params.r: need a finite number, got inf"),
@@ -105,7 +105,7 @@ def test_roundtrip_with_overrides():
     ('{"model": "bs", "params": {"v0": 0.1}}', "params: unknown key(s) v0"),
     ('{"grid": {"x": {"kind": "log"}}}', "grid.x.kind"),
     ('{"grid": {"x": {"a": 5, "b": 1}}}', "grid.x: need a < b"),
-    ('{"grid": {"x": {"m": 0}}}', "grid.x.m: need value >= 1"),
+    ('{"grid": {"x": {"m": 0}}}', "grid.x: need m >= 2, got 0"),
     ('{"model": "bs", "grid": {"v": {"m": 5}}}', "grid.v: not meaningful"),
     ('{"policy": "downwind"}', "policy: expected one of"),
     ('{"model": "bs", "policy": "foulon-region-fitting"}', "needs model='heston'"),
@@ -123,7 +123,7 @@ def test_roundtrip_with_overrides():
     ('{"roi": {"x_low": 80.0, "x_high": 120.0}}', "config: unknown key(s) roi"),
     ('{"payoff": {"kind": "binary"}}', "payoff.kind"),
     ('{"payoff": {"kind": "digital-range", "low": 9, "high": 2}}',
-     "payoff: need low < high"),
+     "payoff: need 0 <= low < high, got (9.0, 2.0)"),
     ('{"payoff": {"kind": "call", "low": 5}}',
      "payoff.low: only valid for kind 'digital-range'"),
     ('{"payoff": {"kind": "digital-range", "low": 5, "high": 50, "strike": 100}}',
@@ -430,3 +430,37 @@ def test_main_reports_uncertifiable_table(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: rkc(eps=100000) s=") and err.count("\n") == 1
     assert "the coefficient table is not finite" in err
+
+
+# Each was accepted by the parser and then failed inside a command, some only
+# after every scheme had run; each bound now lives in the type that uses it.
+UNRUNNABLE = [
+    pytest.param({"model": "bs", "grid": {"x": {"kind": "cubic", "m": 2}}},
+                 "grid.x: need m >= 4 for a cubic mesh, got 2", id="bs-cubic-m2"),
+    pytest.param({"model": "bs", "grid": {"x": {"kind": "cubic", "center": 900.0}}},
+                 "grid.x: center 900.0 outside [0.0, 150.0]", id="bs-cubic-center"),
+    pytest.param({"grid": {"v": {"m": 1}}}, "grid.v: need m >= 2, got 1",
+                 id="heston-sinh-v-m1"),
+    pytest.param({"grid": {"v": {"kind": "uniform", "a": -1.0}}},
+                 "grid.v.a: the variance grid must start at v >= 0, got -1",
+                 id="heston-v-below-0"),
+    pytest.param({"grid": {"x": {"kind": "uniform", "a": -100.0, "m": 16}}},
+                 "grid.x: need >= 3 nodes in the payoff's oscillation window "
+                 "[50, 150], got 2", id="heston-window-2-nodes"),
+    pytest.param({"model": "bs", "grid": {"x": {"m": 1}}},
+                 "grid.x: need >= 3 nodes in the payoff's oscillation window "
+                 "[50, 150], got 1", id="bs-x-m1"),
+    pytest.param({"model": "bs", "payoff": {"kind": "digital-range", "low": 200.0,
+                                            "high": 300.0}},
+                 "grid.x: need >= 3 nodes in the payoff's oscillation window "
+                 "[150, 450], got 1", id="bs-digital-off-grid"),
+]
+
+
+@pytest.mark.parametrize("payload,message", UNRUNNABLE)
+def test_unrunnable_config_fails_before_any_file(tmp_path, capsys, payload, message):
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists() or not any(out.iterdir())

@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -110,6 +111,15 @@ def test_digital_needs_ordered_barriers():
         digital_range(100.0, 10.0)
 
 
+def test_payoff_bounds_name_the_field():
+    with pytest.raises(ValueError, match=r"need 0 <= low < high, got \(-1.0, 5.0\)"):
+        digital_range(-1.0, 5.0)
+    for make in (call, put):
+        with pytest.raises(ValueError, match="need strike > 0, got 0.0"):
+            make(0.0)
+    assert digital_range(10.0, 100.0).window == (50.0, 150.0)
+
+
 def test_put_call_parity():
     params = default_bs_params()
     k = 87.0
@@ -171,6 +181,16 @@ def test_rms_error_values_and_guards():
         rms_error(a, b, np.ones(4, dtype=bool))
     with pytest.raises(ValueError, match="empty region"):
         rms_error(a, b, np.zeros(3, dtype=bool))
+
+
+def test_rms_error_rescales_only_an_overflowing_sum():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert rms_error([1e160, 2e160], [0.0, 0.0]) == pytest.approx(np.sqrt(2.5) * 1e160)
+        assert rms_error([1e160, np.inf], [0.0, 0.0]) == np.inf
+    # a sum that does not overflow keeps the plain formula's bits
+    diff = np.array([3e150, -1e-3, 7.5])
+    assert rms_error(diff, np.zeros(3)) == float(np.sqrt(np.mean(diff**2)))
 
 
 def test_roi_mask_counts():

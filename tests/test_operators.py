@@ -1,5 +1,7 @@
 """Operator assembly: stencil identities, upwinding policies, reductions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -81,6 +83,18 @@ def test_interior_x_coefficient_straight_line(heston_params, gx_stress, gv_stres
     for policy in ALL_POLICIES:
         op = assemble_heston(heston_params, gx_stress, gv_stress, policy)
         assert band(op, -1)[i, j] == pytest.approx(oracle, rel=1e-14)
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    ("v0", -0.1, "need v0 >= 0, got -0.1"),
+    ("theta", -0.2, "need theta >= 0, got -0.2"),
+    ("spot", 0.0, "need spot > 0, got 0.0"),
+    ("strike", -5.0, "need strike > 0, got -5.0"),
+])
+def test_params_errors_name_one_field(heston_params, field, bad, message):
+    with pytest.raises(ValueError) as err:
+        replace(heston_params, **{field: bad})
+    assert str(err.value) == message
 
 
 def test_x_edge_rows(heston_params, gx_stress, gv_stress):
