@@ -273,6 +273,8 @@ def parse_config(text: str) -> RunConfig:
         if gv.nodes[0] < 0.0:
             raise ConfigError(f"grid.v.a: the variance grid must start at v >= 0, "
                               f"got {grid_v.a:g}")
+        if gv.m < 2 and params.kappa * (params.theta - gv.nodes[0]) != 0.0:
+            raise ConfigError("grid.v.m: a one-cell variance grid needs kappa*(theta - v_min) = 0")
 
     policy_name = raw.get("policy", policy_default.value)
     if policy_name not in _POLICIES:
@@ -374,13 +376,11 @@ def _write_jsonl(path: Path, records) -> None:
 
 
 def _slice_rows(gx, gv, field):
-    if gv is None:
-        for i, x in enumerate(gx.nodes):
-            yield x, 0.0, field[i]
-    else:
-        for i, x in enumerate(gx.nodes):
-            for j, v in enumerate(gv.nodes):
-                yield x, v, field[i, j]
+    vs = [0.0] if gv is None else gv.nodes
+    rows = np.reshape(field, (gx.nodes.size, len(vs)))
+    for i, x in enumerate(gx.nodes):
+        for j, v in enumerate(vs):
+            yield x, v, rows[i, j]
 
 
 def _sanitize(label: str) -> str:

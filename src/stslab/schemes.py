@@ -348,39 +348,36 @@ def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
     return _smallest_covering(s, lambda k: SAFETY * _certified(family, k)[1] >= need)
 
 
-def _stages(coeffs: StageCoefficients, op: StencilOperator, y0: np.ndarray,
+def _stages(coeffs: StageCoefficients, op: StencilOperator, state: np.ndarray,
             dt: float, check_each: bool) -> np.ndarray:
-    """Y_s of the stage recurrence from Y_0 = y0 with F = M, in preallocated buffers.
+    """Y_s of the stage recurrence from Y_0 = state with F = M, in preallocated buffers.
 
-    Every product and sum is one ufunc in the order of the written formula
-    mu Y_{j-1} + nu Y_{j-2} + (1 - mu - nu) Y_0 + dt (mt F(Y_{j-1}) + gt F(Y_0)),
-    so the result does not depend on check_each.  With check_each, raises
-    ExplosionError at the first stage value that is not finite.  F is the
-    module global apply_operator, looked up at every stage, so rebinding it
-    reaches every stage.
+    Stage j >= 2 is one gemv w_j B over the rows Y_{j-1}, Y_{j-2}, Y_0,
+    F(Y_{j-1}), F(Y_0) of B, with w_j = (mu, nu, 1 - mu - nu, dt mt, dt gt).
+    BLAS sums in its own order, so Y_s agrees with the written-order formula
+    to s^2 eps |y|, not bitwise; it does not depend on check_each.  With
+    check_each, raises ExplosionError at the first stage value that is not
+    finite.  F is the module global apply_operator, looked up at every stage,
+    so rebinding it reaches every stage.
     """
-    mul, add = np.multiply, np.add
-    # Y[j % 3] holds stage j >= 1: stage j overwrites stage j - 3.
-    Y = [np.empty_like(y0) for _ in range(3)]
-    fy, t1, t2 = (np.empty_like(y0) for _ in range(3))
-    f0 = apply_operator(op, y0, np.empty_like(y0))
-    y1 = add(y0, mul(f0, coeffs.mu_tilde[1] * dt, Y[1]), Y[1])
-    if check_each and not np.isfinite(y1).all():
+    mu, nu = coeffs.mu[2:], coeffs.nu[2:]
+    W = np.column_stack((mu, nu, 1.0 - mu - nu, dt * coeffs.mu_tilde[2:],
+                         dt * coeffs.gamma_tilde[2:]))
+    B = np.empty((5,) + op.shape)  # C order, as apply writes it
+    B[0] = B[2] = state
+    f0 = apply_operator(op, B[2], B[4])
+    y = np.add(B[2], np.multiply(f0, coeffs.mu_tilde[1] * dt, B[3]), np.empty(op.shape))
+    if check_each and not np.isfinite(y).all():
         raise ExplosionError(stage=1)
-    ym2, ym1 = y0, y1
-    tables = (coeffs.mu[2:].tolist(), coeffs.nu[2:].tolist(),
-              coeffs.mu_tilde[2:].tolist(), coeffs.gamma_tilde[2:].tolist())
-    for j, mu, nu, mt, gt in zip(range(2, coeffs.s + 1), *tables):
-        apply_operator(op, ym1, fy)
-        y = mul(ym1, mu, Y[j % 3])
-        add(y, mul(ym2, nu, t1), y)
-        add(y, mul(y0, 1.0 - mu - nu, t1), y)
-        add(mul(fy, mt, t1), mul(f0, gt, t2), t1)
-        add(y, mul(t1, dt, t1), y)
+    rows, y_flat = B.reshape(5, -1), y.reshape(-1)
+    for j, w in enumerate(W, 2):
+        B[1] = B[0]
+        B[0] = y
+        apply_operator(op, B[0], B[3])
+        np.dot(w, rows, out=y_flat)
         if check_each and not np.isfinite(y).all():
             raise ExplosionError(stage=j)
-        ym2, ym1 = ym1, y
-    return ym1
+    return y
 
 
 def super_step(coeffs: StageCoefficients, op: StencilOperator, state: np.ndarray,
@@ -392,14 +389,14 @@ def super_step(coeffs: StageCoefficients, op: StencilOperator, state: np.ndarray
     (mu_j != 0 carries them forward and M spreads them), so one check of Y_s
     detects an explosion; only then is the step re-run with a check per stage.
     """
-    # C order: the stage buffers copy y0's layout and apply writes C-ordered ones
-    y0 = np.ascontiguousarray(state, dtype=float)
+    if np.shape(state) != op.shape:  # the stage buffers would broadcast it
+        raise ValueError(f"field shape {np.shape(state)} does not match operator {op.shape}")
     # The isfinite checks are the explosion detector; once a stage diverges
     # the overflow warnings on the way to inf carry no information.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = _stages(coeffs, op, y0, dt, check_each=False)
+        y = _stages(coeffs, op, state, dt, check_each=False)
         if not np.isfinite(y).all():
-            y = _stages(coeffs, op, y0, dt, check_each=True)
+            y = _stages(coeffs, op, state, dt, check_each=True)
     return y
 
 

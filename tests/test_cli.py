@@ -444,6 +444,9 @@ UNRUNNABLE = [
     pytest.param({"grid": {"v": {"kind": "uniform", "a": -1.0}}},
                  "grid.v.a: the variance grid must start at v >= 0, got -1",
                  id="heston-v-below-0"),
+    pytest.param({"grid": {"v": {"kind": "uniform", "m": 1}}},
+                 "grid.v.m: a one-cell variance grid needs kappa*(theta - v_min) = 0",
+                 id="heston-v-one-cell"),
     pytest.param({"grid": {"x": {"kind": "uniform", "a": -100.0, "m": 16}}},
                  "grid.x: need >= 3 nodes in the payoff's oscillation window "
                  "[50, 150], got 2", id="heston-window-2-nodes"),

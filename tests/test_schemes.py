@@ -452,7 +452,8 @@ def reference_super_step(coeffs, op, state, dt):
     """super_step as written before the fused stage loop, kept as its oracle.
 
     Every term is a new array and every stage is checked for finiteness; the
-    fused loop must give the same bits and raise at the same stage.
+    gemv loop must agree with it to the rounding bound of `rounding_bound` and
+    raise at the same stage.
     """
     y0 = np.asarray(state, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -516,11 +517,33 @@ def step_cases():
     }
 
 
+def rounding_bound(s, *fields):
+    """s^2 eps max|y|: how far super_step may sit from the written-order oracle.
+
+    Both loops compute Y_0, F(Y_0) and Y_1 with the same two ufuncs, so they
+    first differ at stage 2, where each rounds the same five-term sum in its
+    own order.  The constant comes from three factors:
+    - stage size: stage j is R_j(dt M) Y_0 with |R_j| <= 1 on the stability
+      interval (R_j(0) = 1 and the weights are nonnegative), so every stage
+      value lies within max|y| of the step's two ends;
+    - local difference: each loop's final rounding lands within eps / 2 of
+      the stage, so the two differ by r_j <= eps max|y| to first order, and
+      the four intermediate adds are allowed as much again, 2 eps max|y|;
+    - propagation: a difference made at stage j reaches Y_s through the
+      internal stability polynomial, (b_s / b_j) U_{s-j}(w0 + w1 z) for RKC,
+      which is at most about s - j + 1 on the stability interval
+      (|U_k| <= k + 1; Verwer, Hundsdorfer and Sommeijer, Numer. Math.
+      1990); summed over j = 2..s that is s (s - 1) / 2 < s^2 / 2.
+    Together |Delta| <= (s^2 / 2) (2 eps max|y|) = s^2 eps max|y|.
+    """
+    return s * s * np.finfo(float).eps * max(np.abs(f).max() for f in fields)
+
+
 @pytest.mark.parametrize("case", ["cubic-1d", "partial-2d", "callable"])
 @pytest.mark.parametrize("family", [rkc(0.0), rkc(10.0), rkc(1000.0), rkl(),
                                     rkg(2.0), explicit_euler()],
                          ids=lambda f: f.label)
-def test_super_step_bit_identical_to_reference(family, case, step_cases):
+def test_super_step_within_rounding_bound_of_reference(family, case, step_cases):
     op, rho, y = step_cases[case]
     need = 1.5 if family.kind is FamilyKind.EULER else 300.0
     dt = need / rho
@@ -528,7 +551,7 @@ def test_super_step_bit_identical_to_reference(family, case, step_cases):
     for _ in range(3):
         want = reference_super_step(coeffs, op, y, dt)
         got = super_step(coeffs, op, y, dt)
-        assert np.array_equal(got, want)
+        assert np.abs(got - want).max() <= rounding_bound(coeffs.s, y, want)
         assert not np.shares_memory(got, y)
         y = got
 
@@ -540,6 +563,28 @@ def test_super_step_accepts_any_field_layout(step_cases):
     want = super_step(coeffs, op, y, 300.0 / rho)
     got = super_step(coeffs, op, np.asfortranarray(y), 300.0 / rho)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["cubic-1d", "partial-2d"])
+def test_super_step_bits_do_not_depend_on_buffer_offset(case, step_cases):
+    op, rho, y = step_cases[case]
+    coeffs = make_coefficients(rkl(), select_stage_count(rkl(), 300.0 / rho, rho))
+    raw = np.empty(y.size + 3)
+    shifted = raw[3:].reshape(y.shape)  # 24 bytes past the allocation
+    shifted[...] = y
+    want = super_step(coeffs, op, y, 300.0 / rho)
+    got = super_step(coeffs, op, shifted, 300.0 / rho)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case, broadcasts, other",
+                         [("cubic-1d", (1,), (400,)), ("partial-2d", (21,), (41,))])
+def test_super_step_refuses_a_field_of_another_shape(case, broadcasts, other, step_cases):
+    op, rho, _ = step_cases[case]
+    coeffs = make_coefficients(rkl(), 4)
+    for shape in (broadcasts, other):
+        with pytest.raises(ValueError, match="does not match operator"):
+            super_step(coeffs, op, np.ones(shape), 1.0 / rho)
 
 
 def _region_fitting_case(family):
@@ -567,7 +612,9 @@ def test_explosion_step_and_stage_match_reference(name):
     y, log = run_integrator(family, op, y0, expiry, l, rho=rho)
     assert log.exploded
     assert (log.explosion_step, log.explosion_stage) == (want_step, want_stage)
-    assert np.array_equal(y, want_y)
+    # each finite step adds at most one step's rounding bound, relative to a
+    # field that only grows on the way to the explosion
+    assert np.abs(y - want_y).max() <= want_step * rounding_bound(log.s_per_step[0], want_y)
 
 
 @pytest.mark.parametrize("family",
