@@ -539,6 +539,36 @@ def rounding_bound(s, *fields):
     return s * s * np.finfo(float).eps * max(np.abs(f).max() for f in fields)
 
 
+def _first_stage_only(coeffs):
+    """coeffs cut to s = 1: a super_step with them returns its own Y_1."""
+    return dataclasses.replace(coeffs, s=1, **{k: getattr(coeffs, k)[:2] for k in
+                                               ("a", "b", "mu", "nu", "mu_tilde",
+                                                "gamma_tilde")})
+
+
+@pytest.mark.parametrize("case", ["cubic-1d", "partial-2d", "callable"])
+@pytest.mark.parametrize("family", [rkc(0.0), rkc(10.0), rkc(1000.0), rkl(),
+                                    rkg(2.0), explicit_euler()],
+                         ids=lambda f: f.label)
+def test_super_step_bit_identical_to_reference(family, case, step_cases):
+    """Y_1 of every family is the written-order formula, bit for bit.
+
+    rounding_bound rests on this: the two loops first differ at stage 2.  For
+    explicit Euler (s = 1) Y_1 is the whole step.
+    """
+    op, rho, y = step_cases[case]
+    need = 1.5 if family.kind is FamilyKind.EULER else 300.0
+    dt = need / rho
+    coeffs = _first_stage_only(
+        make_coefficients(family, select_stage_count(family, dt, rho)))
+    for _ in range(3):
+        want = reference_super_step(coeffs, op, y, dt)
+        got = super_step(coeffs, op, y, dt)
+        assert np.array_equal(got, want)
+        assert not np.shares_memory(got, y)
+        y = got
+
+
 @pytest.mark.parametrize("case", ["cubic-1d", "partial-2d", "callable"])
 @pytest.mark.parametrize("family", [rkc(0.0), rkc(10.0), rkc(1000.0), rkl(),
                                     rkg(2.0), explicit_euler()],
