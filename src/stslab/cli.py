@@ -9,11 +9,13 @@ Config parsing is strict, because experiments here differ by one or two keys
 and a silently ignored typo would fake a finding.  The parser checks the JSON
 shape (known keys, types, finite numbers) and builds the parameters, grids,
 schemes and payoff, whose own bound checks it reports with the config path.
-It also checks the rules that span two keys, so a config that parses runs and
-one that cannot fails before anything is written.  Data CSVs contain no
-timings, so identical configs produce byte-identical files; wall times go to
-the run log only.  JSON files are strict JSON: a non-finite number (an
-unscored field, an infinite margin, an exploded price) is written as null.
+It also checks the rules that span two keys, and `dispatch` checks that the
+command drives the config's model (`_COMMANDS` states each command's model,
+default l and help once), so a config that passes runs and one that cannot
+fails before anything is written.  Data CSVs contain no timings, so
+identical configs produce byte-identical files; wall times go to the run log
+only.  JSON files are strict JSON: a non-finite number (an unscored field, an
+infinite margin, an exploded price) is written as null.
 """
 
 from __future__ import annotations
@@ -388,10 +390,9 @@ def _sanitize(label: str) -> str:
             .replace(".", "p").replace(",", "_"))
 
 
-def _cmd_price(cfg: RunConfig, out: Path) -> list[dict]:
+def _cmd_price(cfg: RunConfig, out: Path, l: int) -> list[dict]:
     gx, gv = cfg.build_grids()
     op, y0, rho, window = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
-    l = cfg.l or 100
     runs = []
     for fam in cfg.schemes:
         fld, _, run = run_and_score(fam, op, y0, cfg.params.expiry, l, rho, window,
@@ -404,9 +405,7 @@ def _cmd_price(cfg: RunConfig, out: Path) -> list[dict]:
     return [asdict(r) for r in runs]
 
 
-def _cmd_converge(cfg: RunConfig, out: Path) -> list[dict]:
-    if cfg.model != "heston":
-        raise ConfigError("converge drives the 2-D model; set model='heston'")
+def _cmd_converge(cfg: RunConfig, out: Path, l: int | None) -> list[dict]:
     gx, gv = cfg.build_grids()
     result = run_time_convergence(cfg.params, gx, gv, cfg.policy, cfg.payoff,
                                   cfg.schemes, cfg.ladder, cfg.l_ref,
@@ -426,10 +425,9 @@ def _cmd_converge(cfg: RunConfig, out: Path) -> list[dict]:
     return [asdict(r) for r in result.runs]
 
 
-def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[dict]:
+def _cmd_spectrum(cfg: RunConfig, out: Path, l: int) -> list[dict]:
     gx, gv = cfg.build_grids()
     op, _, rho, _ = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
-    l = cfg.l or 16
     scale = cfg.params.expiry / l
     spec = eigenvalues_dense(to_sparse(op), scale=scale)
     write_spectrum(spec, out / "spectrum.csv")
@@ -437,11 +435,8 @@ def _cmd_spectrum(cfg: RunConfig, out: Path) -> list[dict]:
              "max_real": spec.max_real, "max_abs_imag": spec.max_abs_imag}]
 
 
-def _cmd_delta(cfg: RunConfig, out: Path) -> list[dict]:
-    if cfg.model != "heston":
-        raise ConfigError("delta drives the 2-D model; set model='heston'")
+def _cmd_delta(cfg: RunConfig, out: Path, l: int) -> list[dict]:
     gx, gv = cfg.build_grids()
-    l = cfg.l or 10
     results = run_delta_comparison(cfg.params, gx, gv, cfg.policy, cfg.payoff,
                                    cfg.schemes, l)
     v0_row = gv.nodes[0]
@@ -453,12 +448,9 @@ def _cmd_delta(cfg: RunConfig, out: Path) -> list[dict]:
     return [asdict(run) for _, run in results.values()]
 
 
-def _cmd_bs_demo(cfg: RunConfig, out: Path) -> list[dict]:
-    if cfg.model != "bs":
-        raise ConfigError("bs-demo drives the 1-D model; set model='bs'")
+def _cmd_bs_demo(cfg: RunConfig, out: Path, l: int) -> list[dict]:
     gx, _ = cfg.build_grids()
-    result = run_bs_study(cfg.params, gx, cfg.policy, cfg.payoff, cfg.schemes,
-                          cfg.l or 100)
+    result = run_bs_study(cfg.params, gx, cfg.policy, cfg.payoff, cfg.schemes, l)
     for label, curve in result.curves.items():
         _write_csv(out / f"price_{_sanitize(label)}.csv", ["x", "v", "value"],
                    _slice_rows(gx, None, curve))
@@ -471,12 +463,16 @@ def _cmd_bs_demo(cfg: RunConfig, out: Path) -> list[dict]:
     return [asdict(r) for r in result.runs]
 
 
+# name: (handler, the model it drives or None for either, the l it runs at
+# when the config gives none, help); converge takes its steps from the ladder
 _COMMANDS = {
-    "price": _cmd_price,
-    "converge": _cmd_converge,
-    "spectrum": _cmd_spectrum,
-    "delta": _cmd_delta,
-    "bs-demo": _cmd_bs_demo,
+    "price": (_cmd_price, None, 100, "integrate the payoff and write price slices"),
+    "converge": (_cmd_converge, "heston", None,
+                 "time-convergence ladder against the implicit reference"),
+    "spectrum": (_cmd_spectrum, None, 16, "dense eigenvalues of the scaled operator"),
+    "delta": (_cmd_delta, "heston", 10,
+              "delta slices near v=0 for each configured scheme"),
+    "bs-demo": (_cmd_bs_demo, "bs", 100, "flat-volatility barrier study"),
 }
 
 
@@ -486,11 +482,15 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}; "
                           f"expected one of {sorted(_COMMANDS)}")
+    run, model, l_default, _ = _COMMANDS[cmd]
+    if model is not None and cfg.model != model:
+        dim = "2-D" if model == "heston" else "1-D"
+        raise ConfigError(f"{cmd} drives the {dim} model; set model={model!r}")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # written first, so a run that fails still leaves the config that replays it
     (out / "config.json").write_text(replace(cfg, out_dir=str(out)).to_json() + "\n")
-    records = _COMMANDS[cmd](cfg, out)
+    records = run(cfg, out, cfg.l or l_default)
     _write_jsonl(out / "run_log.jsonl", records)
     if strict and any(rec.get("exploded") for rec in records):
         print(f"{cmd}: explosion detected; failing due to --strict",
@@ -505,13 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Finite-difference lab for super-time-stepping schemes "
                     "on pricing PDEs")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, help_text in [
-        ("price", "integrate the payoff and write price slices"),
-        ("converge", "time-convergence ladder against the implicit reference"),
-        ("spectrum", "dense eigenvalues of the scaled operator"),
-        ("delta", "delta slices near v=0 for each configured scheme"),
-        ("bs-demo", "flat-volatility barrier study"),
-    ]:
+    for name, (_, _, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config path (defaults apply if omitted)")
@@ -520,12 +514,8 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--strict", action="store_true",
                        help="exit nonzero if any run explodes")
     args = parser.parse_args(argv)
-    if args.config is not None:
-        text = Path(args.config).read_text()
-    elif args.cmd == "bs-demo":
-        text = '{"model": "bs"}'
-    else:
-        text = "{}"
+    text = (Path(args.config).read_text() if args.config is not None
+            else json.dumps({"model": _COMMANDS[args.cmd][1] or "heston"}))
     try:
         cfg = parse_config(text)
         return dispatch(args.cmd, cfg, out_dir=args.out, strict=args.strict)

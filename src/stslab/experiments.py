@@ -268,25 +268,20 @@ def price_at_spot(f: np.ndarray, gx: Grid1D, spot: float,
 
 def run_and_score(family: SchemeFamily, op: StencilOperator, y0: np.ndarray,
                   expiry: float, l: int, rho: float, window: np.ndarray,
-                  spot: float, v0: float | None,
-                  ref: np.ndarray | None = None, roi: np.ndarray | None = None):
+                  spot: float, v0: float | None):
     """Run one family on op and score it; the one scoring path of every study.
 
     The oscillation slice is the curve itself in 1-D and the delta at the
-    lowest variance row in 2-D; the metric reads its `window` entries.  The
-    rms error against `ref` over `roi` is nan without a reference.  An
-    exploded run scores osc = inf and price = nan, and rms = inf if a
-    reference is given.  Returns (field, osc_slice, RunLog) with the score
-    filled into the RunLog.
+    lowest variance row in 2-D; the metric reads its `window` entries.  An
+    exploded run scores osc = inf and price = nan.  The rms error stays nan:
+    only `run_time_convergence` has a reference to score it against.  Returns
+    (field, osc_slice, RunLog) with the score filled into the RunLog.
     """
     fld, log = run_integrator(family, op, y0, expiry, l, rho=rho)
     osc_slice = fld if op.gv is None else delta_surface(fld, op.gx)[:, 0]
     if log.exploded:
-        log.rms_error = math.nan if ref is None else math.inf
         log.osc_metric = math.inf
     else:
-        if ref is not None:
-            log.rms_error = rms_error(fld, ref, roi)
         log.osc_metric = oscillation_metric(osc_slice[window])
         log.price_at_spot = price_at_spot(fld, op.gx, spot, op.gv, v0)
     return fld, osc_slice, log
@@ -384,7 +379,7 @@ def run_time_convergence(params: HestonParams, gx: Grid1D, gv: Grid1D,
         raise RuntimeError(
             f"reference not self-converged: rms(l={l_ref}, "
             f"l={2 * l_ref}) = {ref_check:.3e}")
-    for fld, _, log in scored:  # the score run_and_score gives with ref=ref
+    for fld, _, log in scored:
         log.rms_error = math.inf if log.exploded else rms_error(fld, ref, roi)
     return ConvergenceResult([log for _, _, log in scored], ref_check)
 

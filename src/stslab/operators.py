@@ -47,7 +47,6 @@ __all__ = [
     "UpwindPolicy",
     "StencilOperator",
     "peclet",
-    "fitting_factor",
     "assemble_heston",
     "assemble_bs",
     "apply",
@@ -194,36 +193,21 @@ def peclet(params, gx: Grid1D, gv: Grid1D | None = None):
     return px, pv
 
 
-def fitting_factor(p):
-    """Exponential fitting factor beta(P) = (P/2)/tanh(P/2).
-
-    Even in P, equals 1 at P = 0, and grows like |P|/2 once advection
-    dominates; multiplying the diffusion coefficient by beta turns the central
-    scheme into one that resolves the advective limit without oscillation.
-    """
-    p = np.asarray(p, dtype=float)
-    half = 0.5 * p
-    with np.errstate(invalid="ignore", over="ignore"):
-        out = np.where(half == 0.0, 1.0, half / np.tanh(half))
-    out = np.where(np.isinf(p), np.inf, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 def _fitted_diffusion(diff, adv, h_lo, h_hi):
     """beta * diff evaluated through the overflow-safe form s/tanh(s/D).
 
-    s is spacing * advection with the full cell width h_lo + h_hi as the
-    spacing, i.e. beta = fitting_factor(2 * (h_lo + h_hi) * A / D).  The cell
-    width (the same width that appears in the stencil denominators) is the
-    one spacing choice that keeps BOTH off-diagonal coefficients strictly
-    positive in the advection-dominated limit on a stretched mesh: the
-    anti-upwind coefficient tends to A/(h_lo + h_hi) instead of turning
-    negative (single-sided spacing, oscillatory spurious eigenvalues) or
-    collapsing to zero (upwind-side spacing, a one-way cascade whose Jordan
-    structure is hypersensitive to the mixed-derivative coupling).  Where
-    D == 0 the value reduces to the advective limit |A| * (h_lo + h_hi).
+    beta(P) = (P/2)/tanh(P/2) is the exponential fitting factor: even in P,
+    1 at P = 0, and ~|P|/2 once advection dominates.  s is spacing * advection
+    with the full cell width h_lo + h_hi as the spacing, so beta is taken at
+    P = 2 * (h_lo + h_hi) * A / D.  The cell width (the same width that
+    appears in the stencil denominators) is the one spacing choice that keeps
+    BOTH off-diagonal coefficients strictly positive in the
+    advection-dominated limit on a stretched mesh: the anti-upwind coefficient
+    tends to A/(h_lo + h_hi) instead of turning negative (single-sided
+    spacing, oscillatory spurious eigenvalues) or collapsing to zero
+    (upwind-side spacing, a one-way cascade whose Jordan structure is
+    hypersensitive to the mixed-derivative coupling).  Where D == 0 the value
+    reduces to the advective limit |A| * (h_lo + h_hi).
     """
     diff, adv, h_lo, h_hi = np.broadcast_arrays(
         np.asarray(diff, dtype=float), np.asarray(adv, dtype=float), h_lo, h_hi

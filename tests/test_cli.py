@@ -14,7 +14,7 @@ from stslab.experiments import (DEFAULT_LADDER, PayoffKind, bs_uniform_grid,
                                 default_bs_params, default_heston_params,
                                 foulon_grid_v, foulon_grid_x)
 from stslab.operators import BsParams, HestonParams, UpwindPolicy
-from stslab.schemes import FamilyKind
+from stslab.schemes import FamilyKind, InfeasibleStepError
 
 # ------------------------------------------------------------------- parsing
 
@@ -143,13 +143,19 @@ def test_dispatch_rejects_unknown_command():
 
 
 def test_model_command_mismatches(tmp_path):
+    # refused before the output directory or its config.json is made
     bs = parse_config('{"model": "bs"}')
-    with pytest.raises(ConfigError, match="model='heston'"):
-        dispatch("converge", bs, out_dir=str(tmp_path))
-    with pytest.raises(ConfigError, match="model='heston'"):
-        dispatch("delta", bs, out_dir=str(tmp_path))
-    with pytest.raises(ConfigError, match="model='bs'"):
-        dispatch("bs-demo", default_config(), out_dir=str(tmp_path))
+    out = tmp_path / "out"
+    with pytest.raises(ConfigError, match="converge drives the 2-D model; "
+                                          "set model='heston'"):
+        dispatch("converge", bs, out_dir=str(out))
+    with pytest.raises(ConfigError, match="delta drives the 2-D model; "
+                                          "set model='heston'"):
+        dispatch("delta", bs, out_dir=str(out))
+    with pytest.raises(ConfigError, match="bs-demo drives the 1-D model; "
+                                          "set model='bs'"):
+        dispatch("bs-demo", default_config(), out_dir=str(out))
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------- subcommands
@@ -404,13 +410,19 @@ def test_config_json_replays_the_run(cmd, tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+# rkc(eps=1e5) overflows its coefficient table at the stage count l = 10 needs
+RKC_1E5 = {"grid": {"x": {"m": 60}, "v": {"m": 30}}, "policy": "foulon-region-fitting",
+           "schemes": [{"family": "rkc", "eps": 100000.0}], "l": 10}
+
+
 def test_config_json_written_before_the_run(tmp_path):
-    # the command refuses the model, after the config was written
-    bs = parse_config('{"model": "bs"}')
-    with pytest.raises(ConfigError, match="model='heston'"):
-        dispatch("converge", bs, out_dir=str(tmp_path))
+    # stage selection refuses rkc(eps=1e5) during the run, after the config
+    # was written
+    cfg = parse_config(json.dumps(RKC_1E5))
+    with pytest.raises(InfeasibleStepError):
+        dispatch("price", cfg, out_dir=str(tmp_path))
     assert parse_config((tmp_path / "config.json").read_text()) == \
-        replace(bs, out_dir=str(tmp_path))
+        replace(cfg, out_dir=str(tmp_path))
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
@@ -421,11 +433,8 @@ def test_main_reports_config_errors(tmp_path, capsys):
 
 
 def test_main_reports_uncertifiable_table(tmp_path, capsys):
-    # rkc(eps=1e5) overflows its coefficient table at the stage count l = 10 needs
     cfg = tmp_path / "rkc1e5.json"
-    cfg.write_text(json.dumps({
-        "grid": {"x": {"m": 60}, "v": {"m": 30}}, "policy": "foulon-region-fitting",
-        "schemes": [{"family": "rkc", "eps": 100000.0}], "l": 10}))
+    cfg.write_text(json.dumps(RKC_1E5))
     assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: rkc(eps=100000) s=") and err.count("\n") == 1

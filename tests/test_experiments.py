@@ -280,14 +280,16 @@ def test_time_convergence_small(heston_params, gx_small, gv_small):
 
 
 def serial_time_convergence(params, gx, gv, policy, payoff, families, ladder, l_ref):
-    """The serial driver: both CN runs first, then each rung scored against ref."""
+    """The serial driver: both CN runs first, then each rung scored against ref
+    (an exploded rung has no field to score and reads inf)."""
     op, y0, rho, window = prepare(params, gx, gv, policy, payoff)
     roi = roi_mask(gx, 0.5 * payoff.level, 1.5 * payoff.level, gv, 0.0, 1.0)
     ref = crank_nicolson_run(op, y0, params.expiry, l_ref)
     ref2 = crank_nicolson_run(op, y0, params.expiry, 2 * l_ref)
     scored = [run_and_score(fam, op, y0, params.expiry, l, rho, window, params.spot,
-                            params.v0, ref=ref, roi=roi)
-              for fam in families for l in ladder]
+                            params.v0) for fam in families for l in ladder]
+    for fld, _, log in scored:
+        log.rms_error = float("inf") if log.exploded else rms_error(fld, ref, roi)
     return scored, rms_error(ref, ref2, roi)
 
 
@@ -324,6 +326,8 @@ def test_time_convergence_matches_serial_oracle_bitwise(rho_scale, exploded, hes
     assert [r.exploded for r in res.runs] == exploded
     if rho_scale == 1.0:
         assert all(0.0 < r.rms_error < 1e-2 for r in res.runs)
+    else:
+        assert [r.rms_error for r in res.runs if r.exploded] == [float("inf")]
     assert [scored_record(r) for r in res.runs] == [scored_record(w[2]) for w in want]
     assert [f.tobytes() for f in fields] == [w[0].tobytes() for w in want]
 
@@ -381,26 +385,22 @@ def test_bs_study_structure(bs_params):
 @pytest.mark.parametrize("dim", [2, 1])
 def test_run_and_score_explosion(dim, heston_params, bs_params, gx_small, gv_small):
     # rho = 1e-6 lets two stages through where the operator needs thousands,
-    # so the run blows up; the 2-D case carries a reference, the 1-D one not.
+    # so the run blows up
     if dim == 2:
         op = assemble_heston(heston_params, gx_small, gv_small,
                              UpwindPolicy.PARTIAL_FITTING)
         y0 = payoff_eval(call(100.0), gx_small, gv_small)
-        ref, roi = y0, roi_mask(gx_small, 50.0, 150.0, gv_small, 0.0, 1.0)
         v0 = heston_params.v0
     else:
         op = assemble_bs(bs_params, bs_cubic_grid(m=100),
                          UpwindPolicy.PARTIAL_FITTING)
         y0 = payoff_eval(digital_range(10.0, 100.0), op.gx)
-        ref = roi = v0 = None
+        v0 = None
     window = roi_mask(op.gx, 50.0, 150.0)
     fld, osc_slice, run = run_and_score(rkl(), op, y0, 1.0, 100, 1e-6, window,
-                                        100.0, v0, ref=ref, roi=roi)
+                                        100.0, v0)
     assert run.exploded and run.explosion_step is not None
     assert run.osc_metric == float("inf") and np.isnan(run.price_at_spot)
-    if ref is None:
-        assert np.isnan(run.rms_error)
-    else:
-        assert run.rms_error == float("inf")
+    assert np.isnan(run.rms_error)  # only the convergence ladder scores rms
     assert osc_slice.shape == (op.gx.m + 1,) and np.isfinite(osc_slice).all()
     assert np.isfinite(fld).all() and fld.shape == y0.shape

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from stslab.experiments import bs_cubic_grid
 from stslab.grids import Grid1D, make_uniform
 from stslab.operators import (BsParams, HestonParams, StencilOperator,
-                              UpwindPolicy, apply, assemble_bs, assemble_heston,
-                              fitting_factor, peclet, to_sparse)
+                              UpwindPolicy, _fitted_diffusion, apply, assemble_bs,
+                              assemble_heston, peclet, to_sparse)
 
 ALL_POLICIES = list(UpwindPolicy)
 POLICIES_2D = ALL_POLICIES
@@ -207,6 +207,14 @@ def test_peclet_bs(bs_params):
 
 
 # ---------------------------------------------------------- fitting factor
+
+def fitting_factor(p):
+    """beta(P) as assembly evaluates it: the fitted diffusion of D = 1 at
+    advection P/2 over a unit cell, divided by D."""
+    d = 1.0
+    out = _fitted_diffusion(d, np.asarray(p, dtype=float) / 2.0, 0.5, 0.5) / d
+    return float(out) if out.ndim == 0 else out
+
 
 def test_fitting_factor_values():
     assert fitting_factor(0.0) == 1.0
