@@ -7,8 +7,9 @@ JSON-lines run log into the output directory.
 
 Config parsing is strict, because experiments here differ by one or two keys
 and a silently ignored typo would fake a finding.  The parser checks the JSON
-shape (known keys, types, finite numbers) and builds the parameters, grids,
-schemes and payoff, whose own bound checks it reports with the config path.
+shape (known keys, types, finite numbers, named choices) and builds the
+parameters, grids, schemes and payoff, whose own bound checks it reports with
+the config path.
 It also checks the rules that span two keys, and `dispatch` checks that the
 command drives the config's model (`_COMMANDS` states each command's model,
 default l and help once), so a config that passes runs and one that cannot
@@ -34,12 +35,12 @@ from .experiments import (DEFAULT_LADDER, Payoff, PayoffKind, call,
                           digital_range, prepare, put, roi_mask,
                           run_and_score, run_bs_study, run_delta_comparison,
                           run_time_convergence)
-from .grids import Grid1D, StretchKind, StretchSpec, make_grid
+from .grids import GridSpec, StretchKind, make_grid
 from .operators import BsParams, HestonParams, UpwindPolicy, to_sparse
-from .schemes import FamilyKind, InfeasibleStepError, SchemeFamily
+from .schemes import FREE_PARAMETER, FamilyKind, InfeasibleStepError, SchemeFamily
 from .spectra import eigenvalues_dense, write_spectrum
 
-__all__ = ["ConfigError", "GridConfig", "RunConfig", "parse_config",
+__all__ = ["ConfigError", "RunConfig", "parse_config",
            "default_config", "dispatch", "main"]
 
 
@@ -86,64 +87,44 @@ def _built(path: str, make, *args, **kwargs):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class GridConfig:
-    """Declarative one-dimensional grid: kind plus stretch parameters."""
+def _choice(d: dict, key: str, enum, default, where: str):
+    """The member of enum whose value d[key] names; default if key is absent.
 
-    kind: str
-    a: float
-    b: float
-    m: int
-    center: float = 0.0
-    lam: float = 1.0
-    alpha: float = 1.0
-
-    def build(self) -> Grid1D:
-        spec = StretchSpec(StretchKind(self.kind), center=self.center,
-                           lam=self.lam, alpha=self.alpha)
-        return make_grid(self.a, self.b, spec, self.m)
+    With default None the key is required.
+    """
+    if key not in d and default is not None:
+        return default
+    names = [member.value for member in enum]
+    val = d.get(key)
+    if val not in names:  # compares by ==, so a list or an object is refused too
+        raise ConfigError(f"{where}: expected one of {sorted(names)}, got {val!r}")
+    return enum(val)
 
 
-_GRID_KEYS = {"kind", "a", "b", "m", "center", "lam", "alpha"}
-_KINDS = {k.value for k in StretchKind}
-
-
-def _parse_grid(d: dict, defaults: GridConfig, path: str):
-    """(GridConfig, the grid it builds)."""
+def _parse_grid(d: dict, defaults: GridSpec, path: str):
+    """(GridSpec, the grid it builds)."""
     d = _mapping(d, path)
-    _check_keys(d, _GRID_KEYS, path)
-    kind = d.get("kind", defaults.kind)
-    if kind not in _KINDS:
-        raise ConfigError(f"{path}.kind: expected one of {sorted(_KINDS)}, "
-                          f"got {kind!r}")
-    cfg = GridConfig(kind=kind, m=_int(d, "m", defaults.m, path),
-                     **{key: _num(d, key, getattr(defaults, key), path)
-                        for key in ("a", "b", "center", "lam", "alpha")})
-    return cfg, _built(path, cfg.build)
-
-
-_POLICIES = {p.value: p for p in UpwindPolicy}
-_FAMILY_KEYS = {"family", "eps", "g"}
-_FAMILY_NAMES = {k.value for k in FamilyKind}
+    _check_keys(d, {f.name for f in fields(GridSpec)}, path)
+    kind = _choice(d, "kind", StretchKind, defaults.kind, f"{path}.kind")
+    spec = _built(path, GridSpec, kind, m=_int(d, "m", defaults.m, path),
+                  **{key: _num(d, key, getattr(defaults, key), path)
+                     for key in ("a", "b", "center", "lam", "alpha")})
+    return spec, _built(path, make_grid, spec)
 
 
 def _parse_scheme(d, path: str) -> SchemeFamily:
     d = _mapping(d, path)
-    _check_keys(d, _FAMILY_KEYS, path)
-    name = d.get("family")
-    if name not in _FAMILY_NAMES:
-        raise ConfigError(
-            f"{path}.family: expected one of {sorted(_FAMILY_NAMES)}, got {name!r}")
-    if name != "rkc" and "eps" in d:
-        raise ConfigError(f"{path}.eps: only valid for family 'rkc'")
-    if name != "rkg" and "g" in d:
-        raise ConfigError(f"{path}.g: only valid for family 'rkg'")
-    return _built(path, SchemeFamily, FamilyKind(name),
-                  eps=_num(d, "eps", 0.0, path), g=_num(d, "g", 2.0, path))
+    _check_keys(d, {"family", *FREE_PARAMETER.values()}, path)
+    kind = _choice(d, "family", FamilyKind, None, f"{path}.family")
+    for owner, key in FREE_PARAMETER.items():
+        if owner is not kind and key in d:
+            raise ConfigError(f"{path}.{key}: only valid for family {owner.value!r}")
+    # only the keys given, so SchemeFamily states the defaults
+    return _built(path, SchemeFamily, kind,
+                  **{key: _num(d, key, None, path) for key in d if key != "family"})
 
 
 _PAYOFF_KEYS = {"kind", "strike", "low", "high"}
-_PAYOFF_NAMES = {k.value for k in PayoffKind}
 
 
 def _parse_payoff(d, default: Payoff, path: str) -> Payoff:
@@ -151,11 +132,8 @@ def _parse_payoff(d, default: Payoff, path: str) -> Payoff:
         return default
     d = _mapping(d, path)
     _check_keys(d, _PAYOFF_KEYS, path)
-    kind = d.get("kind", default.kind.value)
-    if kind not in _PAYOFF_NAMES:
-        raise ConfigError(f"{path}.kind: expected one of {sorted(_PAYOFF_NAMES)}, "
-                          f"got {kind!r}")
-    if kind == PayoffKind.DIGITAL_RANGE.value:
+    kind = _choice(d, "kind", PayoffKind, default.kind, f"{path}.kind")
+    if kind is PayoffKind.DIGITAL_RANGE:
         if "strike" in d:
             raise ConfigError(f"{path}.strike: only valid for kind 'call' or 'put'")
         low = _num(d, "low", default.low, path)
@@ -165,7 +143,7 @@ def _parse_payoff(d, default: Payoff, path: str) -> Payoff:
         if key in d:
             raise ConfigError(f"{path}.{key}: only valid for kind 'digital-range'")
     strike = _num(d, "strike", default.strike if default.strike > 0 else 100.0, path)
-    return _built(path, call if kind == PayoffKind.CALL.value else put, strike)
+    return _built(path, call if kind is PayoffKind.CALL else put, strike)
 
 
 @dataclass(frozen=True)
@@ -174,8 +152,8 @@ class RunConfig:
 
     model: str
     params: HestonParams | BsParams
-    grid_x: GridConfig
-    grid_v: GridConfig | None
+    grid_x: GridSpec
+    grid_v: GridSpec | None
     policy: UpwindPolicy
     schemes: tuple[SchemeFamily, ...]
     ladder: tuple[int, ...]
@@ -186,17 +164,17 @@ class RunConfig:
     out_dir: str
 
     def build_grids(self):
-        gx = self.grid_x.build()
-        gv = self.grid_v.build() if self.grid_v is not None else None
+        gx = make_grid(self.grid_x)
+        gv = make_grid(self.grid_v) if self.grid_v is not None else None
         return gx, gv
 
     def to_json(self) -> str:
         cfg = {
             "model": self.model,
             "params": asdict(self.params),
-            "grid": {"x": asdict(self.grid_x)},
+            "grid": {"x": _grid_dict(self.grid_x)},
             "policy": self.policy.value,
-            "schemes": [_scheme_dict(s) for s in self.schemes],
+            "schemes": [{"family": s.kind.value, **s.free} for s in self.schemes],
             "ladder": list(self.ladder),
             "reference": {"l_ref": self.l_ref, "validate": self.validate_reference},
             "payoff": _payoff_dict(self.payoff),
@@ -204,17 +182,12 @@ class RunConfig:
             "out_dir": self.out_dir,
         }
         if self.grid_v is not None:
-            cfg["grid"]["v"] = asdict(self.grid_v)
+            cfg["grid"]["v"] = _grid_dict(self.grid_v)
         return json.dumps(cfg, indent=2, sort_keys=True)
 
 
-def _scheme_dict(s: SchemeFamily) -> dict:
-    d = {"family": s.kind.value}
-    if s.kind is FamilyKind.RKC:
-        d["eps"] = s.eps
-    elif s.kind is FamilyKind.RKG:
-        d["g"] = s.g
-    return d
+def _grid_dict(spec: GridSpec) -> dict:
+    return dict(asdict(spec), kind=spec.kind.value)
 
 
 def _payoff_dict(p: Payoff) -> dict:
@@ -251,14 +224,14 @@ def parse_config(text: str) -> RunConfig:
 
     if model == "heston":
         params = _parse_params(raw.get("params", {}), default_heston_params())
-        gx_default = GridConfig("sinh", 0.0, 8.0 * params.strike, 100,
-                                center=params.strike, lam=params.strike / 5.0)
-        gv_default = GridConfig("sinh", 0.0, 5.0, 50, center=0.0, lam=0.01)
+        gx_default = GridSpec(StretchKind.SINH, 0.0, 8.0 * params.strike, 100,
+                              center=params.strike, lam=params.strike / 5.0)
+        gv_default = GridSpec(StretchKind.SINH, 0.0, 5.0, 50, center=0.0, lam=0.01)
         policy_default = UpwindPolicy.PARTIAL_FITTING
         payoff_default = call(params.strike)
     else:
         params = _parse_params(raw.get("params", {}), default_bs_params())
-        gx_default = GridConfig("uniform", 0.0, 150.0, 100)
+        gx_default = GridSpec(StretchKind.UNIFORM, 0.0, 150.0, 100)
         gv_default = None
         policy_default = UpwindPolicy.NONE
         payoff_default = digital_range(10.0, 100.0)
@@ -278,11 +251,7 @@ def parse_config(text: str) -> RunConfig:
         if gv.m < 2 and params.kappa * (params.theta - gv.nodes[0]) != 0.0:
             raise ConfigError("grid.v.m: a one-cell variance grid needs kappa*(theta - v_min) = 0")
 
-    policy_name = raw.get("policy", policy_default.value)
-    if policy_name not in _POLICIES:
-        raise ConfigError(f"policy: expected one of {sorted(_POLICIES)}, "
-                          f"got {policy_name!r}")
-    policy = _POLICIES[policy_name]
+    policy = _choice(raw, "policy", UpwindPolicy, policy_default, "policy")
     if model == "bs" and policy is UpwindPolicy.FOULON_REGION:
         raise ConfigError("policy: foulon-region-fitting selects rows by "
                           "variance level and needs model='heston'")

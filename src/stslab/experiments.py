@@ -32,7 +32,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grids import Grid1D, StretchKind, StretchSpec, make_cubic, make_sinh, make_uniform
+from .grids import Grid1D, GridSpec, StretchKind, make_cubic, make_sinh, make_uniform
 from .implicit import crank_nicolson_run, trbdf2_run
 from .operators import (BsParams, HestonParams, StencilOperator, UpwindPolicy,
                         assemble_bs, assemble_heston, to_sparse)
@@ -322,14 +322,13 @@ V_MAX = 5.0
 
 def foulon_grid_x(strike: float, m: int = 100) -> Grid1D:
     """Sinh-stretched x grid on [0, 8K] concentrated at the strike, lam = K/5."""
-    spec = StretchSpec(StretchKind.SINH, center=strike, lam=strike / 5.0)
-    return make_sinh(0.0, X_MAX_MULT * strike, spec, m)
+    return make_sinh(GridSpec(StretchKind.SINH, 0.0, X_MAX_MULT * strike, m,
+                              center=strike, lam=strike / 5.0))
 
 
 def foulon_grid_v(n: int = 50, v_max: float = V_MAX) -> Grid1D:
     """Sinh-stretched v grid on [0, v_max], concentrated hard at v = 0."""
-    spec = StretchSpec(StretchKind.SINH, center=0.0, lam=v_max / 500.0)
-    return make_sinh(0.0, v_max, spec, n)
+    return make_sinh(GridSpec(StretchKind.SINH, 0.0, v_max, n, lam=v_max / 500.0))
 
 
 def bs_uniform_grid(m: int = 100, x_max: float = 150.0) -> Grid1D:
@@ -338,8 +337,8 @@ def bs_uniform_grid(m: int = 100, x_max: float = 150.0) -> Grid1D:
 
 def bs_cubic_grid(m: int = 400, alpha: float = 0.01, center: float = 100.0,
                   x_max: float = 150.0) -> Grid1D:
-    spec = StretchSpec(StretchKind.CUBIC, center=center, alpha=alpha)
-    return make_cubic(0.0, x_max, spec, m)
+    return make_cubic(GridSpec(StretchKind.CUBIC, 0.0, x_max, m, center=center,
+                               alpha=alpha))
 
 
 DEFAULT_LADDER = (10, 20, 40, 80, 100, 200, 400, 800, 1600)

@@ -9,7 +9,7 @@ import numpy as np
 
 __all__ = [
     "StretchKind",
-    "StretchSpec",
+    "GridSpec",
     "Grid1D",
     "make_uniform",
     "make_sinh",
@@ -25,8 +25,8 @@ class StretchKind(Enum):
 
 
 @dataclass(frozen=True)
-class StretchSpec:
-    """Node clustering recipe for a 1-D mesh.
+class GridSpec:
+    """Recipe for a 1-D mesh of m cells on [a, b] and its node clustering.
 
     center is the point nodes concentrate around.  For sinh meshes lam is the
     width of the dense region (smaller lam means stronger clustering); for
@@ -34,7 +34,10 @@ class StretchSpec:
     means closer to uniform).
     """
 
-    kind: StretchKind = StretchKind.UNIFORM
+    kind: StretchKind
+    a: float
+    b: float
+    m: int
     center: float = 0.0
     lam: float = 1.0
     alpha: float = 1.0
@@ -44,6 +47,8 @@ class StretchSpec:
             raise ValueError(f"need lam > 0, got {self.lam!r}")
         if not self.alpha > 0.0:
             raise ValueError(f"need alpha > 0, got {self.alpha!r}")
+        if not self.a < self.b:
+            raise ValueError(f"need a < b, got a={self.a!r}, b={self.b!r}")
 
 
 @dataclass(frozen=True)
@@ -81,14 +86,13 @@ def make_uniform(a: float, b: float, m: int) -> Grid1D:
     return Grid1D(np.linspace(a, b, m + 1))
 
 
-def make_sinh(a: float, b: float, spec: StretchSpec, m: int) -> Grid1D:
+def make_sinh(spec: GridSpec) -> Grid1D:
     """Mesh with nodes x_k = center + lam*sinh(c1 + (c2-c1)*k/m).
 
     The hyperbolic map concentrates nodes near spec.center; spacings grow
     roughly proportionally to distance from the center once it exceeds lam.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+    a, b, m = spec.a, spec.b, spec.m
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     c1 = np.arcsinh((a - spec.center) / spec.lam)
@@ -120,15 +124,14 @@ def _solve_depressed_cubic(alpha: float, target: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def make_cubic(a: float, b: float, spec: StretchSpec, m: int) -> Grid1D:
+def make_cubic(spec: GridSpec) -> Grid1D:
     """Mesh with nodes x(u) = center + lam_c*(u^3 + alpha*u), u uniform.
 
     The endpoints u_a, u_b solve the endpoint cubics so x(u_a) = a and
     x(u_b) = b, and lam_c normalizes the image to [a, b] exactly.  Spacing is
     smallest near spec.center and grows cubically away from it.
     """
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+    a, b, m = spec.a, spec.b, spec.m
     if m < 4:
         raise ValueError(f"need m >= 4 for a cubic mesh, got {m}")
     if not a <= spec.center <= b:
@@ -146,11 +149,11 @@ def make_cubic(a: float, b: float, spec: StretchSpec, m: int) -> Grid1D:
     return Grid1D(nodes)
 
 
-def make_grid(a: float, b: float, spec: StretchSpec, m: int) -> Grid1D:
+def make_grid(spec: GridSpec) -> Grid1D:
     if spec.kind is StretchKind.UNIFORM:
-        return make_uniform(a, b, m)
+        return make_uniform(spec.a, spec.b, spec.m)
     if spec.kind is StretchKind.SINH:
-        return make_sinh(a, b, spec, m)
+        return make_sinh(spec)
     if spec.kind is StretchKind.CUBIC:
-        return make_cubic(a, b, spec, m)
+        return make_cubic(spec)
     raise ValueError(f"unknown stretch kind {spec.kind!r}")

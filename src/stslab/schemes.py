@@ -39,6 +39,7 @@ from .operators import StencilOperator, apply as apply_operator
 
 __all__ = [
     "FamilyKind",
+    "FREE_PARAMETER",
     "SchemeFamily",
     "StageCoefficients",
     "RunLog",
@@ -63,11 +64,9 @@ EXTENT_TOL = 1e-12
 class ExplosionError(RuntimeError):
     """A stage produced non-finite values."""
 
-    def __init__(self, stage: int, step: int | None = None):
+    def __init__(self, stage: int):
         self.stage = stage
-        self.step = step
-        where = f"stage {stage}" if step is None else f"step {step}, stage {stage}"
-        super().__init__(f"non-finite values at {where}")
+        super().__init__(f"non-finite values at stage {stage}")
 
 
 class InfeasibleStepError(RuntimeError):
@@ -81,13 +80,18 @@ class FamilyKind(Enum):
     RKG = "rkg"
 
 
+# The one free parameter of each family that has one: the SchemeFamily field
+# a config may set, and the one its label and run record show.
+FREE_PARAMETER = {FamilyKind.RKC: "eps", FamilyKind.RKG: "g"}
+
+
 @dataclass(frozen=True)
 class SchemeFamily:
     """An integrator family together with its free parameter.
 
-    eps is the Chebyshev damping shift (RKC only); g is the Gegenbauer index
-    (RKG only).  Both are stored regardless of kind so instances hash and
-    compare cleanly as cache keys.
+    eps is the Chebyshev damping shift and g the Gegenbauer index;
+    FREE_PARAMETER names the one each family uses.  Both are stored regardless
+    of kind so instances hash and compare cleanly as cache keys.
     """
 
     kind: FamilyKind
@@ -101,20 +105,18 @@ class SchemeFamily:
             raise ValueError(f"need g > 0, got {self.g!r}")
 
     @property
+    def free(self) -> dict[str, float]:
+        """{name: value} of the family's free parameter; empty if it has none."""
+        key = FREE_PARAMETER.get(self.kind)
+        return {} if key is None else {key: getattr(self, key)}
+
+    @property
     def label(self) -> str:
-        if self.kind is FamilyKind.RKC:
-            return f"rkc(eps={self.eps:g})"
-        if self.kind is FamilyKind.RKG:
-            return f"rkg(g={self.g:g})"
-        return self.kind.value
+        return self.kind.value + "".join(f"({k}={v:g})" for k, v in self.free.items())
 
     @property
     def eps_or_g(self) -> float | None:
-        if self.kind is FamilyKind.RKC:
-            return self.eps
-        if self.kind is FamilyKind.RKG:
-            return self.g
-        return None
+        return next(iter(self.free.values()), None)
 
 
 def explicit_euler() -> SchemeFamily:
@@ -244,7 +246,10 @@ def _q(A: list, B: list, w: float) -> float:
 @lru_cache(maxsize=None)
 def _certified(family: SchemeFamily, s: int) -> tuple[StageCoefficients, float]:
     """The coefficient table of (family, s) and its stability extent."""
-    coeffs = make_coefficients(family, s)
+    # a table too large for doubles overflows on the way; the check below
+    # reports it, so the intermediate warnings carry no information
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = make_coefficients(family, s)
     A, B, w0 = _recurrence_multipliers(family, s)
     a, b, w1 = float(coeffs.a[s]), float(coeffs.b[s]), coeffs.w1
     # an overflowed table, or b_s below the normal range, is not the polynomial
@@ -462,7 +467,6 @@ def run_integrator(family: SchemeFamily, op: StencilOperator, initial: np.ndarra
             log.exploded = True
             log.explosion_step = step
             log.explosion_stage = exc.stage
-            exc.step = step
             break
     log.wall_time = time.perf_counter() - t0
     log.stage_evals = sum(log.s_per_step)

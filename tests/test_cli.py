@@ -13,6 +13,7 @@ from stslab.cli import (ConfigError, default_config, dispatch, main,
 from stslab.experiments import (DEFAULT_LADDER, PayoffKind, bs_uniform_grid,
                                 default_bs_params, default_heston_params,
                                 foulon_grid_v, foulon_grid_x)
+from stslab.grids import StretchKind
 from stslab.operators import BsParams, HestonParams, UpwindPolicy
 from stslab.schemes import FamilyKind, InfeasibleStepError
 
@@ -23,9 +24,9 @@ def test_empty_config_gives_heston_defaults():
     assert cfg.model == "heston"
     assert isinstance(cfg.params, HestonParams)
     assert (cfg.grid_x.kind, cfg.grid_x.a, cfg.grid_x.b, cfg.grid_x.m) == \
-        ("sinh", 0.0, 800.0, 100)
+        (StretchKind.SINH, 0.0, 800.0, 100)
     assert cfg.grid_x.center == 100.0 and cfg.grid_x.lam == 20.0
-    assert (cfg.grid_v.kind, cfg.grid_v.b, cfg.grid_v.m) == ("sinh", 5.0, 50)
+    assert (cfg.grid_v.kind, cfg.grid_v.b, cfg.grid_v.m) == (StretchKind.SINH, 5.0, 50)
     assert cfg.policy is UpwindPolicy.PARTIAL_FITTING
     assert len(cfg.schemes) == 1 and cfg.schemes[0].kind is FamilyKind.RKC
     assert cfg.schemes[0].eps == 10.0
@@ -40,7 +41,7 @@ def test_bs_defaults():
     assert cfg.model == "bs"
     assert isinstance(cfg.params, BsParams)
     assert cfg.grid_v is None
-    assert (cfg.grid_x.kind, cfg.grid_x.b, cfg.grid_x.m) == ("uniform", 150.0, 100)
+    assert (cfg.grid_x.kind, cfg.grid_x.b, cfg.grid_x.m) == (StretchKind.UNIFORM, 150.0, 100)
     assert cfg.policy is UpwindPolicy.NONE
     assert cfg.payoff.kind is PayoffKind.DIGITAL_RANGE
     assert (cfg.payoff.low, cfg.payoff.high) == (10.0, 100.0)
@@ -72,7 +73,8 @@ def test_roundtrip_with_overrides():
         "grid": {"x": {"kind": "cubic", "m": 40, "alpha": 0.5, "center": 90.0},
                  "v": {"m": 12}},
         "policy": "foulon-region-fitting",
-        "schemes": [{"family": "rkl"}, {"family": "rkg", "g": 3.0}],
+        "schemes": [{"family": "rkl"}, {"family": "rkg", "g": 3.0}, {"family": "euler"},
+                    {"family": "rkc", "eps": 3.5}],
         "ladder": [4, 8],
         "reference": {"l_ref": 100, "validate": False},
         "payoff": {"kind": "put", "strike": 95.0},
@@ -81,10 +83,15 @@ def test_roundtrip_with_overrides():
     })
     cfg = parse_config(text)
     assert cfg.params.rho == -0.3 and cfg.params.expiry == 2.0
-    assert cfg.grid_x.kind == "cubic" and cfg.grid_v.m == 12
+    assert cfg.grid_x.kind is StretchKind.CUBIC and cfg.grid_v.m == 12
     assert cfg.policy is UpwindPolicy.FOULON_REGION
-    assert [s.kind for s in cfg.schemes] == [FamilyKind.RKL, FamilyKind.RKG]
-    assert cfg.schemes[1].g == 3.0
+    assert [s.kind for s in cfg.schemes] == [FamilyKind.RKL, FamilyKind.RKG,
+                                             FamilyKind.EULER, FamilyKind.RKC]
+    assert cfg.schemes[1].g == 3.0 and cfg.schemes[3].eps == 3.5
+    # each family writes its own free parameter and no other
+    assert json.loads(cfg.to_json())["schemes"] == [
+        {"family": "rkl"}, {"family": "rkg", "g": 3.0}, {"family": "euler"},
+        {"family": "rkc", "eps": 3.5}]
     assert cfg.payoff.kind is PayoffKind.PUT and cfg.payoff.strike == 95.0
     assert cfg.l == 7 and not cfg.validate_reference
     assert parse_config(cfg.to_json()) == cfg
@@ -104,13 +111,18 @@ def test_roundtrip_with_overrides():
     ('{"grid": {"x": {"center": -Infinity}}}', "grid.x.center: need a finite number"),
     ('{"model": "bs", "params": {"v0": 0.1}}', "params: unknown key(s) v0"),
     ('{"grid": {"x": {"kind": "log"}}}', "grid.x.kind"),
+    # a choice that is not a string is refused like an unknown name
+    ('{"grid": {"x": {"kind": ["sinh"]}}}',
+     "grid.x.kind: expected one of ['cubic', 'sinh', 'uniform'], got ['sinh']"),
     ('{"grid": {"x": {"a": 5, "b": 1}}}', "grid.x: need a < b"),
     ('{"grid": {"x": {"m": 0}}}', "grid.x: need m >= 2, got 0"),
     ('{"model": "bs", "grid": {"v": {"m": 5}}}', "grid.v: not meaningful"),
     ('{"policy": "downwind"}', "policy: expected one of"),
+    ('{"policy": {"name": "none"}}', "policy: expected one of"),
     ('{"model": "bs", "policy": "foulon-region-fitting"}', "needs model='heston'"),
     ('{"schemes": []}', "schemes: expected a non-empty list"),
     ('{"schemes": [{"family": "ab3"}]}', "schemes[0].family"),
+    ('{"schemes": [{"family": ["rkc"]}]}', "schemes[0].family: expected one of"),
     ('{"schemes": [{"family": "rkl", "eps": 5}]}', "only valid for family 'rkc'"),
     ('{"schemes": [{"family": "rkc", "g": 3}]}', "only valid for family 'rkg'"),
     ('{"schemes": [{"family": "rkl"}, {"family": "rkc", "eps": 10}, '
@@ -122,6 +134,7 @@ def test_roundtrip_with_overrides():
     ('{"reference": {"validate": 1}}', "reference.validate: expected a boolean"),
     ('{"roi": {"x_low": 80.0, "x_high": 120.0}}', "config: unknown key(s) roi"),
     ('{"payoff": {"kind": "binary"}}', "payoff.kind"),
+    ('{"payoff": {"kind": ["call"]}}', "payoff.kind: expected one of"),
     ('{"payoff": {"kind": "digital-range", "low": 9, "high": 2}}',
      "payoff: need 0 <= low < high, got (9.0, 2.0)"),
     ('{"payoff": {"kind": "call", "low": 5}}',
@@ -432,6 +445,7 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")  # the refusal is the one line; no overflow warnings
 def test_main_reports_uncertifiable_table(tmp_path, capsys):
     cfg = tmp_path / "rkc1e5.json"
     cfg.write_text(json.dumps(RKC_1E5))

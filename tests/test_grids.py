@@ -5,19 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stslab.grids import (Grid1D, StretchKind, StretchSpec, make_cubic,
+from stslab.grids import (Grid1D, GridSpec, StretchKind, make_cubic,
                           make_grid, make_sinh, make_uniform)
 
 KINDS = [
-    StretchSpec(StretchKind.UNIFORM),
-    StretchSpec(StretchKind.SINH, center=100.0, lam=20.0),
-    StretchSpec(StretchKind.CUBIC, center=100.0, alpha=0.1),
+    GridSpec(StretchKind.UNIFORM, 0.0, 800.0, 64),
+    GridSpec(StretchKind.SINH, 0.0, 800.0, 64, center=100.0, lam=20.0),
+    GridSpec(StretchKind.CUBIC, 0.0, 800.0, 64, center=100.0, alpha=0.1),
 ]
 
 
 @pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind.value)
 def test_endpoints_exact(spec):
-    g = make_grid(0.0, 800.0, spec, 64)
+    g = make_grid(spec)
     assert g.nodes[0] == 0.0
     assert g.nodes[-1] == 800.0
     assert g.m == 64
@@ -32,16 +32,15 @@ def test_endpoints_exact(spec):
        alpha=st.floats(min_value=1e-3, max_value=1e3))
 @settings(max_examples=60)
 def test_strictly_increasing(kind, m, b, frac, lam, alpha):
-    spec = StretchSpec(kind, center=frac * b, lam=lam, alpha=alpha)
-    g = make_grid(0.0, b, spec, m)
+    spec = GridSpec(kind, 0.0, b, m, center=frac * b, lam=lam, alpha=alpha)
+    g = make_grid(spec)
     assert np.all(np.diff(g.nodes) > 0.0)
     assert np.all(g.spacings > 0.0)
     assert g.nodes[0] == 0.0 and g.nodes[-1] == b
 
 
 def test_sinh_midpoint_closed_form():
-    spec = StretchSpec(StretchKind.SINH, center=100.0, lam=20.0)
-    g = make_sinh(0.0, 800.0, spec, 10)
+    g = make_sinh(GridSpec(StretchKind.SINH, 0.0, 800.0, 10, center=100.0, lam=20.0))
     c1 = np.arcsinh((0.0 - 100.0) / 20.0)
     c2 = np.arcsinh((800.0 - 100.0) / 20.0)
     expected = 100.0 + 20.0 * np.sinh(0.5 * (c1 + c2))
@@ -50,15 +49,13 @@ def test_sinh_midpoint_closed_form():
 
 
 def test_sinh_large_lam_is_nearly_uniform():
-    spec = StretchSpec(StretchKind.SINH, center=75.0, lam=1e6)
-    g = make_sinh(0.0, 150.0, spec, 50)
+    g = make_sinh(GridSpec(StretchKind.SINH, 0.0, 150.0, 50, center=75.0, lam=1e6))
     u = make_uniform(0.0, 150.0, 50)
     assert np.allclose(g.nodes, u.nodes, atol=1e-6)
 
 
 def test_sinh_concentrates_at_center():
-    spec = StretchSpec(StretchKind.SINH, center=100.0, lam=20.0)
-    g = make_sinh(0.0, 800.0, spec, 100)
+    g = make_sinh(GridSpec(StretchKind.SINH, 0.0, 800.0, 100, center=100.0, lam=20.0))
     h = g.spacings
     mids = 0.5 * (g.nodes[:-1] + g.nodes[1:])
     assert mids[np.argmin(h)] == pytest.approx(100.0, abs=5.0)
@@ -68,8 +65,8 @@ def test_sinh_concentrates_at_center():
 
 
 def test_cubic_min_spacing_at_center():
-    spec = StretchSpec(StretchKind.CUBIC, center=100.0, alpha=0.01)
-    g = make_cubic(0.0, 150.0, spec, 400)
+    g = make_cubic(GridSpec(StretchKind.CUBIC, 0.0, 150.0, 400, center=100.0,
+                            alpha=0.01))
     h = g.spacings
     mids = 0.5 * (g.nodes[:-1] + g.nodes[1:])
     assert mids[np.argmin(h)] == pytest.approx(100.0, abs=0.01)
@@ -79,8 +76,7 @@ def test_cubic_min_spacing_at_center():
 
 
 def test_cubic_large_alpha_is_nearly_uniform():
-    spec = StretchSpec(StretchKind.CUBIC, center=50.0, alpha=1e8)
-    g = make_cubic(0.0, 150.0, spec, 30)
+    g = make_cubic(GridSpec(StretchKind.CUBIC, 0.0, 150.0, 30, center=50.0, alpha=1e8))
     u = make_uniform(0.0, 150.0, 30)
     assert np.allclose(g.nodes, u.nodes, atol=1e-5)
 
@@ -97,21 +93,23 @@ def test_grid1d_validation():
 
 
 def test_builder_validation():
-    spec = StretchSpec(StretchKind.SINH, center=0.0, lam=1.0)
+    sinh, cubic = StretchKind.SINH, StretchKind.CUBIC
     with pytest.raises(ValueError, match="a < b"):
         make_uniform(1.0, 1.0, 10)
+    with pytest.raises(ValueError, match="a < b"):
+        GridSpec(sinh, 1.0, 1.0, 10)
     with pytest.raises(ValueError, match="m >= 1"):
         make_uniform(0.0, 1.0, 0)
     with pytest.raises(ValueError, match="m >= 2"):
-        make_sinh(0.0, 1.0, spec, 1)
+        make_sinh(GridSpec(sinh, 0.0, 1.0, 1))
     with pytest.raises(ValueError, match="lam > 0"):
-        make_sinh(0.0, 1.0, StretchSpec(StretchKind.SINH, lam=0.0), 10)
+        GridSpec(sinh, 0.0, 1.0, 10, lam=0.0)
     with pytest.raises(ValueError, match="m >= 4"):
-        make_cubic(0.0, 1.0, StretchSpec(StretchKind.CUBIC, center=0.5), 3)
+        make_cubic(GridSpec(cubic, 0.0, 1.0, 3, center=0.5))
     with pytest.raises(ValueError, match="alpha > 0"):
-        make_cubic(0.0, 1.0, StretchSpec(StretchKind.CUBIC, center=0.5, alpha=0.0), 10)
+        GridSpec(cubic, 0.0, 1.0, 10, center=0.5, alpha=0.0)
     with pytest.raises(ValueError, match="outside"):
-        make_cubic(0.0, 1.0, StretchSpec(StretchKind.CUBIC, center=2.0), 10)
+        make_cubic(GridSpec(cubic, 0.0, 1.0, 10, center=2.0))
 
 
 def test_spacings_are_backward_differences():
