@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 
 from stslab.cli import dispatch, parse_config
-from stslab.experiments import DEFAULT_LADDER
+from stslab.experiments import DEFAULT_L_REF, DEFAULT_LADDER
 
 POLICIES = ("foulon-region-fitting", "partial-fitting", "osullivan-one-sided")
 FAMILIES = [{"family": "rkc", "eps": 10.0}, {"family": "rkl"}, {"family": "rkg", "g": 2.0}]
@@ -25,7 +25,8 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path, default=Path("out/heston"))
     ap.add_argument("--m", type=int, default=100, help="price-direction intervals")
     ap.add_argument("--n", type=int, default=50, help="variance-direction intervals")
-    ap.add_argument("--l-ref", type=int, default=4000, help="Crank-Nicolson reference steps")
+    ap.add_argument("--l-ref", type=int, default=DEFAULT_L_REF,
+                    help="Crank-Nicolson reference steps")
     ap.add_argument("--quick", action="store_true", help="small grids, short ladder")
     args = ap.parse_args(argv)
     m, n, l_ref, ladder = ((40, 20, 400, [10, 20, 40, 80, 200]) if args.quick else

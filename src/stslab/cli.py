@@ -6,17 +6,18 @@ runs the matching experiment driver and writes plot-ready CSV files plus a
 JSON-lines run log into the output directory.
 
 Config parsing is strict, because experiments here differ by one or two keys
-and a silently ignored typo would fake a finding.  The parser checks the JSON
-shape (known keys, types, finite numbers, named choices) and builds the
-parameters, grids, schemes and payoff, whose own bound checks it reports with
-the config path.
-It also checks the rules that span two keys, and `dispatch` checks that the
-command drives the config's model (`_COMMANDS` states each command's model,
-default l and help once), so a config that passes runs and one that cannot
-fails before anything is written.  Data CSVs contain no timings, so
-identical configs produce byte-identical files; wall times go to the run log
-only.  JSON files are strict JSON: a non-finite number (an unscored field, an
-infinite margin, an exploded price) is written as null.
+and a silently ignored typo would fake a finding.  The parser reads values:
+the JSON shape (known keys, types, finite numbers, named choices), the
+parameters, grid recipes, schemes and payoff, whose own bound checks it
+reports with the config path, and the rules that span two keys.  Before it
+writes anything, `dispatch` checks the command against `_COMMANDS` (each
+command's model, default l, eigensolve and help, stated once) and builds
+the run once: the grids, the `prepare` setup and the rules that need them.
+So a config that passes runs and one that cannot fails before anything is
+written.  Data CSVs contain no timings, so identical configs produce
+byte-identical files; wall times go to the run log only.  JSON files are
+strict JSON: a non-finite number (an unscored field, an infinite margin, an
+exploded price) is written as null.
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (DEFAULT_LADDER, Payoff, PayoffKind, call,
-                          default_bs_params, default_heston_params,
-                          digital_range, prepare, put, roi_mask,
-                          run_and_score, run_bs_study, run_delta_comparison,
-                          run_time_convergence)
+from .experiments import (DEFAULT_L_REF, DEFAULT_LADDER, Payoff, PayoffKind,
+                          Setup, call, default_bs_params, default_heston_params,
+                          digital_range, prepare, put, run_and_score,
+                          run_bs_study, run_delta_comparison, run_time_convergence)
 from .grids import GridSpec, StretchKind, make_grid
 from .operators import BsParams, HestonParams, UpwindPolicy, to_sparse
 from .schemes import FREE_PARAMETER, FamilyKind, InfeasibleStepError, SchemeFamily
-from .spectra import eigenvalues_dense, write_spectrum
+from .spectra import DENSE_GUARD, eigenvalues_dense, write_spectrum
 
 __all__ = ["ConfigError", "RunConfig", "parse_config",
            "default_config", "dispatch", "main"]
@@ -101,15 +101,13 @@ def _choice(d: dict, key: str, enum, default, where: str):
     return enum(val)
 
 
-def _parse_grid(d: dict, defaults: GridSpec, path: str):
-    """(GridSpec, the grid it builds)."""
+def _parse_grid(d: dict, defaults: GridSpec, path: str) -> GridSpec:
     d = _mapping(d, path)
     _check_keys(d, {f.name for f in fields(GridSpec)}, path)
     kind = _choice(d, "kind", StretchKind, defaults.kind, f"{path}.kind")
-    spec = _built(path, GridSpec, kind, m=_int(d, "m", defaults.m, path),
+    return _built(path, GridSpec, kind, m=_int(d, "m", defaults.m, path),
                   **{key: _num(d, key, getattr(defaults, key), path)
                      for key in ("a", "b", "center", "lam", "alpha")})
-    return spec, _built(path, make_grid, spec)
 
 
 def _parse_scheme(d, path: str) -> SchemeFamily:
@@ -162,11 +160,6 @@ class RunConfig:
     payoff: Payoff
     l: int | None
     out_dir: str
-
-    def build_grids(self):
-        gx = make_grid(self.grid_x)
-        gv = make_grid(self.grid_v) if self.grid_v is not None else None
-        return gx, gv
 
     def to_json(self) -> str:
         cfg = {
@@ -238,18 +231,24 @@ def parse_config(text: str) -> RunConfig:
 
     grid_raw = _mapping(raw.get("grid", {}), "grid")
     _check_keys(grid_raw, {"x", "v"}, "grid")
-    grid_x, gx = _parse_grid(grid_raw.get("x", {}), gx_default, "grid.x")
+    grid_x = _parse_grid(grid_raw.get("x", {}), gx_default, "grid.x")
     if model == "bs":
         if "v" in grid_raw:
             raise ConfigError("grid.v: not meaningful for the 1-D model")
         grid_v = None
     else:
-        grid_v, gv = _parse_grid(grid_raw.get("v", {}), gv_default, "grid.v")
-        if gv.nodes[0] < 0.0:
+        grid_v = _parse_grid(grid_raw.get("v", {}), gv_default, "grid.v")
+        # every grid builder puts node 0 at a
+        if grid_v.a < 0.0:
             raise ConfigError(f"grid.v.a: the variance grid must start at v >= 0, "
                               f"got {grid_v.a:g}")
-        if gv.m < 2 and params.kappa * (params.theta - gv.nodes[0]) != 0.0:
+        if grid_v.m < 2 and params.kappa * (params.theta - grid_v.a) != 0.0:
             raise ConfigError("grid.v.m: a one-cell variance grid needs kappa*(theta - v_min) = 0")
+    # the price is read off the lattice at these points; off it, at the edge node
+    for key, spec, path in (("spot", grid_x, "grid.x"), ("v0", grid_v, "grid.v")):
+        if spec is not None and not spec.a <= getattr(params, key) <= spec.b:
+            raise ConfigError(f"params.{key}: need a value inside {path} [{spec.a:g}, "
+                              f"{spec.b:g}], got {getattr(params, key):g}")
 
     policy = _choice(raw, "policy", UpwindPolicy, policy_default, "policy")
     if model == "bs" and policy is UpwindPolicy.FOULON_REGION:
@@ -279,17 +278,12 @@ def parse_config(text: str) -> RunConfig:
 
     ref_raw = _mapping(raw.get("reference", {}), "reference")
     _check_keys(ref_raw, {"l_ref", "validate"}, "reference")
-    l_ref = _int(ref_raw, "l_ref", 4000, "reference", lo=3)
+    l_ref = _int(ref_raw, "l_ref", DEFAULT_L_REF, "reference", lo=3)
     validate = ref_raw.get("validate", True)
     if not isinstance(validate, bool):
         raise ConfigError(f"reference.validate: expected a boolean, got {validate!r}")
 
     payoff = _parse_payoff(raw.get("payoff"), payoff_default, "payoff")
-    lo, hi = payoff.window
-    held = np.count_nonzero(roi_mask(gx, lo, hi))
-    if held < 3:  # the oscillation metric needs a slice of 3 nodes
-        raise ConfigError(f"grid.x: need >= 3 nodes in the payoff's oscillation "
-                          f"window [{lo:g}, {hi:g}], got {held}")
 
     l = raw.get("l")
     if l is not None and (isinstance(l, bool) or not isinstance(l, int) or l < 1):
@@ -346,10 +340,10 @@ def _write_jsonl(path: Path, records) -> None:
                      + "\n")
 
 
-def _slice_rows(gx, gv, field):
-    vs = [0.0] if gv is None else gv.nodes
-    rows = np.reshape(field, (gx.nodes.size, len(vs)))
-    for i, x in enumerate(gx.nodes):
+def _slice_rows(op, field):
+    vs = [0.0] if op.gv is None else op.gv.nodes
+    rows = np.reshape(field, (op.gx.nodes.size, len(vs)))
+    for i, x in enumerate(op.gx.nodes):
         for j, v in enumerate(vs):
             yield x, v, rows[i, j]
 
@@ -359,25 +353,20 @@ def _sanitize(label: str) -> str:
             .replace(".", "p").replace(",", "_"))
 
 
-def _cmd_price(cfg: RunConfig, out: Path, l: int) -> list[dict]:
-    gx, gv = cfg.build_grids()
-    op, y0, rho, window = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
+def _cmd_price(cfg: RunConfig, setup: Setup, out: Path, l: int) -> list[dict]:
     runs = []
     for fam in cfg.schemes:
-        fld, _, run = run_and_score(fam, op, y0, cfg.params.expiry, l, rho, window,
-                                    cfg.params.spot, getattr(cfg.params, "v0", None))
+        fld, _, run = run_and_score(fam, setup, l)
         runs.append(run)
         _write_csv(out / f"price_{_sanitize(fam.label)}.csv", ["x", "v", "value"],
-                   _slice_rows(gx, gv, fld))
+                   _slice_rows(setup.op, fld))
     _write_json(out / "summary.json", {"l": l, "price_at_spot": {
         r.family: r.price_at_spot for r in runs}})
     return [asdict(r) for r in runs]
 
 
-def _cmd_converge(cfg: RunConfig, out: Path, l: int | None) -> list[dict]:
-    gx, gv = cfg.build_grids()
-    result = run_time_convergence(cfg.params, gx, gv, cfg.policy, cfg.payoff,
-                                  cfg.schemes, cfg.ladder, cfg.l_ref,
+def _cmd_converge(cfg: RunConfig, setup: Setup, out: Path, l: int | None) -> list[dict]:
+    result = run_time_convergence(setup, cfg.schemes, cfg.ladder, cfg.l_ref,
                                   cfg.validate_reference)
     summary = {}
     for fam in cfg.schemes:
@@ -394,35 +383,29 @@ def _cmd_converge(cfg: RunConfig, out: Path, l: int | None) -> list[dict]:
     return [asdict(r) for r in result.runs]
 
 
-def _cmd_spectrum(cfg: RunConfig, out: Path, l: int) -> list[dict]:
-    gx, gv = cfg.build_grids()
-    op, _, rho, _ = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
+def _cmd_spectrum(cfg: RunConfig, setup: Setup, out: Path, l: int) -> list[dict]:
     scale = cfg.params.expiry / l
-    spec = eigenvalues_dense(to_sparse(op), scale=scale)
+    spec = eigenvalues_dense(to_sparse(setup.op), scale=scale)
     write_spectrum(spec, out / "spectrum.csv")
-    return [{"rho_gershgorin": rho, "scale": scale,
+    return [{"rho_gershgorin": setup.rho, "scale": scale,
              "max_real": spec.max_real, "max_abs_imag": spec.max_abs_imag}]
 
 
-def _cmd_delta(cfg: RunConfig, out: Path, l: int) -> list[dict]:
-    gx, gv = cfg.build_grids()
-    results = run_delta_comparison(cfg.params, gx, gv, cfg.policy, cfg.payoff,
-                                   cfg.schemes, l)
-    v0_row = gv.nodes[0]
-    for label, (delta, _) in results.items():
+def _cmd_delta(cfg: RunConfig, setup: Setup, out: Path, l: int) -> list[dict]:
+    results = run_delta_comparison(setup, cfg.schemes, l)
+    for label, (delta, _) in results.items():  # the row at v = grid.v.a
         _write_csv(out / f"delta_{_sanitize(label)}.csv", ["x", "v", "value"],
-                   ((x, v0_row, d) for x, d in zip(gx.nodes, delta)))
+                   ((x, cfg.grid_v.a, d) for x, d in zip(setup.op.gx.nodes, delta)))
     _write_json(out / "summary.json", {"l": l, "osc_metric": {
         label: run.osc_metric for label, (_, run) in results.items()}})
     return [asdict(run) for _, run in results.values()]
 
 
-def _cmd_bs_demo(cfg: RunConfig, out: Path, l: int) -> list[dict]:
-    gx, _ = cfg.build_grids()
-    result = run_bs_study(cfg.params, gx, cfg.policy, cfg.payoff, cfg.schemes, l)
+def _cmd_bs_demo(cfg: RunConfig, setup: Setup, out: Path, l: int) -> list[dict]:
+    result = run_bs_study(setup, cfg.schemes, l)
     for label, curve in result.curves.items():
         _write_csv(out / f"price_{_sanitize(label)}.csv", ["x", "v", "value"],
-                   _slice_rows(gx, None, curve))
+                   _slice_rows(setup.op, curve))
     write_spectrum(result.spectrum, out / "spectrum.csv")
     _write_json(out / "summary.json", {
         "threshold": result.threshold,
@@ -433,15 +416,18 @@ def _cmd_bs_demo(cfg: RunConfig, out: Path, l: int) -> list[dict]:
 
 
 # name: (handler, the model it drives or None for either, the l it runs at
-# when the config gives none, help); converge takes its steps from the ladder
+# when the config gives none, whether it eigensolves the dense operator, help);
+# converge takes its steps from the ladder
 _COMMANDS = {
-    "price": (_cmd_price, None, 100, "integrate the payoff and write price slices"),
-    "converge": (_cmd_converge, "heston", None,
+    "price": (_cmd_price, None, 100, False,
+              "integrate the payoff and write price slices"),
+    "converge": (_cmd_converge, "heston", None, False,
                  "time-convergence ladder against the implicit reference"),
-    "spectrum": (_cmd_spectrum, None, 16, "dense eigenvalues of the scaled operator"),
-    "delta": (_cmd_delta, "heston", 10,
+    "spectrum": (_cmd_spectrum, None, 16, True,
+                 "dense eigenvalues of the scaled operator"),
+    "delta": (_cmd_delta, "heston", 10, False,
               "delta slices near v=0 for each configured scheme"),
-    "bs-demo": (_cmd_bs_demo, "bs", 100, "flat-volatility barrier study"),
+    "bs-demo": (_cmd_bs_demo, "bs", 100, True, "flat-volatility barrier study"),
 }
 
 
@@ -451,15 +437,26 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}; "
                           f"expected one of {sorted(_COMMANDS)}")
-    run, model, l_default, _ = _COMMANDS[cmd]
+    run, model, l_default, eigensolves, _ = _COMMANDS[cmd]
     if model is not None and cfg.model != model:
         dim = "2-D" if model == "heston" else "1-D"
         raise ConfigError(f"{cmd} drives the {dim} model; set model={model!r}")
+    gx = _built("grid.x", make_grid, cfg.grid_x)
+    gv = None if cfg.grid_v is None else _built("grid.v", make_grid, cfg.grid_v)
+    setup = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
+    held = np.count_nonzero(setup.window)
+    if held < 3:  # the oscillation metric needs a slice of 3 nodes
+        lo, hi = cfg.payoff.window
+        raise ConfigError(f"grid.x: need >= 3 nodes in the payoff's oscillation "
+                          f"window [{lo:g}, {hi:g}], got {held}")
+    if eigensolves and setup.op.size > DENSE_GUARD:
+        raise ConfigError(f"grid: {setup.op.size} nodes exceed the dense "
+                          f"eigensolve guard of {DENSE_GUARD}")
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # written first, so a run that fails still leaves the config that replays it
     (out / "config.json").write_text(replace(cfg, out_dir=str(out)).to_json() + "\n")
-    records = run(cfg, out, cfg.l or l_default)
+    records = run(cfg, setup, out, cfg.l or l_default)
     _write_jsonl(out / "run_log.jsonl", records)
     if strict and any(rec.get("exploded") for rec in records):
         print(f"{cmd}: explosion detected; failing due to --strict",
@@ -474,7 +471,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Finite-difference lab for super-time-stepping schemes "
                     "on pricing PDEs")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    for name, (_, _, _, help_text) in _COMMANDS.items():
+    for name, (*_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config path (defaults apply if omitted)")

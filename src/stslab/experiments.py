@@ -1,9 +1,9 @@
 """Payoffs, error metrics, and the experiment drivers.
 
-Every run starts from `prepare`, which assembles the operator and returns it
-with the payoff values, the spectral bound stage selection runs against and
-the window the oscillation metric reads; every scheme is then run and scored
-by `run_and_score`.  Three studies are built on these two steps:
+Every run starts from the `Setup` that `prepare` returns: the operator with
+the payoff values, the spectral bound stage selection runs against and the
+window the oscillation metric reads.  Every scheme is then run and scored on
+it by `run_and_score`.  Three studies take a setup and build on these steps:
 
 * a time-convergence ladder for the stochastic-volatility model: each family
   in turn runs the ladder against one Crank-Nicolson/Rannacher reference,
@@ -54,6 +54,7 @@ __all__ = [
     "clean_threshold",
     "price_at_spot",
     "run_and_score",
+    "Setup",
     "prepare",
     "default_heston_params",
     "default_bs_params",
@@ -62,6 +63,7 @@ __all__ = [
     "bs_uniform_grid",
     "bs_cubic_grid",
     "DEFAULT_LADDER",
+    "DEFAULT_L_REF",
     "ConvergenceResult",
     "run_time_convergence",
     "run_delta_comparison",
@@ -253,8 +255,12 @@ def clean_threshold(*clean_values: float, floor: float = 1e-8) -> float:
 
 def price_at_spot(f: np.ndarray, gx: Grid1D, spot: float,
                   gv: Grid1D | None = None, v: float | None = None) -> float:
-    """Linear (bilinear in 2-D) interpolation of the lattice at the spot."""
+    """Linear (bilinear in 2-D) interpolation at the spot; off the grid it raises."""
     f = np.asarray(f, dtype=float)
+    for name, point, g in (("spot", spot, gx), ("v", v, gv)):
+        if g is not None and point is not None and not g.nodes[0] <= point <= g.nodes[-1]:
+            raise ValueError(f"{name} {point:g} outside the grid "
+                             f"[{g.nodes[0]:g}, {g.nodes[-1]:g}]")
     if gv is None:
         if f.ndim != 1:
             raise ValueError("need the variance grid and coordinate for a 2-D field")
@@ -266,10 +272,20 @@ def price_at_spot(f: np.ndarray, gx: Grid1D, spot: float,
     return float(np.interp(v, gv.nodes, along_v))
 
 
-def run_and_score(family: SchemeFamily, op: StencilOperator, y0: np.ndarray,
-                  expiry: float, l: int, rho: float, window: np.ndarray,
-                  spot: float, v0: float | None):
-    """Run one family on op and score it; the one scoring path of every study.
+@dataclass(frozen=True)
+class Setup:
+    """What every run on one operator shares (see `prepare`); params give the
+    expiry, the spot and, in 2-D, v0, and y0 is the payoff on op's lattice."""
+
+    params: HestonParams | BsParams
+    op: StencilOperator
+    y0: np.ndarray
+    rho: float
+    window: np.ndarray
+
+
+def run_and_score(family: SchemeFamily, setup: Setup, l: int):
+    """Run one family on the setup and score it; the one scoring path of every study.
 
     The oscillation slice is the curve itself in 1-D and the delta at the
     lowest variance row in 2-D; the metric reads its `window` entries.  An
@@ -277,24 +293,25 @@ def run_and_score(family: SchemeFamily, op: StencilOperator, y0: np.ndarray,
     only `run_time_convergence` has a reference to score it against.  Returns
     (field, osc_slice, RunLog) with the score filled into the RunLog.
     """
-    fld, log = run_integrator(family, op, y0, expiry, l, rho=rho)
+    op, params = setup.op, setup.params
+    fld, log = run_integrator(family, op, setup.y0, params.expiry, l, rho=setup.rho)
     osc_slice = fld if op.gv is None else delta_surface(fld, op.gx)[:, 0]
     if log.exploded:
         log.osc_metric = math.inf
     else:
-        log.osc_metric = oscillation_metric(osc_slice[window])
-        log.price_at_spot = price_at_spot(fld, op.gx, spot, op.gv, v0)
+        log.osc_metric = oscillation_metric(osc_slice[setup.window])
+        log.price_at_spot = price_at_spot(fld, op.gx, params.spot, op.gv,
+                                          getattr(params, "v0", None))
     return fld, osc_slice, log
 
 
 def prepare(params: HestonParams | BsParams, gx: Grid1D, gv: Grid1D | None,
-            policy: UpwindPolicy, payoff: Payoff):
-    """The setup every run on one operator shares: (op, y0, rho, window).
+            policy: UpwindPolicy, payoff: Payoff) -> Setup:
+    """The setup every run on one operator shares; 1-D when gv is None.
 
-    The 1-D model is assembled when gv is None and the 2-D one otherwise.
     This is the one place that picks the spectral bound stage selection runs
-    against (the Gershgorin radius of op) and the x window the oscillation
-    metric reads (`payoff.window`).
+    against (rho, the Gershgorin radius of op) and the x window the
+    oscillation metric reads (`payoff.window`).
     """
     if gv is None:
         op = assemble_bs(params, gx, policy)
@@ -302,7 +319,7 @@ def prepare(params: HestonParams | BsParams, gx: Grid1D, gv: Grid1D | None,
         op = assemble_heston(params, gx, gv, policy)
     y0 = payoff_eval(payoff, gx, gv)
     window = roi_mask(gx, *payoff.window)
-    return op, y0, gershgorin_radius(op), window
+    return Setup(params, op, y0, gershgorin_radius(op), window)
 
 
 def default_heston_params() -> HestonParams:
@@ -342,6 +359,7 @@ def bs_cubic_grid(m: int = 400, alpha: float = 0.01, center: float = 100.0,
 
 
 DEFAULT_LADDER = (10, 20, 40, 80, 100, 200, 400, 800, 1600)
+DEFAULT_L_REF = 4000
 
 
 @dataclass
@@ -350,28 +368,25 @@ class ConvergenceResult:
     reference_check: float | None
 
 
-def run_time_convergence(params: HestonParams, gx: Grid1D, gv: Grid1D,
-                         policy: UpwindPolicy, payoff: Payoff,
-                         families: tuple[SchemeFamily, ...],
+def run_time_convergence(setup: Setup, families: tuple[SchemeFamily, ...],
                          ladder: tuple[int, ...] = DEFAULT_LADDER,
-                         l_ref: int = 4000,
+                         l_ref: int = DEFAULT_L_REF,
                          validate_reference: bool = True) -> ConvergenceResult:
-    """Run each family's ladder against one CN/Rannacher reference.
+    """Run each family's ladder on a 2-D setup against one CN/Rannacher reference.
 
     The reference is computed once on the shared operator, whatever the
     number of families, and with validate_reference its self-convergence
     against 2 * l_ref is checked once too.  The CN runs take turns on one
     worker thread while this one runs the ladder (their solves release the
-    GIL), so a reference that fails the check raises after the ladder.
+    GIL), so a reference that fails the check raises after the ladder.  The
+    rms error is taken over the oscillation window at v <= 1.
     """
-    op, y0, rho, window = prepare(params, gx, gv, policy, payoff)
-    t = params.expiry
-    roi = roi_mask(gx, *payoff.window, gv, 0.0, 1.0)
+    op, y0, t = setup.op, setup.y0, setup.params.expiry
+    roi = setup.window[:, None] & (op.gv.nodes <= 1.0)[None, :]  # every v node is >= 0
     steps = (l_ref, 2 * l_ref) if validate_reference else (l_ref,)
     with ThreadPoolExecutor(max_workers=1) as pool:
         refs = pool.map(crank_nicolson_run, repeat(op), repeat(y0), repeat(t), steps)
-        scored = [run_and_score(fam, op, y0, t, l, rho, window, params.spot, params.v0)
-                  for fam in families for l in ladder]
+        scored = [run_and_score(fam, setup, l) for fam in families for l in ladder]
         ref = next(refs)
         ref_check = rms_error(ref, next(refs), roi) if validate_reference else None
     if validate_reference and not ref_check < 1e-4:
@@ -383,21 +398,14 @@ def run_time_convergence(params: HestonParams, gx: Grid1D, gv: Grid1D,
     return ConvergenceResult([log for _, _, log in scored], ref_check)
 
 
-def run_delta_comparison(params: HestonParams, gx: Grid1D, gv: Grid1D,
-                         policy: UpwindPolicy, payoff: Payoff,
-                         families: tuple[SchemeFamily, ...], l: int):
+def run_delta_comparison(setup: Setup, families: tuple[SchemeFamily, ...], l: int):
     """Delta slices nearest v = 0 for each family; returns label -> (delta, RunLog).
 
     The oscillation metric is evaluated on the forward-difference delta at the
-    lowest variance row, inside the x window around the payoff level.
+    lowest variance row of the 2-D setup, inside the x window around the
+    payoff level.
     """
-    op, y0, rho, window = prepare(params, gx, gv, policy, payoff)
-    out = {}
-    for fam in families:
-        _, delta0, run = run_and_score(fam, op, y0, params.expiry, l, rho,
-                                       window, params.spot, params.v0)
-        out[fam.label] = (delta0, run)
-    return out
+    return {fam.label: run_and_score(fam, setup, l)[1:] for fam in families}
 
 
 @dataclass
@@ -408,10 +416,9 @@ class BsStudyResult:
     spectrum: Spectrum
 
 
-def run_bs_study(params: BsParams, gx: Grid1D, policy: UpwindPolicy,
-                 payoff: Payoff, families: tuple[SchemeFamily, ...],
+def run_bs_study(setup: Setup, families: tuple[SchemeFamily, ...],
                  l: int) -> BsStudyResult:
-    """Price the barrier with each family plus TR-BDF2; calibrate cleanliness.
+    """Price the barrier on a 1-D setup with each family plus TR-BDF2.
 
     The oscillation threshold is three times the worst of two baselines,
     TR-BDF2 and the Gegenbauer scheme, plus a small floor, so "oscillating" is
@@ -421,20 +428,18 @@ def run_bs_study(params: BsParams, gx: Grid1D, policy: UpwindPolicy,
     the threshold lands above every family, and no family can be judged
     oscillating by it; compare such a scenario against a fitted one instead.
     """
-    op, y0, rho, window = prepare(params, gx, None, policy, payoff)
-
+    op, params = setup.op, setup.params
     t0 = time.perf_counter()
-    f_ref = trbdf2_run(op, y0, params.expiry, l)
+    f_ref = trbdf2_run(op, setup.y0, params.expiry, l)
     curves = {"trbdf2": f_ref}
     runs = [RunLog(family="trbdf2", eps_or_g=None, l=l,
                    dt=float(params.expiry / l),
                    wall_time=time.perf_counter() - t0,
-                   osc_metric=oscillation_metric(f_ref[window]),
-                   price_at_spot=price_at_spot(f_ref, gx, params.spot))]
+                   osc_metric=oscillation_metric(f_ref[setup.window]),
+                   price_at_spot=price_at_spot(f_ref, op.gx, params.spot))]
 
     for fam in families:
-        fld, _, run = run_and_score(fam, op, y0, params.expiry, l, rho,
-                                    window, params.spot, None)
+        fld, _, run = run_and_score(fam, setup, l)
         curves[fam.label] = fld
         runs.append(run)
 

@@ -31,7 +31,7 @@ class GridSpec:
     center is the point nodes concentrate around.  For sinh meshes lam is the
     width of the dense region (smaller lam means stronger clustering); for
     cubic meshes alpha weights the linear term of the mapping (larger alpha
-    means closer to uniform).
+    means closer to uniform).  Construction checks every bound of the kind.
     """
 
     kind: StretchKind
@@ -49,6 +49,12 @@ class GridSpec:
             raise ValueError(f"need alpha > 0, got {self.alpha!r}")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a!r}, b={self.b!r}")
+        least = {StretchKind.UNIFORM: 1, StretchKind.SINH: 2, StretchKind.CUBIC: 4}[self.kind]
+        if self.m < least:
+            what = " for a cubic mesh" if self.kind is StretchKind.CUBIC else ""
+            raise ValueError(f"need m >= {least}{what}, got {self.m}")
+        if self.kind is StretchKind.CUBIC and not self.a <= self.center <= self.b:
+            raise ValueError(f"center {self.center!r} outside [{self.a!r}, {self.b!r}]")
 
 
 @dataclass(frozen=True)
@@ -79,10 +85,7 @@ class Grid1D:
 
 
 def make_uniform(a: float, b: float, m: int) -> Grid1D:
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
+    GridSpec(StretchKind.UNIFORM, a, b, m)  # its bound checks
     return Grid1D(np.linspace(a, b, m + 1))
 
 
@@ -93,8 +96,6 @@ def make_sinh(spec: GridSpec) -> Grid1D:
     roughly proportionally to distance from the center once it exceeds lam.
     """
     a, b, m = spec.a, spec.b, spec.m
-    if m < 2:
-        raise ValueError(f"need m >= 2, got {m}")
     c1 = np.arcsinh((a - spec.center) / spec.lam)
     c2 = np.arcsinh((b - spec.center) / spec.lam)
     eta = np.linspace(0.0, 1.0, m + 1)
@@ -132,10 +133,6 @@ def make_cubic(spec: GridSpec) -> Grid1D:
     smallest near spec.center and grows cubically away from it.
     """
     a, b, m = spec.a, spec.b, spec.m
-    if m < 4:
-        raise ValueError(f"need m >= 4 for a cubic mesh, got {m}")
-    if not a <= spec.center <= b:
-        raise ValueError(f"center {spec.center!r} outside [{a!r}, {b!r}]")
     ua = _solve_depressed_cubic(spec.alpha, a - spec.center)
     ub = _solve_depressed_cubic(spec.alpha, b - spec.center)
     ga = ua * (ua * ua + spec.alpha)
@@ -154,6 +151,4 @@ def make_grid(spec: GridSpec) -> Grid1D:
         return make_uniform(spec.a, spec.b, spec.m)
     if spec.kind is StretchKind.SINH:
         return make_sinh(spec)
-    if spec.kind is StretchKind.CUBIC:
-        return make_cubic(spec)
-    raise ValueError(f"unknown stretch kind {spec.kind!r}")
+    return make_cubic(spec)  # GridSpec admits no other kind

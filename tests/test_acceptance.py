@@ -22,7 +22,7 @@ from stslab.experiments import (DEFAULT_LADDER, BsStudyResult, bs_closed_form,
                                 bs_cubic_grid, bs_uniform_grid, call, default_bs_params,
                                 default_heston_params, digital_range,
                                 foulon_grid_v, foulon_grid_x, payoff_eval,
-                                price_at_spot, rms_error, roi_mask,
+                                prepare, price_at_spot, rms_error, roi_mask,
                                 run_bs_study, run_delta_comparison,
                                 run_time_convergence)
 from stslab.implicit import banded_factor, crank_nicolson_run, operator_banded
@@ -58,7 +58,7 @@ def ladder_results(stress):
     results = {}
     for policy, ladder in ladders.items():
         results[policy] = run_time_convergence(
-            params, gx, gv, policy, call(params.strike), (rkc(10.0),),
+            prepare(params, gx, gv, policy, call(params.strike)), (rkc(10.0),),
             ladder=ladder, l_ref=4000, validate_reference=True)
     return results, perf_counter() - t0
 
@@ -76,7 +76,7 @@ def bs_results():
         "cubic-20": (cubic, UpwindPolicy.PARTIAL_FITTING, 20),
         "cubic-50": (cubic, UpwindPolicy.PARTIAL_FITTING, 50),
     }
-    return {key: run_bs_study(params, grid, policy, payoff, families, l)
+    return {key: run_bs_study(prepare(params, grid, None, policy, payoff), families, l)
             for key, (grid, policy, l) in scenarios.items()}
 
 
@@ -133,9 +133,8 @@ def test_a2_spectrum_imaginary_ratio(stress, capsys):
 
 def test_a3_delta_oscillation_by_family(stress, capsys):
     params, gx, gv = stress
-    out = run_delta_comparison(params, gx, gv, UpwindPolicy.PARTIAL_FITTING,
-                               call(params.strike), (rkc(10.0), rkl(), rkg(2.0)),
-                               l=10)
+    setup = prepare(params, gx, gv, UpwindPolicy.PARTIAL_FITTING, call(params.strike))
+    out = run_delta_comparison(setup, (rkc(10.0), rkl(), rkg(2.0)), l=10)
     osc = {label: run.osc_metric for label, (_, run) in out.items()}
     floor = max(osc["rkc(eps=10)"], 1e-8)
     legendre_osc = osc["rkl"] >= 10.0 * floor

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 import stslab.experiments
+import stslab.grids
 from stslab.cli import (ConfigError, default_config, dispatch, main,
                         parse_config)
 from stslab.experiments import (DEFAULT_LADDER, PayoffKind, bs_uniform_grid,
                                 default_bs_params, default_heston_params,
                                 foulon_grid_v, foulon_grid_x)
-from stslab.grids import StretchKind
+from stslab.grids import StretchKind, make_grid
 from stslab.operators import BsParams, HestonParams, UpwindPolicy
 from stslab.schemes import FamilyKind, InfeasibleStepError
 
@@ -50,14 +51,12 @@ def test_bs_defaults():
 def test_defaults_are_the_experiment_defaults():
     cfg = default_config()
     assert cfg.params == default_heston_params()
-    gx, gv = cfg.build_grids()
-    assert gx.nodes.tobytes() == foulon_grid_x(100.0, 100).nodes.tobytes()
-    assert gv.nodes.tobytes() == foulon_grid_v(50).nodes.tobytes()
+    assert make_grid(cfg.grid_x).nodes.tobytes() == foulon_grid_x(100.0, 100).nodes.tobytes()
+    assert make_grid(cfg.grid_v).nodes.tobytes() == foulon_grid_v(50).nodes.tobytes()
     cfg = default_config("bs")
     assert cfg.params == default_bs_params()
-    gx, gv = cfg.build_grids()
-    assert gv is None
-    assert gx.nodes.tobytes() == bs_uniform_grid().nodes.tobytes()
+    assert cfg.grid_v is None
+    assert make_grid(cfg.grid_x).nodes.tobytes() == bs_uniform_grid().nodes.tobytes()
 
 
 @pytest.mark.parametrize("model", ["heston", "bs"])
@@ -455,38 +454,74 @@ def test_main_reports_uncertifiable_table(tmp_path, capsys):
     assert "the coefficient table is not finite" in err
 
 
+def unrunnable(payload, message, id, cmd="price"):
+    return pytest.param(payload, message, cmd, id=id)
+
+
 # Each was accepted by the parser and then failed inside a command, some only
-# after every scheme had run; each bound now lives in the type that uses it.
+# after every scheme had run, or ran and wrote a wrong number; each is now
+# refused by the parser or by dispatch before it writes.
 UNRUNNABLE = [
-    pytest.param({"model": "bs", "grid": {"x": {"kind": "cubic", "m": 2}}},
-                 "grid.x: need m >= 4 for a cubic mesh, got 2", id="bs-cubic-m2"),
-    pytest.param({"model": "bs", "grid": {"x": {"kind": "cubic", "center": 900.0}}},
-                 "grid.x: center 900.0 outside [0.0, 150.0]", id="bs-cubic-center"),
-    pytest.param({"grid": {"v": {"m": 1}}}, "grid.v: need m >= 2, got 1",
-                 id="heston-sinh-v-m1"),
-    pytest.param({"grid": {"v": {"kind": "uniform", "a": -1.0}}},
-                 "grid.v.a: the variance grid must start at v >= 0, got -1",
-                 id="heston-v-below-0"),
-    pytest.param({"grid": {"v": {"kind": "uniform", "m": 1}}},
-                 "grid.v.m: a one-cell variance grid needs kappa*(theta - v_min) = 0",
-                 id="heston-v-one-cell"),
-    pytest.param({"grid": {"x": {"kind": "uniform", "a": -100.0, "m": 16}}},
-                 "grid.x: need >= 3 nodes in the payoff's oscillation window "
-                 "[50, 150], got 2", id="heston-window-2-nodes"),
-    pytest.param({"model": "bs", "grid": {"x": {"m": 1}}},
-                 "grid.x: need >= 3 nodes in the payoff's oscillation window "
-                 "[50, 150], got 1", id="bs-x-m1"),
-    pytest.param({"model": "bs", "payoff": {"kind": "digital-range", "low": 200.0,
-                                            "high": 300.0}},
-                 "grid.x: need >= 3 nodes in the payoff's oscillation window "
-                 "[150, 450], got 1", id="bs-digital-off-grid"),
+    unrunnable({"model": "bs", "grid": {"x": {"kind": "cubic", "m": 2}}},
+               "grid.x: need m >= 4 for a cubic mesh, got 2", id="bs-cubic-m2"),
+    unrunnable({"model": "bs", "grid": {"x": {"kind": "cubic", "center": 900.0}}},
+               "grid.x: center 900.0 outside [0.0, 150.0]", id="bs-cubic-center"),
+    unrunnable({"grid": {"v": {"m": 1}}}, "grid.v: need m >= 2, got 1",
+               id="heston-sinh-v-m1"),
+    unrunnable({"grid": {"v": {"kind": "uniform", "a": -1.0}}},
+               "grid.v.a: the variance grid must start at v >= 0, got -1",
+               id="heston-v-below-0"),
+    unrunnable({"grid": {"v": {"kind": "uniform", "m": 1}}},
+               "grid.v.m: a one-cell variance grid needs kappa*(theta - v_min) = 0",
+               id="heston-v-one-cell"),
+    unrunnable({"grid": {"x": {"kind": "uniform", "a": -100.0, "m": 16}}},
+               "grid.x: need >= 3 nodes in the payoff's oscillation window "
+               "[50, 150], got 2", id="heston-window-2-nodes"),
+    unrunnable({"model": "bs", "grid": {"x": {"m": 1}}},
+               "grid.x: need >= 3 nodes in the payoff's oscillation window "
+               "[50, 150], got 1", id="bs-x-m1"),
+    unrunnable({"model": "bs", "payoff": {"kind": "digital-range", "low": 200.0,
+                                          "high": 300.0}},
+               "grid.x: need >= 3 nodes in the payoff's oscillation window "
+               "[150, 450], got 1", id="bs-digital-off-grid"),
+    # the dense eigensolve refused its matrix after the config was written, and
+    # bs-demo only after TR-BDF2 and every scheme had run
+    unrunnable({"grid": {"x": {"m": 200}, "v": {"m": 100}}},
+               "grid: 20301 nodes exceed the dense eigensolve guard of 10000",
+               id="spectrum-20301-nodes", cmd="spectrum"),
+    unrunnable({"model": "bs", "grid": {"x": {"m": 10000}}},
+               "grid: 10001 nodes exceed the dense eigensolve guard of 10000",
+               id="bs-demo-10001-nodes", cmd="bs-demo"),
+    # the price was read at the grid's edge
+    unrunnable({"params": {"spot": 1000.0}},
+               "params.spot: need a value inside grid.x [0, 800], got 1000",
+               id="heston-spot-off-grid"),
+    unrunnable({"params": {"v0": 9.0}},
+               "params.v0: need a value inside grid.v [0, 5], got 9",
+               id="heston-v0-off-grid"),
 ]
 
 
-@pytest.mark.parametrize("payload,message", UNRUNNABLE)
-def test_unrunnable_config_fails_before_any_file(tmp_path, capsys, payload, message):
+@pytest.mark.parametrize("payload,message,cmd", UNRUNNABLE)
+def test_unrunnable_config_fails_before_any_file(tmp_path, capsys, payload, message, cmd):
     cfg = write_config(tmp_path, payload)
     out = tmp_path / "out"
-    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_each_grid_is_built_once(tmp_path, monkeypatch):
+    """parse_config reads the grid recipes; dispatch builds each grid once."""
+    built = []
+    real = stslab.grids.make_sinh
+
+    def counting(spec):
+        built.append(spec.m)
+        return real(spec)
+
+    monkeypatch.setattr(stslab.grids, "make_sinh", counting)
+    cfg = parse_config(json.dumps({"grid": {"x": {"m": 16}, "v": {"m": 8}}}))
+    assert built == []
+    assert dispatch("price", cfg, out_dir=str(tmp_path)) == 0
+    assert built == [16, 8]

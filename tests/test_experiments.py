@@ -17,7 +17,7 @@ from stslab.experiments import (bs_closed_form, bs_cubic_grid, bs_uniform_grid,
                                 default_heston_params, delta_surface,
                                 digital_range, foulon_grid_v, foulon_grid_x,
                                 oscillation_metric, payoff_eval, price_at_spot,
-                                prepare, put, rms_error, roi_mask,
+                                Setup, prepare, put, rms_error, roi_mask,
                                 run_and_score, run_bs_study,
                                 run_delta_comparison, run_time_convergence)
 from stslab.grids import Grid1D, make_uniform
@@ -233,10 +233,19 @@ def test_price_at_spot_interpolation():
     gv = make_uniform(0.0, 1.0, 4)
     surf = np.outer(g.nodes, gv.nodes)
     assert price_at_spot(surf, g, 3.5, gv, 0.6) == pytest.approx(3.5 * 0.6)
+    assert price_at_spot(f, g, 10.0) == pytest.approx(31.0)  # the edges are on the grid
+    assert price_at_spot(surf, g, 0.0, gv, 1.0) == 0.0
     with pytest.raises(ValueError, match="2-D field"):
         price_at_spot(surf, g, 3.5)
     with pytest.raises(ValueError, match="variance coordinate"):
         price_at_spot(surf, g, 3.5, gv)
+    # off the grid, interpolation would clamp to the edge value
+    with pytest.raises(ValueError, match=r"spot 10.5 outside the grid \[0, 10\]"):
+        price_at_spot(f, g, 10.5)
+    with pytest.raises(ValueError, match=r"spot -1 outside the grid \[0, 10\]"):
+        price_at_spot(surf, g, -1.0, gv, 0.6)
+    with pytest.raises(ValueError, match=r"v 1.5 outside the grid \[0, 1\]"):
+        price_at_spot(surf, g, 3.5, gv, 1.5)
 
 
 # ------------------------------------------------------------- grid builders
@@ -259,11 +268,15 @@ def test_bs_grid_builders():
 
 # ---------------------------------------------------------------- the drivers
 
-def test_time_convergence_small(heston_params, gx_small, gv_small):
-    res = run_time_convergence(
-        heston_params, gx_small, gv_small, UpwindPolicy.PARTIAL_FITTING,
-        call(heston_params.strike), (rkc(10.0),), ladder=(20, 40), l_ref=400,
-        validate_reference=True)
+@pytest.fixture
+def heston_setup(heston_params, gx_small, gv_small):
+    return prepare(heston_params, gx_small, gv_small, UpwindPolicy.PARTIAL_FITTING,
+                   call(heston_params.strike))
+
+
+def test_time_convergence_small(heston_params, gx_small, heston_setup):
+    res = run_time_convergence(heston_setup, (rkc(10.0),), ladder=(20, 40), l_ref=400,
+                               validate_reference=True)
     assert res.reference_check is not None and res.reference_check < 1e-4
     assert [r.l for r in res.runs] == [20, 40]
     assert not any(r.exploded for r in res.runs)
@@ -271,23 +284,20 @@ def test_time_convergence_small(heston_params, gx_small, gv_small):
     assert all(np.isfinite(r.price_at_spot) for r in res.runs)
     assert all(r.family == "rkc(eps=10)" for r in res.runs)
     # a call gains value with variance; check the reference at the money
-    op, y0, _, _ = prepare(heston_params, gx_small, gv_small,
-                           UpwindPolicy.PARTIAL_FITTING, call(heston_params.strike))
-    ref = crank_nicolson_run(op, y0, heston_params.expiry, 400)
+    ref = crank_nicolson_run(heston_setup.op, heston_setup.y0, heston_params.expiry, 400)
     i = int(np.argmin(np.abs(gx_small.nodes - heston_params.strike)))
     dv = np.diff(ref[i, :])
     assert dv.min() > -1e-8 * np.abs(ref[i, :]).max()
 
 
-def serial_time_convergence(params, gx, gv, policy, payoff, families, ladder, l_ref):
+def serial_time_convergence(setup, payoff, families, ladder, l_ref):
     """The serial driver: both CN runs first, then each rung scored against ref
     (an exploded rung has no field to score and reads inf)."""
-    op, y0, rho, window = prepare(params, gx, gv, policy, payoff)
-    roi = roi_mask(gx, 0.5 * payoff.level, 1.5 * payoff.level, gv, 0.0, 1.0)
-    ref = crank_nicolson_run(op, y0, params.expiry, l_ref)
-    ref2 = crank_nicolson_run(op, y0, params.expiry, 2 * l_ref)
-    scored = [run_and_score(fam, op, y0, params.expiry, l, rho, window, params.spot,
-                            params.v0) for fam in families for l in ladder]
+    op, y0, expiry = setup.op, setup.y0, setup.params.expiry
+    roi = roi_mask(op.gx, 0.5 * payoff.level, 1.5 * payoff.level, op.gv, 0.0, 1.0)
+    ref = crank_nicolson_run(op, y0, expiry, l_ref)
+    ref2 = crank_nicolson_run(op, y0, expiry, 2 * l_ref)
+    scored = [run_and_score(fam, setup, l) for fam in families for l in ladder]
     for fld, _, log in scored:
         log.rms_error = float("inf") if log.exploded else rms_error(fld, ref, roi)
     return scored, rms_error(ref, ref2, roi)
@@ -309,9 +319,10 @@ def test_time_convergence_matches_serial_oracle_bitwise(rho_scale, exploded, hes
     real_radius = stslab.experiments.gershgorin_radius
     monkeypatch.setattr(stslab.experiments, "gershgorin_radius",
                         lambda op: rho_scale * real_radius(op))
-    args = (heston_params, gx_small, gv_small, UpwindPolicy.PARTIAL_FITTING,
-            call(heston_params.strike), (rkc(10.0), rkl()), (10, 20))
-    want, want_check = serial_time_convergence(*args, 400)
+    payoff = call(heston_params.strike)
+    setup = prepare(heston_params, gx_small, gv_small, UpwindPolicy.PARTIAL_FITTING, payoff)
+    args = (setup, (rkc(10.0), rkl()), (10, 20))
+    want, want_check = serial_time_convergence(setup, payoff, *args[1:], 400)
     fields = []
     real_score = stslab.experiments.run_and_score
 
@@ -332,34 +343,25 @@ def test_time_convergence_matches_serial_oracle_bitwise(rho_scale, exploded, hes
     assert [f.tobytes() for f in fields] == [w[0].tobytes() for w in want]
 
 
-def test_time_convergence_unconverged_reference_raises(heston_params, gx_small,
-                                                       gv_small):
+def test_time_convergence_unconverged_reference_raises(heston_setup):
     with pytest.raises(RuntimeError,
                        match=r"reference not self-converged: rms\(l=3, l=6\) = "):
-        run_time_convergence(heston_params, gx_small, gv_small,
-                             UpwindPolicy.PARTIAL_FITTING, call(heston_params.strike),
-                             (rkc(10.0),), ladder=(20,), l_ref=3)
+        run_time_convergence(heston_setup, (rkc(10.0),), ladder=(20,), l_ref=3)
 
 
-def test_time_convergence_reference_error_propagates(heston_params, gx_small,
-                                                     gv_small, monkeypatch):
+def test_time_convergence_reference_error_propagates(heston_setup, monkeypatch):
     def failing(op, y0, expiry, l):
         raise np.linalg.LinAlgError(f"no reference at l={l}")
 
     before = threading.active_count()
     monkeypatch.setattr(stslab.experiments, "crank_nicolson_run", failing)
     with pytest.raises(np.linalg.LinAlgError, match="no reference at l=400"):
-        run_time_convergence(heston_params, gx_small, gv_small,
-                             UpwindPolicy.PARTIAL_FITTING, call(heston_params.strike),
-                             (rkc(10.0),), ladder=(20,), l_ref=400)
+        run_time_convergence(heston_setup, (rkc(10.0),), ladder=(20,), l_ref=400)
     assert threading.active_count() == before
 
 
-def test_delta_comparison_smoke(heston_params, gx_small, gv_small):
-    out = run_delta_comparison(heston_params, gx_small, gv_small,
-                               UpwindPolicy.PARTIAL_FITTING,
-                               call(heston_params.strike),
-                               (rkc(10.0), rkl(), rkg(2.0)), l=10)
+def test_delta_comparison_smoke(gx_small, heston_setup):
+    out = run_delta_comparison(heston_setup, (rkc(10.0), rkl(), rkg(2.0)), l=10)
     assert set(out) == {"rkc(eps=10)", "rkl", "rkg(g=2)"}
     for label, (delta, run) in out.items():
         assert np.isfinite(run.osc_metric) and run.osc_metric >= 0.0
@@ -369,9 +371,9 @@ def test_delta_comparison_smoke(heston_params, gx_small, gv_small):
 
 
 def test_bs_study_structure(bs_params):
-    res = run_bs_study(bs_params, bs_uniform_grid(m=60), UpwindPolicy.NONE,
-                       digital_range(10.0, 100.0), (rkl(), rkg(2.0), rkc(10.0)),
-                       l=40)
+    setup = prepare(bs_params, bs_uniform_grid(m=60), None, UpwindPolicy.NONE,
+                    digital_range(10.0, 100.0))
+    res = run_bs_study(setup, (rkl(), rkg(2.0), rkc(10.0)), l=40)
     assert [r.family for r in res.runs] == ["trbdf2", "rkl", "rkg(g=2)",
                                             "rkc(eps=10)"]
     assert set(res.curves) == {"trbdf2", "rkl", "rkg(g=2)", "rkc(eps=10)"}
@@ -390,15 +392,15 @@ def test_run_and_score_explosion(dim, heston_params, bs_params, gx_small, gv_sma
         op = assemble_heston(heston_params, gx_small, gv_small,
                              UpwindPolicy.PARTIAL_FITTING)
         y0 = payoff_eval(call(100.0), gx_small, gv_small)
-        v0 = heston_params.v0
+        params = heston_params
     else:
         op = assemble_bs(bs_params, bs_cubic_grid(m=100),
                          UpwindPolicy.PARTIAL_FITTING)
         y0 = payoff_eval(digital_range(10.0, 100.0), op.gx)
-        v0 = None
-    window = roi_mask(op.gx, 50.0, 150.0)
-    fld, osc_slice, run = run_and_score(rkl(), op, y0, 1.0, 100, 1e-6, window,
-                                        100.0, v0)
+        params = bs_params
+    assert (params.expiry, params.spot) == (1.0, 100.0)
+    setup = Setup(params, op, y0, 1e-6, roi_mask(op.gx, 50.0, 150.0))
+    fld, osc_slice, run = run_and_score(rkl(), setup, 100)
     assert run.exploded and run.explosion_step is not None
     assert run.osc_metric == float("inf") and np.isnan(run.price_at_spot)
     assert np.isnan(run.rms_error)  # only the convergence ladder scores rms
