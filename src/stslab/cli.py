@@ -31,10 +31,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (DEFAULT_L_REF, DEFAULT_LADDER, Payoff, PayoffKind,
-                          Setup, call, default_bs_params, default_heston_params,
-                          digital_range, prepare, put, run_and_score,
-                          run_bs_study, run_delta_comparison, run_time_convergence)
+from .experiments import (DEFAULT_L_REF, DEFAULT_LADDER, Payoff, PayoffKind, Setup,
+                          bs_uniform_spec, call, default_bs_params, default_heston_params,
+                          digital_range, foulon_spec_v, foulon_spec_x, prepare, put,
+                          run_and_score, run_bs_study, run_delta_comparison, run_time_convergence)
 from .grids import GridSpec, StretchKind, make_grid
 from .operators import BsParams, HestonParams, UpwindPolicy, to_sparse
 from .schemes import FREE_PARAMETER, FamilyKind, InfeasibleStepError, SchemeFamily
@@ -217,17 +217,12 @@ def parse_config(text: str) -> RunConfig:
 
     if model == "heston":
         params = _parse_params(raw.get("params", {}), default_heston_params())
-        gx_default = GridSpec(StretchKind.SINH, 0.0, 8.0 * params.strike, 100,
-                              center=params.strike, lam=params.strike / 5.0)
-        gv_default = GridSpec(StretchKind.SINH, 0.0, 5.0, 50, center=0.0, lam=0.01)
-        policy_default = UpwindPolicy.PARTIAL_FITTING
-        payoff_default = call(params.strike)
+        gx_default, gv_default = foulon_spec_x(params.strike), foulon_spec_v()
+        policy_default, payoff_default = UpwindPolicy.PARTIAL_FITTING, call(params.strike)
     else:
         params = _parse_params(raw.get("params", {}), default_bs_params())
-        gx_default = GridSpec(StretchKind.UNIFORM, 0.0, 150.0, 100)
-        gv_default = None
-        policy_default = UpwindPolicy.NONE
-        payoff_default = digital_range(10.0, 100.0)
+        gx_default, gv_default = bs_uniform_spec(), None
+        policy_default, payoff_default = UpwindPolicy.NONE, digital_range(10.0, 100.0)
 
     grid_raw = _mapping(raw.get("grid", {}), "grid")
     _check_keys(grid_raw, {"x", "v"}, "grid")

@@ -32,7 +32,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .grids import Grid1D, GridSpec, StretchKind, make_cubic, make_sinh, make_uniform
+from .grids import Grid1D, GridSpec, StretchKind, make_grid
 from .implicit import crank_nicolson_run, trbdf2_run
 from .operators import (BsParams, HestonParams, StencilOperator, UpwindPolicy,
                         assemble_bs, assemble_heston, to_sparse)
@@ -58,6 +58,9 @@ __all__ = [
     "prepare",
     "default_heston_params",
     "default_bs_params",
+    "foulon_spec_x",
+    "foulon_spec_v",
+    "bs_uniform_spec",
     "foulon_grid_x",
     "foulon_grid_v",
     "bs_uniform_grid",
@@ -333,29 +336,35 @@ def default_bs_params() -> BsParams:
     return BsParams(sigma=0.02, r=0.10, q=0.0, spot=100.0, expiry=1.0)
 
 
-X_MAX_MULT = 8.0
-V_MAX = 5.0
+def foulon_spec_x(strike: float, m: int = 100) -> GridSpec:
+    """Sinh-stretched x grid on [0, 8K] concentrated at the strike, lam = K/5."""
+    return GridSpec(StretchKind.SINH, 0.0, 8.0 * strike, m, center=strike, lam=strike / 5.0)
+
+
+def foulon_spec_v(n: int = 50, v_max: float = 5.0) -> GridSpec:
+    """Sinh-stretched v grid on [0, v_max], concentrated hard at v = 0."""
+    return GridSpec(StretchKind.SINH, 0.0, v_max, n, lam=v_max / 500.0)
+
+
+def bs_uniform_spec(m: int = 100, x_max: float = 150.0) -> GridSpec:
+    return GridSpec(StretchKind.UNIFORM, 0.0, x_max, m)
 
 
 def foulon_grid_x(strike: float, m: int = 100) -> Grid1D:
-    """Sinh-stretched x grid on [0, 8K] concentrated at the strike, lam = K/5."""
-    return make_sinh(GridSpec(StretchKind.SINH, 0.0, X_MAX_MULT * strike, m,
-                              center=strike, lam=strike / 5.0))
+    return make_grid(foulon_spec_x(strike, m))
 
 
-def foulon_grid_v(n: int = 50, v_max: float = V_MAX) -> Grid1D:
-    """Sinh-stretched v grid on [0, v_max], concentrated hard at v = 0."""
-    return make_sinh(GridSpec(StretchKind.SINH, 0.0, v_max, n, lam=v_max / 500.0))
+def foulon_grid_v(n: int = 50, v_max: float = 5.0) -> Grid1D:
+    return make_grid(foulon_spec_v(n, v_max))
 
 
 def bs_uniform_grid(m: int = 100, x_max: float = 150.0) -> Grid1D:
-    return make_uniform(0.0, x_max, m)
+    return make_grid(bs_uniform_spec(m, x_max))
 
 
 def bs_cubic_grid(m: int = 400, alpha: float = 0.01, center: float = 100.0,
                   x_max: float = 150.0) -> Grid1D:
-    return make_cubic(GridSpec(StretchKind.CUBIC, 0.0, x_max, m, center=center,
-                               alpha=alpha))
+    return make_grid(GridSpec(StretchKind.CUBIC, 0.0, x_max, m, center=center, alpha=alpha))
 
 
 DEFAULT_LADDER = (10, 20, 40, 80, 100, 200, 400, 800, 1600)
