@@ -347,6 +347,7 @@ def foulon_spec_v(n: int = 50, v_max: float = 5.0) -> GridSpec:
 
 
 def bs_uniform_spec(m: int = 100, x_max: float = 150.0) -> GridSpec:
+    """Uniform x grid on [0, x_max], the default Black-Scholes grid."""
     return GridSpec(StretchKind.UNIFORM, 0.0, x_max, m)
 
 

@@ -199,8 +199,7 @@ def trbdf2_run(op: StencilOperator, initial: np.ndarray, expiry: float,
         raise ValueError(f"need l >= 1, got {l}")
     if not expiry > 0.0:
         raise ValueError(f"need expiry > 0, got {expiry!r}")
-    g = TRBDF2_GAMMA
-    k = expiry / l
+    g, k = TRBDF2_GAMMA, expiry / l
     lu_tr = banded_factor(operator_banded(op, 1.0, -0.5 * g * k))
     lu_bdf = banded_factor(operator_banded(op, 1.0, -k * (1.0 - g) / (2.0 - g)))
     c_mid = 1.0 / (g * (2.0 - g))
