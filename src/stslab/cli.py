@@ -11,13 +11,15 @@ the JSON shape (known keys, types, finite numbers, named choices), the
 parameters, grid recipes, schemes and payoff, whose own bound checks it
 reports with the config path, and the rules that span two keys.  Before it
 writes anything, `dispatch` checks the command against `_COMMANDS` (each
-command's model, default l, eigensolve and help, stated once) and builds
-the run once: the grids, the `prepare` setup and the rules that need them.
-So a config that passes runs and one that cannot fails before anything is
-written.  Data CSVs contain no timings, so identical configs produce
-byte-identical files; wall times go to the run log only.  JSON files are
-strict JSON: a non-finite number (an unscored field, an infinite margin, an
-exploded price) is written as null.
+command's model, default l, eigensolve and help, stated once) and builds the
+run once: the grids, the `prepare` setup, the rules that need them (a finite
+operator, the oscillation window) and the one dense eigensolve of `spectrum`
+and `bs-demo`, whose size guard refuses a large lattice.  So a config that
+passes runs and one that cannot fails before anything is written.  Data CSVs
+contain no timings, so identical configs produce byte-identical files; wall
+times go to the run log only.  JSON files are strict JSON: a non-finite
+number (an unscored field, an infinite margin, an exploded price) is written
+as null.
 """
 
 from __future__ import annotations
@@ -36,12 +38,11 @@ from .experiments import (DEFAULT_L_REF, DEFAULT_LADDER, Payoff, PayoffKind, Set
                           digital_range, foulon_spec_v, foulon_spec_x, prepare, put,
                           run_and_score, run_bs_study, run_delta_comparison, run_time_convergence)
 from .grids import GridSpec, StretchKind, make_grid
-from .operators import BsParams, HestonParams, UpwindPolicy, to_sparse
+from .operators import BsParams, HestonParams, UpwindPolicy
 from .schemes import FREE_PARAMETER, FamilyKind, InfeasibleStepError, SchemeFamily
-from .spectra import DENSE_GUARD, eigenvalues_dense, write_spectrum
+from .spectra import eigenvalues_dense, write_spectrum
 
-__all__ = ["ConfigError", "RunConfig", "parse_config",
-           "default_config", "dispatch", "main"]
+__all__ = ["ConfigError", "RunConfig", "parse_config", "dispatch", "main"]
 
 
 class ConfigError(ValueError):
@@ -122,14 +123,11 @@ def _parse_scheme(d, path: str) -> SchemeFamily:
                   **{key: _num(d, key, None, path) for key in d if key != "family"})
 
 
-_PAYOFF_KEYS = {"kind", "strike", "low", "high"}
-
-
 def _parse_payoff(d, default: Payoff, path: str) -> Payoff:
     if d is None:
         return default
     d = _mapping(d, path)
-    _check_keys(d, _PAYOFF_KEYS, path)
+    _check_keys(d, {"kind", "strike", "low", "high"}, path)
     kind = _choice(d, "kind", PayoffKind, default.kind, f"{path}.kind")
     if kind is PayoffKind.DIGITAL_RANGE:
         if "strike" in d:
@@ -294,10 +292,6 @@ def parse_config(text: str) -> RunConfig:
                      out_dir=out_dir)
 
 
-def default_config(model: str = "heston") -> RunConfig:
-    return parse_config(json.dumps({"model": model}))
-
-
 def _fmt(v) -> str:
     if isinstance(v, (bool, np.bool_)):
         return "true" if v else "false"
@@ -379,10 +373,8 @@ def _cmd_converge(cfg: RunConfig, setup: Setup, out: Path, l: int | None) -> lis
 
 
 def _cmd_spectrum(cfg: RunConfig, setup: Setup, out: Path, l: int) -> list[dict]:
-    scale = cfg.params.expiry / l
-    spec = eigenvalues_dense(to_sparse(setup.op), scale=scale)
-    write_spectrum(spec, out / "spectrum.csv")
-    return [{"rho_gershgorin": setup.rho, "scale": scale,
+    spec = setup.spectrum
+    return [{"rho_gershgorin": setup.rho, "scale": cfg.params.expiry / l,
              "max_real": spec.max_real, "max_abs_imag": spec.max_abs_imag}]
 
 
@@ -401,7 +393,6 @@ def _cmd_bs_demo(cfg: RunConfig, setup: Setup, out: Path, l: int) -> list[dict]:
     for label, curve in result.curves.items():
         _write_csv(out / f"price_{_sanitize(label)}.csv", ["x", "v", "value"],
                    _slice_rows(setup.op, curve))
-    write_spectrum(result.spectrum, out / "spectrum.csv")
     _write_json(out / "summary.json", {
         "threshold": result.threshold,
         "osc_metric": {r.family: r.osc_metric for r in result.runs},
@@ -411,8 +402,8 @@ def _cmd_bs_demo(cfg: RunConfig, setup: Setup, out: Path, l: int) -> list[dict]:
 
 
 # name: (handler, the model it drives or None for either, the l it runs at
-# when the config gives none, whether it eigensolves the dense operator, help);
-# converge takes its steps from the ladder
+# when the config gives none, whether dispatch adds the spectrum to the setup,
+# help); converge takes its steps from the ladder
 _COMMANDS = {
     "price": (_cmd_price, None, 100, False,
               "integrate the payoff and write price slices"),
@@ -438,20 +429,29 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
         raise ConfigError(f"{cmd} drives the {dim} model; set model={model!r}")
     gx = _built("grid.x", make_grid, cfg.grid_x)
     gv = None if cfg.grid_v is None else _built("grid.v", make_grid, cfg.grid_v)
-    setup = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, in one line
+        try:
+            setup = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
+        except OverflowError:  # a Python float power, such as sigma**2
+            setup = None
+    if setup is None or not math.isfinite(setup.rho):
+        raise ConfigError("params: the operator overflows float64")
     held = np.count_nonzero(setup.window)
     if held < 3:  # the oscillation metric needs a slice of 3 nodes
         lo, hi = cfg.payoff.window
         raise ConfigError(f"grid.x: need >= 3 nodes in the payoff's oscillation "
                           f"window [{lo:g}, {hi:g}], got {held}")
-    if eigensolves and setup.op.size > DENSE_GUARD:
-        raise ConfigError(f"grid: {setup.op.size} nodes exceed the dense "
-                          f"eigensolve guard of {DENSE_GUARD}")
+    l = cfg.l or l_default
+    if eigensolves:
+        setup = replace(setup, spectrum=_built("grid", eigenvalues_dense, setup.op.matrix,
+                                               scale=cfg.params.expiry / l))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # written first, so a run that fails still leaves the config that replays it
     (out / "config.json").write_text(replace(cfg, out_dir=str(out)).to_json() + "\n")
-    records = run(cfg, setup, out, cfg.l or l_default)
+    if eigensolves:
+        write_spectrum(setup.spectrum, out / "spectrum.csv")
+    records = run(cfg, setup, out, l)
     _write_jsonl(out / "run_log.jsonl", records)
     if strict and any(rec.get("exploded") for rec in records):
         print(f"{cmd}: explosion detected; failing due to --strict",
@@ -475,9 +475,12 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--strict", action="store_true",
                        help="exit nonzero if any run explodes")
     args = parser.parse_args(argv)
-    text = (Path(args.config).read_text() if args.config is not None
-            else json.dumps({"model": _COMMANDS[args.cmd][1] or "heston"}))
     try:
+        try:
+            text = (args.config.read_text(encoding="utf-8") if args.config is not None
+                    else json.dumps({"model": _COMMANDS[args.cmd][1] or "heston"}))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"--config: {exc}") from exc
         cfg = parse_config(text)
         return dispatch(args.cmd, cfg, out_dir=args.out, strict=args.strict)
     except (ConfigError, InfeasibleStepError) as exc:

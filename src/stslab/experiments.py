@@ -35,9 +35,9 @@ import numpy as np
 from .grids import Grid1D, GridSpec, StretchKind, make_grid
 from .implicit import crank_nicolson_run, trbdf2_run
 from .operators import (BsParams, HestonParams, StencilOperator, UpwindPolicy,
-                        assemble_bs, assemble_heston, to_sparse)
+                        assemble_bs, assemble_heston)
 from .schemes import RunLog, SchemeFamily, run_integrator
-from .spectra import Spectrum, eigenvalues_dense, gershgorin_radius
+from .spectra import Spectrum, gershgorin_radius
 
 __all__ = [
     "Payoff",
@@ -61,10 +61,7 @@ __all__ = [
     "foulon_spec_x",
     "foulon_spec_v",
     "bs_uniform_spec",
-    "foulon_grid_x",
-    "foulon_grid_v",
     "bs_uniform_grid",
-    "bs_cubic_grid",
     "DEFAULT_LADDER",
     "DEFAULT_L_REF",
     "ConvergenceResult",
@@ -278,13 +275,15 @@ def price_at_spot(f: np.ndarray, gx: Grid1D, spot: float,
 @dataclass(frozen=True)
 class Setup:
     """What every run on one operator shares (see `prepare`); params give the
-    expiry, the spot and, in 2-D, v0, and y0 is the payoff on op's lattice."""
+    expiry, the spot and, in 2-D, v0, y0 is the payoff on op's lattice, and
+    spectrum is op's scaled spectrum if the command reads it, else None."""
 
     params: HestonParams | BsParams
     op: StencilOperator
     y0: np.ndarray
     rho: float
     window: np.ndarray
+    spectrum: Spectrum | None = None
 
 
 def run_and_score(family: SchemeFamily, setup: Setup, l: int):
@@ -351,21 +350,8 @@ def bs_uniform_spec(m: int = 100, x_max: float = 150.0) -> GridSpec:
     return GridSpec(StretchKind.UNIFORM, 0.0, x_max, m)
 
 
-def foulon_grid_x(strike: float, m: int = 100) -> Grid1D:
-    return make_grid(foulon_spec_x(strike, m))
-
-
-def foulon_grid_v(n: int = 50, v_max: float = 5.0) -> Grid1D:
-    return make_grid(foulon_spec_v(n, v_max))
-
-
 def bs_uniform_grid(m: int = 100, x_max: float = 150.0) -> Grid1D:
     return make_grid(bs_uniform_spec(m, x_max))
-
-
-def bs_cubic_grid(m: int = 400, alpha: float = 0.01, center: float = 100.0,
-                  x_max: float = 150.0) -> Grid1D:
-    return make_grid(GridSpec(StretchKind.CUBIC, 0.0, x_max, m, center=center, alpha=alpha))
 
 
 DEFAULT_LADDER = (10, 20, 40, 80, 100, 200, 400, 800, 1600)
@@ -423,7 +409,6 @@ class BsStudyResult:
     runs: list[RunLog]  # TR-BDF2 first, then one per family
     threshold: float
     curves: dict[str, np.ndarray]
-    spectrum: Spectrum
 
 
 def run_bs_study(setup: Setup, families: tuple[SchemeFamily, ...],
@@ -437,6 +422,7 @@ def run_bs_study(setup: Setup, families: tuple[SchemeFamily, ...],
     operator (the uniform grid with policy none) both carry its oscillation,
     the threshold lands above every family, and no family can be judged
     oscillating by it; compare such a scenario against a fitted one instead.
+    It runs no eigensolve: `cli.dispatch` adds the spectrum to the setup.
     """
     op, params = setup.op, setup.params
     t0 = time.perf_counter()
@@ -458,6 +444,4 @@ def run_bs_study(setup: Setup, families: tuple[SchemeFamily, ...],
                  and np.isfinite(r.osc_metric)]
     if not baselines:
         raise RuntimeError("no finite clean baseline to calibrate the threshold")
-    threshold = clean_threshold(*baselines)
-    spectrum = eigenvalues_dense(to_sparse(op), scale=params.expiry / l)
-    return BsStudyResult(runs, threshold, curves, spectrum)
+    return BsStudyResult(runs, clean_threshold(*baselines), curves)

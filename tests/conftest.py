@@ -1,20 +1,24 @@
 """Shared fixtures: stress-case parameters and grids reused across test modules.
 
-Also `band`, which reads one stencil coefficient array off the matrix M,
-and `operator_cases` and `csr_oracle`, which check the DIA form of M against
-its sorted CSR form.
+Also `cubic_grid`, the barrier study's cubic x grid; `band`, which reads one
+stencil coefficient array off the matrix M; and `operator_cases` and
+`csr_oracle`, which check the DIA form of M against its sorted CSR form.
 """
 
 import numpy as np
 import pytest
 import scipy.sparse
 
-from stslab.experiments import (bs_cubic_grid, default_bs_params,
-                                default_heston_params, foulon_grid_v,
-                                foulon_grid_x)
-from stslab.grids import Grid1D, make_uniform
+from stslab.experiments import (default_bs_params, default_heston_params,
+                                foulon_spec_v, foulon_spec_x)
+from stslab.grids import Grid1D, GridSpec, StretchKind, make_grid, make_uniform
 from stslab.operators import (HestonParams, UpwindPolicy, assemble_bs,
                               assemble_heston, to_sparse)
+
+
+def cubic_grid(m: int = 400, alpha: float = 0.01) -> Grid1D:
+    """The cubic x grid of the barrier study (A6): [0, 150] concentrated at 100."""
+    return make_grid(GridSpec(StretchKind.CUBIC, 0.0, 150.0, m, center=100.0, alpha=alpha))
 
 
 @pytest.fixture(scope="session")
@@ -29,23 +33,23 @@ def bs_params():
 @pytest.fixture(scope="session")
 def gx_stress():
     """The full-size stretched spot grid (m = 100)."""
-    return foulon_grid_x(100.0, m=100)
+    return make_grid(foulon_spec_x(100.0, m=100))
 
 
 @pytest.fixture(scope="session")
 def gv_stress():
     """The full-size stretched variance grid (n = 50)."""
-    return foulon_grid_v(n=50)
+    return make_grid(foulon_spec_v(n=50))
 
 
 @pytest.fixture(scope="session")
 def gx_small():
-    return foulon_grid_x(100.0, m=40)
+    return make_grid(foulon_spec_x(100.0, m=40))
 
 
 @pytest.fixture(scope="session")
 def gv_small():
-    return foulon_grid_v(n=20)
+    return make_grid(foulon_spec_v(n=20))
 
 
 @pytest.fixture(scope="session")
@@ -91,7 +95,7 @@ def _two_node_v_case(policy):
     # n + 1 = 2 the cross bands share their offsets with d and e
     params = HestonParams(v0=0.12, theta=0.05, kappa=3.0, sigma=0.04, rho=0.6,
                           r=0.01, q=0.04, spot=100.0, strike=100.0, expiry=1.0)
-    return assemble_heston(params, foulon_grid_x(100.0, m=40),
+    return assemble_heston(params, make_grid(foulon_spec_x(100.0, m=40)),
                            Grid1D(np.array([0.05, 0.40])), policy)
 
 
@@ -103,7 +107,7 @@ def operator_cases():
     the same numbers as M in sorted CSR form.
     """
     cases = []
-    grids_1d = {"cubic": bs_cubic_grid, "uniform": lambda: make_uniform(0.0, 150.0, 100)}
+    grids_1d = {"cubic": cubic_grid, "uniform": lambda: make_uniform(0.0, 150.0, 100)}
     for name, grid in grids_1d.items():
         for policy in UpwindPolicy:
             if policy is not UpwindPolicy.FOULON_REGION:
@@ -114,8 +118,8 @@ def operator_cases():
         for policy in UpwindPolicy:
             cases.append(pytest.param(
                 lambda m=m, n=n, p=policy: assemble_heston(
-                    default_heston_params(), foulon_grid_x(100.0, m=m),
-                    foulon_grid_v(n=n), p),
+                    default_heston_params(), make_grid(foulon_spec_x(100.0, m=m)),
+                    make_grid(foulon_spec_v(n=n)), p),
                 id=f"{m + 1}x{n + 1}-{policy.value}"))
     for policy in UpwindPolicy:
         cases.append(pytest.param(lambda p=policy: _two_node_v_case(p),

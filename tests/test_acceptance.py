@@ -16,15 +16,17 @@ from time import perf_counter
 
 import numpy as np
 import pytest
+from conftest import cubic_grid
 from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
 from stslab.experiments import (DEFAULT_LADDER, BsStudyResult, bs_closed_form,
-                                bs_cubic_grid, bs_uniform_grid, call, default_bs_params,
+                                bs_uniform_grid, call, default_bs_params,
                                 default_heston_params, digital_range,
-                                foulon_grid_v, foulon_grid_x, payoff_eval,
+                                foulon_spec_v, foulon_spec_x, payoff_eval,
                                 prepare, price_at_spot, rms_error, roi_mask,
                                 run_bs_study, run_delta_comparison,
                                 run_time_convergence)
+from stslab.grids import make_grid
 from stslab.implicit import banded_factor, crank_nicolson_run, operator_banded
 from stslab.operators import (UpwindPolicy, assemble_bs, assemble_heston,
                               to_sparse)
@@ -43,7 +45,8 @@ def announce(capsys, line: str) -> None:
 
 @pytest.fixture(scope="module")
 def stress():
-    return default_heston_params(), foulon_grid_x(100.0, 100), foulon_grid_v(50)
+    return (default_heston_params(), make_grid(foulon_spec_x(100.0, 100)),
+            make_grid(foulon_spec_v(50)))
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +71,7 @@ def bs_results():
     params = default_bs_params()
     payoff = digital_range(10.0, 100.0)
     uniform = bs_uniform_grid(m=100)
-    cubic = bs_cubic_grid(m=400, alpha=0.01)
+    cubic = cubic_grid(m=400, alpha=0.01)
     families = (rkl(), rkg(2.0), rkc(10.0))
     scenarios = {
         "uniform-none": (uniform, UpwindPolicy.NONE, 100),
@@ -303,8 +306,8 @@ def test_a7_unit_oracles(stress, row_sum_check, capsys):
     toeplitz_ok = toeplitz_err < 1e-8
 
     # banded LU against a dense solve
-    op_small = assemble_heston(params, foulon_grid_x(100.0, 9),
-                               foulon_grid_v(6), UpwindPolicy.PARTIAL_FITTING)
+    op_small = assemble_heston(params, make_grid(foulon_spec_x(100.0, 9)),
+                               make_grid(foulon_spec_v(6)), UpwindPolicy.PARTIAL_FITTING)
     dense = np.eye(op_small.size) - 0.05 * to_sparse(op_small).toarray()
     rhs = np.sin(np.arange(float(op_small.size)))
     got_band = banded_factor(operator_banded(op_small, 1.0, -0.05)).solve(rhs)
@@ -313,7 +316,7 @@ def test_a7_unit_oracles(stress, row_sum_check, capsys):
 
     # a vanilla payoff priced explicitly against the closed form
     bs_params = default_bs_params()
-    grid = foulon_grid_x(100.0, 400)
+    grid = make_grid(foulon_spec_x(100.0, 400))
     op_bs = assemble_bs(bs_params, grid, UpwindPolicy.PARTIAL_FITTING)
     payoff = call(100.0)
     fld, log = run_integrator(rkc(10.0), op_bs, payoff_eval(payoff, grid),

@@ -1,6 +1,7 @@
 """Config parsing, subcommand dispatch, and output determinism."""
 
 import json
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,14 +10,15 @@ import pytest
 
 import stslab.experiments
 import stslab.grids
-from stslab.cli import (ConfigError, default_config, dispatch, main,
-                        parse_config)
+import stslab.spectra
+from stslab.cli import ConfigError, dispatch, main, parse_config
 from stslab.experiments import (DEFAULT_LADDER, PayoffKind, bs_uniform_grid,
                                 default_bs_params, default_heston_params,
-                                foulon_grid_v, foulon_grid_x)
+                                foulon_spec_v, foulon_spec_x, prepare)
 from stslab.grids import StretchKind, make_grid
 from stslab.operators import BsParams, HestonParams, UpwindPolicy
 from stslab.schemes import FamilyKind, InfeasibleStepError
+from stslab.spectra import eigenvalues_dense, write_spectrum
 
 # ------------------------------------------------------------------- parsing
 
@@ -38,7 +40,7 @@ def test_empty_config_gives_heston_defaults():
 
 
 def test_bs_defaults():
-    cfg = default_config("bs")
+    cfg = parse_config('{"model": "bs"}')
     assert cfg.model == "bs"
     assert isinstance(cfg.params, BsParams)
     assert cfg.grid_v is None
@@ -49,11 +51,11 @@ def test_bs_defaults():
 
 
 def test_defaults_are_the_experiment_defaults():
-    cfg = default_config()
+    cfg = parse_config("{}")
     assert cfg.params == default_heston_params()
-    assert make_grid(cfg.grid_x).nodes.tobytes() == foulon_grid_x(100.0, 100).nodes.tobytes()
-    assert make_grid(cfg.grid_v).nodes.tobytes() == foulon_grid_v(50).nodes.tobytes()
-    cfg = default_config("bs")
+    for spec, want in ((cfg.grid_x, foulon_spec_x(100.0, 100)), (cfg.grid_v, foulon_spec_v(50))):
+        assert make_grid(spec).nodes.tobytes() == make_grid(want).nodes.tobytes()
+    cfg = parse_config('{"model": "bs"}')
     assert cfg.params == default_bs_params()
     assert cfg.grid_v is None
     assert make_grid(cfg.grid_x).nodes.tobytes() == bs_uniform_grid().nodes.tobytes()
@@ -61,7 +63,7 @@ def test_defaults_are_the_experiment_defaults():
 
 @pytest.mark.parametrize("model", ["heston", "bs"])
 def test_config_roundtrip(model):
-    cfg = default_config(model)
+    cfg = parse_config(json.dumps({"model": model}))
     assert parse_config(cfg.to_json()) == cfg
 
 
@@ -151,7 +153,7 @@ def test_config_rejections(text, needle):
 
 def test_dispatch_rejects_unknown_command():
     with pytest.raises(ConfigError, match="unknown command"):
-        dispatch("render", default_config())
+        dispatch("render", parse_config("{}"))
 
 
 def test_model_command_mismatches(tmp_path):
@@ -166,7 +168,7 @@ def test_model_command_mismatches(tmp_path):
         dispatch("delta", bs, out_dir=str(out))
     with pytest.raises(ConfigError, match="bs-demo drives the 1-D model; "
                                           "set model='bs'"):
-        dispatch("bs-demo", default_config(), out_dir=str(out))
+        dispatch("bs-demo", parse_config("{}"), out_dir=str(out))
     assert not out.exists()
 
 
@@ -444,6 +446,32 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def unreadable_config(tmp_path: Path, kind: str) -> Path:
+    if kind == "missing":
+        return tmp_path / "missing.json"
+    if kind == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"out_dir": "caf\u00e9"}'.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("kind,needle", [
+    ("missing", "No such file or directory"),
+    ("directory", "Is a directory"),
+    ("not-utf8", "'utf-8' codec can't decode byte 0xe9"),
+])
+def test_unreadable_config_path_is_a_config_error(tmp_path, capsys, kind, needle):
+    # main read the file outside its try: each was a traceback with exit status 1
+    out = tmp_path / "out"
+    assert main(["price", "--config", str(unreadable_config(tmp_path, kind)),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --config: ") and err.count("\n") == 1
+    assert needle in err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("error")  # the refusal is the one line; no overflow warnings
 def test_main_reports_uncertifiable_table(tmp_path, capsys):
     cfg = tmp_path / "rkc1e5.json"
@@ -456,6 +484,10 @@ def test_main_reports_uncertifiable_table(tmp_path, capsys):
 
 def unrunnable(payload, message, id, cmd="price"):
     return pytest.param(payload, message, cmd, id=id)
+
+
+R_1E308 = {"params": {"r": 1e308}, "grid": {"x": {"m": 20}, "v": {"m": 10}}}
+OVERFLOWS = "params: the operator overflows float64"
 
 
 # Each was accepted by the parser and then failed inside a command, some only
@@ -487,11 +519,21 @@ UNRUNNABLE = [
     # the dense eigensolve refused its matrix after the config was written, and
     # bs-demo only after TR-BDF2 and every scheme had run
     unrunnable({"grid": {"x": {"m": 200}, "v": {"m": 100}}},
-               "grid: 20301 nodes exceed the dense eigensolve guard of 10000",
+               "grid: matrix dimension 20301 exceeds the dense guard 10000; coarsen "
+               "the grid or use an iterative eigensolver externally",
                id="spectrum-20301-nodes", cmd="spectrum"),
     unrunnable({"model": "bs", "grid": {"x": {"m": 10000}}},
-               "grid: 10001 nodes exceed the dense eigensolve guard of 10000",
+               "grid: matrix dimension 10001 exceeds the dense guard 10000; coarsen "
+               "the grid or use an iterative eigensolver externally",
                id="bs-demo-10001-nodes", cmd="bs-demo"),
+    # the assembled operator overflowed: stage selection or the eigensolve
+    # raised on its non-finite entries, or assembly on sigma**2, each as a
+    # traceback after the config was written
+    unrunnable(R_1E308, OVERFLOWS, id="heston-r-1e308"),
+    unrunnable(R_1E308, OVERFLOWS, id="spectrum-r-1e308", cmd="spectrum"),
+    unrunnable({"model": "bs", "params": {"r": 1e308}}, OVERFLOWS,
+               id="bs-demo-r-1e308", cmd="bs-demo"),
+    unrunnable({"params": {"sigma": 1e200}}, OVERFLOWS, id="heston-sigma-1e200"),
     # the price was read at the grid's edge
     unrunnable({"params": {"spot": 1000.0}},
                "params.spot: need a value inside grid.x [0, 800], got 1000",
@@ -502,6 +544,7 @@ UNRUNNABLE = [
 ]
 
 
+@pytest.mark.filterwarnings("error")  # the refusal is the one line; no numpy warnings
 @pytest.mark.parametrize("payload,message,cmd", UNRUNNABLE)
 def test_unrunnable_config_fails_before_any_file(tmp_path, capsys, payload, message, cmd):
     cfg = write_config(tmp_path, payload)
@@ -525,3 +568,56 @@ def test_each_grid_is_built_once(tmp_path, monkeypatch):
     assert built == []
     assert dispatch("price", cfg, out_dir=str(tmp_path)) == 0
     assert built == [16, 8]
+
+
+def count_eigensolves(monkeypatch) -> list:
+    """Wrap eigenvalues_dense under every name the package binds it to; each
+    call appends (matrix shape, scale) to the returned list."""
+    calls = []
+    real = stslab.spectra.eigenvalues_dense
+
+    def counting(mat, scale=1.0):
+        calls.append((mat.shape, scale))
+        return real(mat, scale=scale)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "stslab" or name.startswith("stslab."):
+            for attr, value in list(vars(mod).items()):
+                if value is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+@pytest.mark.parametrize("cmd", list(REPLAYED))
+def test_dispatch_eigensolves_once_for_the_commands_that_read_the_spectrum(
+        cmd, tmp_path, monkeypatch):
+    calls = count_eigensolves(monkeypatch)
+    cfg = parse_config(json.dumps(REPLAYED[cmd]))
+    assert dispatch(cmd, cfg, out_dir=str(tmp_path)) == 0
+    if cmd in ("spectrum", "bs-demo"):
+        n = (cfg.grid_x.m + 1) * (1 if cfg.grid_v is None else cfg.grid_v.m + 1)
+        assert calls == [((n, n), cfg.params.expiry / cfg.l)]
+    else:
+        assert calls == []
+
+
+# a small 2-D spectrum and the 1-D study of test_bs_study_structure
+SPECTRUM_WRITTEN = {
+    "spectrum": REPLAYED["spectrum"],
+    "bs-demo": {"model": "bs", "grid": {"x": {"m": 60}}, "l": 40,
+                "schemes": [{"family": "rkl"}, {"family": "rkg", "g": 2.0},
+                            {"family": "rkc", "eps": 10.0}]},
+}
+
+
+@pytest.mark.parametrize("cmd", list(SPECTRUM_WRITTEN))
+def test_dispatch_writes_the_spectrum_of_the_scaled_operator(cmd, tmp_path):
+    cfg = parse_config(json.dumps(SPECTRUM_WRITTEN[cmd]))
+    assert dispatch(cmd, cfg, out_dir=str(tmp_path / "run")) == 0
+    gv = None if cfg.grid_v is None else make_grid(cfg.grid_v)
+    setup = prepare(cfg.params, make_grid(cfg.grid_x), gv, cfg.policy, cfg.payoff)
+    write_spectrum(eigenvalues_dense(setup.op.matrix, scale=cfg.params.expiry / cfg.l),
+                   tmp_path / "spectrum.csv")
+    for name in ("spectrum.csv", "spectrum.json"):
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / name).read_bytes()
+    assert json.loads((tmp_path / "spectrum.json").read_text())["n"] == setup.op.size

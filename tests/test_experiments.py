@@ -8,19 +8,20 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from conftest import cubic_grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
-from stslab.experiments import (bs_closed_form, bs_cubic_grid, bs_uniform_grid,
+from stslab.experiments import (bs_closed_form, bs_uniform_grid,
                                 call, clean_threshold, default_bs_params,
                                 default_heston_params, delta_surface,
-                                digital_range, foulon_grid_v, foulon_grid_x,
+                                digital_range, foulon_spec_v, foulon_spec_x,
                                 oscillation_metric, payoff_eval, price_at_spot,
                                 Setup, prepare, put, rms_error, roi_mask,
                                 run_and_score, run_bs_study,
                                 run_delta_comparison, run_time_convergence)
-from stslab.grids import Grid1D, make_uniform
+from stslab.grids import Grid1D, make_grid, make_uniform
 from stslab.implicit import crank_nicolson_run
 from stslab.operators import BsParams, UpwindPolicy, assemble_bs, assemble_heston
 import stslab.experiments
@@ -251,17 +252,17 @@ def test_price_at_spot_interpolation():
 # ------------------------------------------------------------- grid builders
 
 def test_foulon_grids_frozen_values():
-    gx = foulon_grid_x(100.0, m=100)
+    gx = make_grid(foulon_spec_x(100.0, m=100))
     assert gx.nodes[0] == 0.0 and gx.nodes[-1] == 800.0
     assert gx.nodes[50] == pytest.approx(122.5322491188717, rel=1e-13)
-    gv = foulon_grid_v(n=50)
+    gv = make_grid(foulon_spec_v(n=50))
     assert gv.nodes[0] == 0.0 and gv.nodes[-1] == 5.0
     assert gv.nodes[1] == pytest.approx(0.0013859503596154292, rel=1e-13)
 
 
 def test_bs_grid_builders():
     assert bs_uniform_grid(m=100).spacings.max() == pytest.approx(1.5)
-    cubic = bs_cubic_grid(m=400, alpha=0.01)
+    cubic = cubic_grid(m=400, alpha=0.01)
     assert cubic.nodes[0] == 0.0 and cubic.nodes[-1] == 150.0
     assert cubic.spacings.min() < 1e-3
 
@@ -379,7 +380,6 @@ def test_bs_study_structure(bs_params):
     assert set(res.curves) == {"trbdf2", "rkl", "rkg(g=2)", "rkc(eps=10)"}
     assert all(curve.shape == (61,) for curve in res.curves.values())
     assert np.isfinite(res.threshold) and res.threshold > 0.0
-    assert res.spectrum is not None and res.spectrum.n == 61
     assert [len(r.s_per_step) for r in res.runs] == [0, 40, 40, 40]
     assert not any(r.exploded for r in res.runs)
 
@@ -394,7 +394,7 @@ def test_run_and_score_explosion(dim, heston_params, bs_params, gx_small, gv_sma
         y0 = payoff_eval(call(100.0), gx_small, gv_small)
         params = heston_params
     else:
-        op = assemble_bs(bs_params, bs_cubic_grid(m=100),
+        op = assemble_bs(bs_params, cubic_grid(m=100),
                          UpwindPolicy.PARTIAL_FITTING)
         y0 = payoff_eval(digital_range(10.0, 100.0), op.gx)
         params = bs_params

@@ -8,18 +8,18 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse
-from conftest import csr_oracle, operator_cases
+from conftest import csr_oracle, cubic_grid, operator_cases
 from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse.linalg import expm_multiply
 
 import stslab.operators
 import stslab.schemes
-from stslab.experiments import (bs_closed_form, bs_cubic_grid, call,
+from stslab.experiments import (bs_closed_form, call,
                                 default_bs_params, default_heston_params,
-                                foulon_grid_v, foulon_grid_x, payoff_eval, prepare,
+                                foulon_spec_v, foulon_spec_x, payoff_eval, prepare,
                                 rms_error)
-from stslab.grids import Grid1D, make_uniform
+from stslab.grids import Grid1D, make_grid, make_uniform
 from stslab.implicit import (BandedLU, BandedMatrix, TRBDF2_GAMMA, banded_factor,
                              crank_nicolson_run, operator_banded, trbdf2_run)
 from stslab.operators import (StencilOperator, UpwindPolicy, apply, assemble_bs,
@@ -134,8 +134,8 @@ def test_band_storage_layout(heston_params, gx_small, gv_small):
 @pytest.mark.parametrize("policy", [UpwindPolicy.NONE, UpwindPolicy.PARTIAL_FITTING],
                          ids=lambda p: p.value)
 def test_banded_solve_matches_dense(policy, heston_params):
-    gx = foulon_grid_x(100.0, m=9)
-    gv = foulon_grid_v(n=6)
+    gx = make_grid(foulon_spec_x(100.0, m=9))
+    gv = make_grid(foulon_spec_v(n=6))
     op = assemble_heston(heston_params, gx, gv, policy)
     alpha, beta = 1.0, -0.05
     dense = alpha * np.eye(op.size) + beta * to_sparse(op).toarray()
@@ -189,8 +189,8 @@ def test_operator_banded_rejects_offsets_outside_the_band():
 def cn_heston_matrix():
     """CN matrix of the 41x21 partial-fitting Heston operator at l = 50."""
     p = default_heston_params()
-    op = assemble_heston(p, foulon_grid_x(100.0, m=40), foulon_grid_v(n=20),
-                         UpwindPolicy.PARTIAL_FITTING)
+    op = assemble_heston(p, make_grid(foulon_spec_x(100.0, m=40)),
+                         make_grid(foulon_spec_v(n=20)), UpwindPolicy.PARTIAL_FITTING)
     return operator_banded(op, 1.0, -0.5 * p.expiry / 50)
 
 
@@ -214,7 +214,7 @@ def tiny_diagonal_matrix():
 @pytest.mark.parametrize("build, pivoted", [
     (cn_heston_matrix, False),
     (lambda: trbdf2_bs_matrix(make_uniform(0.0, 150.0, 100)), False),
-    (lambda: trbdf2_bs_matrix(bs_cubic_grid()), True),
+    (lambda: trbdf2_bs_matrix(cubic_grid()), True),
     (tiny_diagonal_matrix, True),
 ], ids=["heston-cn-41x21", "uniform-101", "cubic-401", "tiny-diagonal"])
 def test_solve_matches_gbtrs_bitwise(build, pivoted):
@@ -298,7 +298,7 @@ def test_crank_nicolson_within_rounding_bound_of_reference(heston_params, gx_sma
     assert np.abs(got - want).max() <= rounding_bound(50, y0)
 
 
-@pytest.mark.parametrize("grid", [bs_cubic_grid(), make_uniform(0.0, 150.0, 100)],
+@pytest.mark.parametrize("grid", [cubic_grid(), make_uniform(0.0, 150.0, 100)],
                          ids=["cubic-401", "uniform-101"])
 def test_trbdf2_within_rounding_bound_of_reference(grid, bs_params):
     op = assemble_bs(bs_params, grid, UpwindPolicy.PARTIAL_FITTING)
@@ -340,7 +340,7 @@ def test_implicit_runs_make_one_solve_per_stage_and_no_matvec(implicit_calls, he
         implicit_calls.update(solve=0, apply=0)
         crank_nicolson_run(op, y0, heston_params.expiry, l)
         assert implicit_calls == {"solve": l + 2, "apply": 0}
-    grid = bs_cubic_grid()
+    grid = cubic_grid()
     op = assemble_bs(bs_params, grid, UpwindPolicy.PARTIAL_FITTING)
     implicit_calls.update(solve=0, apply=0)
     trbdf2_run(op, payoff_eval(call(100.0), grid), bs_params.expiry, 20)
@@ -399,8 +399,8 @@ def test_crank_nicolson_guards(bs_params):
 
 
 def assemble_heston_small():
-    return assemble_heston(default_heston_params(), foulon_grid_x(100.0, m=10),
-                           foulon_grid_v(n=2), UpwindPolicy.NONE)
+    return assemble_heston(default_heston_params(), make_grid(foulon_spec_x(100.0, m=10)),
+                           make_grid(foulon_spec_v(n=2)), UpwindPolicy.NONE)
 
 
 # ----------------------------------------------------- PDE reference checks
@@ -439,7 +439,7 @@ def test_cn_second_order_against_exact_solution(policy, heston_params, gx_small,
 
 
 def test_references_agree_with_closed_form(bs_params):
-    grid = foulon_grid_x(100.0, 200)
+    grid = make_grid(foulon_spec_x(100.0, 200))
     op = assemble_bs(bs_params, grid, UpwindPolicy.PARTIAL_FITTING)
     payoff = call(100.0)
     y0 = payoff_eval(payoff, grid)

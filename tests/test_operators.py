@@ -5,11 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse
-from conftest import band, csr_oracle, operator_cases
+from conftest import band, csr_oracle, cubic_grid, operator_cases
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stslab.experiments import bs_cubic_grid
 from stslab.grids import Grid1D, make_uniform
 from stslab.operators import (BsParams, HestonParams, StencilOperator,
                               UpwindPolicy, _fitted_diffusion, apply, assemble_bs,
@@ -459,7 +458,7 @@ def reference_apply_1d(op, f):
 
 def apply_case(dim, heston_params, bs_params, gx_small, gv_small):
     if dim == "1d":
-        return assemble_bs(bs_params, bs_cubic_grid(), UpwindPolicy.PARTIAL_FITTING)
+        return assemble_bs(bs_params, cubic_grid(), UpwindPolicy.PARTIAL_FITTING)
     return assemble_heston(heston_params, gx_small, gv_small,
                            UpwindPolicy.PARTIAL_FITTING)
 

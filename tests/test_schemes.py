@@ -10,13 +10,13 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
+from conftest import cubic_grid
 from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
 import stslab.schemes as schemes
-from stslab.experiments import (bs_cubic_grid, call, default_bs_params,
-                                default_heston_params, foulon_grid_v,
-                                foulon_grid_x, payoff_eval)
-from stslab.grids import Grid1D
+from stslab.experiments import (call, default_bs_params, default_heston_params,
+                                foulon_spec_v, foulon_spec_x, payoff_eval)
+from stslab.grids import Grid1D, make_grid
 from stslab.operators import (StencilOperator, UpwindPolicy, apply,
                               assemble_bs, assemble_heston)
 from stslab.schemes import (EXTENT_TOL, ExplosionError, FamilyKind,
@@ -503,9 +503,9 @@ def step_cases():
 
     "callable" is a dense 8 x 8 matrix wrapped as an operator.
     """
-    gx = bs_cubic_grid(m=400, alpha=0.01)
+    gx = cubic_grid(m=400, alpha=0.01)
     cubic = assemble_bs(default_bs_params(), gx, UpwindPolicy.PARTIAL_FITTING)
-    hx, hv = foulon_grid_x(100.0, m=40), foulon_grid_v(n=20)
+    hx, hv = make_grid(foulon_spec_x(100.0, m=40)), make_grid(foulon_spec_v(n=20))
     heston = assemble_heston(default_heston_params(), hx, hv,
                              UpwindPolicy.PARTIAL_FITTING)
     return {
@@ -620,7 +620,7 @@ def test_super_step_refuses_a_field_of_another_shape(case, broadcasts, other, st
 def _region_fitting_case(family):
     # region fitting on a long expiry: the rungs grow past the float range
     params = dataclasses.replace(default_heston_params(), expiry=500.0)
-    gx, gv = foulon_grid_x(100.0, m=40), foulon_grid_v(n=20)
+    gx, gv = make_grid(foulon_spec_x(100.0, m=40)), make_grid(foulon_spec_v(n=20))
     op = assemble_heston(params, gx, gv, UpwindPolicy.FOULON_REGION)
     y0 = payoff_eval(call(100.0), gx, gv)
     return family, op, y0, 500.0, 10, gershgorin_radius(op)

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
-from conftest import csr_oracle, operator_cases
+from conftest import csr_oracle, cubic_grid, operator_cases
 
-from stslab.experiments import bs_cubic_grid, foulon_grid_v, foulon_grid_x
-from stslab.grids import Grid1D, make_uniform
+from stslab.experiments import foulon_spec_v, foulon_spec_x
+from stslab.grids import Grid1D, make_grid, make_uniform
 from stslab.operators import (StencilOperator, UpwindPolicy, assemble_bs,
                               assemble_heston, to_sparse)
 from stslab.spectra import (DENSE_GUARD, Spectrum, eigenvalues_dense,
@@ -51,7 +51,7 @@ def test_gershgorin_matches_array_formula(policy, heston_params, gx_stress,
     assert abs(gershgorin_radius(op) - want) <= 1e-15 * want
     if policy is UpwindPolicy.FOULON_REGION:
         return
-    for grid in (make_uniform(0.0, 150.0, 100), bs_cubic_grid()):
+    for grid in (make_uniform(0.0, 150.0, 100), cubic_grid()):
         op = assemble_bs(bs_params, grid, policy)
         assert gershgorin_radius(op) == gershgorin_by_arrays(op)
 
@@ -144,8 +144,8 @@ def test_non_finite_refused():
 @pytest.fixture(scope="module")
 def heston_496(heston_params):
     """The 31 x 16 partial-fitting Heston operator (n = 496)."""
-    op = assemble_heston(heston_params, foulon_grid_x(100.0, m=30),
-                         foulon_grid_v(n=15), UpwindPolicy.PARTIAL_FITTING)
+    op = assemble_heston(heston_params, make_grid(foulon_spec_x(100.0, m=30)),
+                         make_grid(foulon_spec_v(n=15)), UpwindPolicy.PARTIAL_FITTING)
     return to_sparse(op)
 
 
