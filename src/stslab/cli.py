@@ -36,7 +36,8 @@ import numpy as np
 from .experiments import (DEFAULT_L_REF, DEFAULT_LADDER, Payoff, PayoffKind, Setup,
                           bs_uniform_spec, call, default_bs_params, default_heston_params,
                           digital_range, foulon_spec_v, foulon_spec_x, prepare, put,
-                          run_and_score, run_bs_study, run_delta_comparison, run_time_convergence)
+                          UnconvergedReferenceError, run_and_score, run_bs_study,
+                          run_delta_comparison, run_time_convergence)
 from .grids import GridSpec, StretchKind, make_grid
 from .operators import BsParams, HestonParams, UpwindPolicy
 from .schemes import FREE_PARAMETER, FamilyKind, InfeasibleStepError, SchemeFamily
@@ -355,8 +356,12 @@ def _cmd_price(cfg: RunConfig, setup: Setup, out: Path, l: int) -> list[dict]:
 
 
 def _cmd_converge(cfg: RunConfig, setup: Setup, out: Path, l: int | None) -> list[dict]:
-    result = run_time_convergence(setup, cfg.schemes, cfg.ladder, cfg.l_ref,
-                                  cfg.validate_reference)
+    try:
+        result = run_time_convergence(setup, cfg.schemes, cfg.ladder, cfg.l_ref,
+                                      cfg.validate_reference)
+    except UnconvergedReferenceError as exc:
+        raise ConfigError(f"reference.l_ref: {exc}; raise it or set "
+                          f"reference.validate to false") from exc
     summary = {}
     for fam in cfg.schemes:
         runs = [r for r in result.runs if r.family == fam.label]

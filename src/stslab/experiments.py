@@ -65,6 +65,7 @@ __all__ = [
     "DEFAULT_LADDER",
     "DEFAULT_L_REF",
     "ConvergenceResult",
+    "UnconvergedReferenceError",
     "run_time_convergence",
     "run_delta_comparison",
     "BsStudyResult",
@@ -364,6 +365,10 @@ class ConvergenceResult:
     reference_check: float | None
 
 
+class UnconvergedReferenceError(RuntimeError):
+    """The CN reference at l_ref is not within 1e-4 rms of the one at 2 l_ref."""
+
+
 def run_time_convergence(setup: Setup, families: tuple[SchemeFamily, ...],
                          ladder: tuple[int, ...] = DEFAULT_LADDER,
                          l_ref: int = DEFAULT_L_REF,
@@ -374,21 +379,26 @@ def run_time_convergence(setup: Setup, families: tuple[SchemeFamily, ...],
     number of families, and with validate_reference its self-convergence
     against 2 * l_ref is checked once too.  The CN runs take turns on one
     worker thread while this one runs the ladder (their solves release the
-    GIL), so a reference that fails the check raises after the ladder.  The
-    rms error is taken over the oscillation window at v <= 1.
+    GIL), so a reference that fails the check raises UnconvergedReferenceError
+    after the ladder, and a ladder that raises cancels the reference not yet
+    started.  The rms error is taken over the oscillation window at v <= 1.
     """
     op, y0, t = setup.op, setup.y0, setup.params.expiry
     roi = setup.window[:, None] & (op.gv.nodes <= 1.0)[None, :]  # every v node is >= 0
     steps = (l_ref, 2 * l_ref) if validate_reference else (l_ref,)
     with ThreadPoolExecutor(max_workers=1) as pool:
         refs = pool.map(crank_nicolson_run, repeat(op), repeat(y0), repeat(t), steps)
-        scored = [run_and_score(fam, setup, l) for fam in families for l in ladder]
+        try:
+            scored = [run_and_score(fam, setup, l) for fam in families for l in ladder]
+        except BaseException:  # drop the queued reference; exit waits for the running one
+            pool.shutdown(cancel_futures=True)
+            raise
         ref = next(refs)
         ref_check = rms_error(ref, next(refs), roi) if validate_reference else None
     if validate_reference and not ref_check < 1e-4:
-        raise RuntimeError(
+        raise UnconvergedReferenceError(
             f"reference not self-converged: rms(l={l_ref}, "
-            f"l={2 * l_ref}) = {ref_check:.3e}")
+            f"l={2 * l_ref}) = {ref_check:.3e}, need < 1e-4")
     for fld, _, log in scored:
         log.rms_error = math.inf if log.exploded else rms_error(fld, ref, roi)
     return ConvergenceResult([log for _, _, log in scored], ref_check)

@@ -8,31 +8,39 @@ once per run, in place: gbtrf overwrites the band array with its LU factors,
 so a factorization holds no second copy of it.
 
 A factorization without row interchanges (gbtrf has not pivoted on the 2-D
-Heston CN systems) keeps only its triangles, packed: unit-lower L with kl
-subdiagonals and U with only ku superdiagonals, since the fill rows above U
-stay zero.  Its solve is two BLAS `tbsv` calls, bit-identical to `gbtrs` and
-about half its time, because `gbtrs` sweeps U over kl + ku superdiagonals.
+Heston CN systems at l >= 50; it does at l <= 7 on 41x21) keeps only its
+triangles, packed: unit-lower L with kl subdiagonals and U with only ku
+superdiagonals, since the fill rows above U stay zero.  Its solve is two BLAS
+`tbsv` calls, bit-identical to `gbtrs` and about half its time, because
+`gbtrs` sweeps U over kl + ku superdiagonals.
 A factorization that pivoted (the cubic-grid 1-D systems do) solves with
 `gbtrs`.
 
-`tbsv` is called through the pointer `scipy.linalg.cython_blas` exports, by
-ctypes, which releases the GIL (the f2py wrappers hold it), so CN can run
-beside other work: two threads of 2,000 solves took 0.68 s this way against
-1.39 s serial, and 1.12 s against 1.05 s through f2py; same kernel, same bits.
+BLAS is called through the pointers `scipy.linalg.cython_blas` exports, by
+ctypes.  The two `tbsv` calls of a solve go through CFUNCTYPE, which releases
+the GIL for each (the f2py wrappers hold it), so CN can run beside other work:
+two threads of 2,000 solves took 0.68 s this way against 1.39 s serial, and
+1.12 s against 1.05 s through f2py; same kernel, same bits.  Everything else
+a CN step holds the GIL and is kept to a few microseconds: the right-hand
+side is copied through a memoryview, the reflection is a `daxpy` through
+PYFUNCTYPE, and the ctypes arguments of the triangles are built once per
+factorization.  A thread that releases the GIL waits for it again on its way
+back, so every extra release (a numpy copy or ufunc on a long vector does one)
+and every long hold makes the CN thread and the thread beside it queue.
 
 Two references are provided: Crank-Nicolson with a Rannacher start-up (two
 half-step implicit-Euler pairs smooth the non-smooth payoff before the
 trapezoidal steps), and the two-stage composite TR-BDF2 scheme, which is
 L-stable and needs no start-up.  Neither applies M: with A = I - (k/2) M, a
 trapezoidal step A^-1 (I + (k/2) M) y is the implicit-midpoint 2 A^-1 y - y,
-one band solve, an exact doubling and one subtraction.  Fields agree with the
+one band solve and a reflection (in CN one `daxpy`).  Fields agree with the
 written-order recurrence (matvec, then solve) to 32 l eps max|y0|, not bitwise.
 """
 
 from __future__ import annotations
 
 import ctypes
-from ctypes import POINTER, byref, c_char_p, c_int, c_void_p, py_object
+from ctypes import POINTER, byref, c_char_p, c_double, c_int, c_void_p, py_object
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,17 +66,29 @@ def _capsule_pointer(capsule) -> int:
         ("PyCapsule_GetPointer", ctypes.pythonapi))(capsule, name)
 
 
-# dtbsv(uplo, trans, diag, n, k, a, lda, x, incx); a CFUNCTYPE call drops the GIL
-_DTBSV = ctypes.CFUNCTYPE(None, c_char_p, c_char_p, c_char_p, POINTER(c_int),
-                          POINTER(c_int), c_void_p, POINTER(c_int), c_void_p,
-                          POINTER(c_int))(_capsule_pointer(_blas_capsules["dtbsv"]))
+def _blas(name: str, functype, *argtypes):
+    return functype(None, *argtypes)(_capsule_pointer(_blas_capsules[name]))
 
 
-def _tbsv(uplo: bytes, diag: bytes, a: np.ndarray, x: np.ndarray) -> None:
-    """x <- A^-1 x in place; A triangular in Fortran-ordered BLAS band storage."""
+_INT = POINTER(c_int)
+# dtbsv(uplo, trans, diag, n, k, a, lda, x, incx), through CFUNCTYPE: drops the GIL
+_DTBSV = _blas("dtbsv", ctypes.CFUNCTYPE, c_char_p, c_char_p, c_char_p, _INT, _INT,
+               c_void_p, _INT, POINTER(c_double), _INT)
+# daxpy(n, alpha, x, incx, y, incy), through PYFUNCTYPE: holds the GIL
+_DAXPY = _blas("daxpy", ctypes.PYFUNCTYPE, _INT, POINTER(c_double), c_void_p, _INT,
+               c_void_p, _INT)
+_ONE = byref(c_int(1))
+_MINUS_TWO = byref(c_double(-2.0))
+
+
+def _tbsv_args(uplo: bytes, diag: bytes, a: np.ndarray) -> tuple:
+    """dtbsv's arguments up to x for A in Fortran-ordered BLAS band storage.
+
+    The data_as pointer holds a reference to a, so it cannot dangle.
+    """
     k, n = a.shape[0] - 1, a.shape[1]
-    _DTBSV(uplo, b"N", diag, byref(c_int(n)), byref(c_int(k)), a.ctypes.data,
-           byref(c_int(k + 1)), x.ctypes.data, byref(c_int(1)))
+    return (uplo, b"N", diag, byref(c_int(n)), byref(c_int(k)),
+            a.ctypes.data_as(c_void_p), byref(c_int(k + 1)))
 
 
 @dataclass
@@ -102,18 +122,42 @@ class BandedLU:
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        x = np.array(rhs, dtype=float)  # a contiguous copy, solved in place
-        if x.shape != (self.n,):
-            raise ValueError(f"rhs length: need shape ({self.n},), got {x.shape}")
-        if self.upper is None:
-            x, info = dgbtrs(self.lu, self.kl, self.ku, x, self.ipiv, overwrite_b=1)
+    def __post_init__(self):  # the ctypes arguments, built once
+        self._tbsv = None if self.upper is None else (
+            _tbsv_args(b"L", b"U", self.lower), _tbsv_args(b"U", b"N", self.upper))
+
+    def solve(self, rhs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A^-1 rhs, written to out (a fresh array if None) and returned.
+
+        out must be a writeable C-contiguous float64 array of shape (n,) that
+        does not overlap rhs; rhs is only read.
+        """
+        b = np.ascontiguousarray(rhs, dtype=float)
+        if b.shape != (self.n,):
+            raise ValueError(f"rhs length: need shape ({self.n},), got {np.shape(rhs)}")
+        if out is None:
+            out = np.empty(self.n)
+        elif not (isinstance(out, np.ndarray) and out.shape == b.shape
+                  and out.dtype == b.dtype and out.flags.c_contiguous
+                  and out.flags.writeable):
+            raise ValueError(f"out: need a writeable C-contiguous float64 array "
+                             f"of shape ({self.n},)")
+        elif np.may_share_memory(out, rhs):
+            raise ValueError("out: must not overlap rhs")
+        # the memoryview copy and from_buffer keep the GIL and are quick: a
+        # numpy copy would drop and retake it, and .ctypes.data takes
+        # microseconds an array
+        memoryview(out)[:] = memoryview(b)
+        if self._tbsv is None:
+            _, info = dgbtrs(self.lu, self.kl, self.ku, out, self.ipiv, overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"gbtrs failed with info={info}")
-            return x
-        _tbsv(b"L", b"U", self.lower, x)
-        _tbsv(b"U", b"N", self.upper, x)
-        return x
+            return out
+        x = c_double.from_buffer(out)
+        lower, upper = self._tbsv
+        _DTBSV(*lower, x, _ONE)
+        _DTBSV(*upper, x, _ONE)
+        return out
 
 
 def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMatrix:
@@ -163,7 +207,9 @@ def crank_nicolson_run(op: StencilOperator, initial: np.ndarray, expiry: float,
 
     The first two macro-steps are taken as four implicit-Euler half-steps;
     both phases solve against A = I - (k/2) M, so one factorization serves the
-    whole run.  Each CN step is one solve and a reflection, 2 A^-1 y - y.
+    whole run.  Each CN step is one solve and a reflection, 2 A^-1 y - y, taken
+    in place on two vectors; fields are bitwise those of a loop that writes
+    2 A^-1 y - y into fresh arrays.
     """
     if l < 3:
         raise ValueError(f"need l >= 3 (two start-up steps plus CN), got {l}")
@@ -172,14 +218,20 @@ def crank_nicolson_run(op: StencilOperator, initial: np.ndarray, expiry: float,
     if np.shape(initial) != op.shape:
         raise ValueError(f"initial shape {np.shape(initial)} != operator shape {op.shape}")
     lu = banded_factor(operator_banded(op, 1.0, -0.5 * expiry / l))  # k = expiry / l
-    y = np.ravel(initial)  # never written: each solve returns a fresh array
-    for _ in range(4):
-        y = lu.solve(y)
+    w = lu.solve(np.ravel(initial))
+    z = np.empty_like(w)
+    for _ in range(3):
+        z, w = w, lu.solve(w, out=z)
+    # after k CN steps w = (-1)^k y_k, since w - 2 A^-1 w = -(2 A^-1 y_k - y_k):
+    # a step is one solve into z and one daxpy, and releases the GIL only in
+    # the solve's two tbsv calls
+    n, wp, zp = byref(c_int(w.size)), w.ctypes.data, z.ctypes.data
     for _ in range(l - 2):
-        z = lu.solve(y)
-        z *= 2.0
-        y = np.subtract(z, y, out=z)
-    return y.reshape(op.shape)
+        lu.solve(w, out=z)
+        _DAXPY(n, _MINUS_TWO, zp, _ONE, wp, _ONE)
+    if l % 2:
+        np.subtract(0.0, w, out=w)  # not -w: zeros stay +0.0, as 2 z - y writes them
+    return w.reshape(op.shape)
 
 
 TRBDF2_GAMMA = 2.0 - np.sqrt(2.0)

@@ -347,7 +347,9 @@ def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
     s0 = max(2.0, math.sqrt(1.5 * need / SAFETY))
     guess = s0 * math.sqrt(need / (SAFETY * _closed_extent(family, s0)))
     if not guess <= 10**6:
-        raise InfeasibleStepError("stage count out of range")
+        raise InfeasibleStepError(
+            f"stage count out of range: {family.label} needs more than 10**6 stages "
+            f"to cover dt*rho = {need:.6g}")
     s = _smallest_covering(max(2, math.ceil(guess)),
                            lambda k: SAFETY * _closed_extent(family, k) >= need)
     return _smallest_covering(s, lambda k: SAFETY * _certified(family, k)[1] >= need)

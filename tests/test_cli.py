@@ -482,6 +482,31 @@ def test_main_reports_uncertifiable_table(tmp_path, capsys):
     assert "the coefficient table is not finite" in err
 
 
+def test_main_reports_an_unconverged_reference(tmp_path, capsys):
+    # CN at l_ref = 3 is far from CN at 6: one line naming the key, and only
+    # config.json is left, since the check runs after the ladder
+    cfg = tmp_path / "l_ref3.json"
+    cfg.write_text(json.dumps({"grid": {"x": {"m": 20}, "v": {"m": 10}}, "ladder": [20],
+                               "reference": {"l_ref": 3}}))
+    out = tmp_path / "out"
+    assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: reference.l_ref: reference not self-converged: "
+                          "rms(l=3, l=6) = ") and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["config.json"]
+
+
+def test_main_names_the_stage_cap(tmp_path, capsys):
+    cfg = tmp_path / "r1e150.json"
+    cfg.write_text(json.dumps({"params": {"r": 1e150},
+                               "grid": {"x": {"m": 20}, "v": {"m": 10}}}))
+    assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: stage count out of range: rkc(eps=10) needs "
+                          "more than 10**6 stages to cover dt*rho = ")
+    assert err.count("\n") == 1
+
+
 def unrunnable(payload, message, id, cmd="price"):
     return pytest.param(payload, message, cmd, id=id)
 

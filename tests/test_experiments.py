@@ -3,6 +3,7 @@
 import json
 import math
 import threading
+import time
 import warnings
 from dataclasses import asdict
 
@@ -20,7 +21,8 @@ from stslab.experiments import (bs_closed_form, bs_uniform_grid,
                                 oscillation_metric, payoff_eval, price_at_spot,
                                 Setup, prepare, put, rms_error, roi_mask,
                                 run_and_score, run_bs_study,
-                                run_delta_comparison, run_time_convergence)
+                                run_delta_comparison, run_time_convergence,
+                                UnconvergedReferenceError)
 from stslab.grids import Grid1D, make_grid, make_uniform
 from stslab.implicit import crank_nicolson_run
 from stslab.operators import BsParams, UpwindPolicy, assemble_bs, assemble_heston
@@ -345,7 +347,7 @@ def test_time_convergence_matches_serial_oracle_bitwise(rho_scale, exploded, hes
 
 
 def test_time_convergence_unconverged_reference_raises(heston_setup):
-    with pytest.raises(RuntimeError,
+    with pytest.raises(UnconvergedReferenceError,
                        match=r"reference not self-converged: rms\(l=3, l=6\) = "):
         run_time_convergence(heston_setup, (rkc(10.0),), ladder=(20,), l_ref=3)
 
@@ -358,6 +360,26 @@ def test_time_convergence_reference_error_propagates(heston_setup, monkeypatch):
     monkeypatch.setattr(stslab.experiments, "crank_nicolson_run", failing)
     with pytest.raises(np.linalg.LinAlgError, match="no reference at l=400"):
         run_time_convergence(heston_setup, (rkc(10.0),), ladder=(20,), l_ref=400)
+    assert threading.active_count() == before
+
+    # a ladder that fails cancels the queued reference: only the running one finishes
+    started, calls = threading.Event(), []
+
+    def counting(op, y0, expiry, l):
+        calls.append(l)
+        started.set()
+        time.sleep(0.2)  # still running when the ladder fails
+        return y0
+
+    def failing_ladder(*args):
+        assert started.wait(timeout=30)
+        raise ValueError("ladder failed")
+
+    monkeypatch.setattr(stslab.experiments, "crank_nicolson_run", counting)
+    monkeypatch.setattr(stslab.experiments, "run_and_score", failing_ladder)
+    with pytest.raises(ValueError, match="ladder failed"):
+        run_time_convergence(heston_setup, (rkc(10.0),), ladder=(20,), l_ref=400)
+    assert calls == [400]
     assert threading.active_count() == before
 
 

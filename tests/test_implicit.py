@@ -232,6 +232,53 @@ def test_solve_matches_gbtrs_bitwise(build, pivoted):
         assert np.array_equal(rhs, before)
 
 
+@pytest.mark.parametrize("build", [
+    cn_heston_matrix,
+    lambda: trbdf2_bs_matrix(make_uniform(0.0, 150.0, 100)),
+    lambda: trbdf2_bs_matrix(cubic_grid()),
+    tiny_diagonal_matrix,
+], ids=["heston-cn-41x21", "uniform-101", "cubic-401", "tiny-diagonal"])
+def test_solve_into_out_matches_a_fresh_solve_bitwise(build):
+    """Both paths, tbsv and gbtrs, write into out and return it; rhs is only read."""
+    lu = banded_factor(build())
+    rng = np.random.default_rng(3)
+    big = rng.standard_normal(2 * lu.n)
+    read_only = big[lu.n:].copy()
+    read_only.flags.writeable = False
+    for rhs in (big[:lu.n], big[::2], big[::-2], big[:lu.n].astype(np.float32), read_only):
+        want = lu.solve(np.array(rhs, dtype=float)).tobytes()
+        before = rhs.copy()
+        out = np.full(lu.n, np.nan)
+        assert lu.solve(rhs, out=out) is out
+        assert out.tobytes() == want
+        assert lu.solve(rhs).tobytes() == want
+        assert np.array_equal(rhs, before)
+
+
+@pytest.mark.parametrize("pivoted", [False, True], ids=["tbsv", "gbtrs"])
+def test_solve_rejects_an_unusable_out(pivoted):
+    lu = banded_factor(tiny_diagonal_matrix() if pivoted else cn_heston_matrix())
+    n = lu.n
+    rhs = np.linspace(0.0, 1.0, n)
+    buf = np.zeros(n + 1)
+    bad = {
+        "shape": np.zeros(n + 1),
+        "2-d": np.zeros((n, 1)),
+        "dtype": np.zeros(n, dtype=np.float32),
+        "strided": np.zeros(2 * n)[::2],
+        "read-only": np.zeros(n),
+        "list": [0.0] * n,
+    }
+    bad["read-only"].flags.writeable = False
+    for name, out in bad.items():
+        with pytest.raises(ValueError, match="out: need a writeable C-contiguous"):
+            lu.solve(rhs, out=out)
+    for out, b in ((rhs, rhs), (buf[1:], buf[:n]), (buf[:n], buf[1:])):
+        b[:] = rhs
+        with pytest.raises(ValueError, match="out: must not overlap rhs"):
+            lu.solve(b, out=out)
+
+
 @pytest.mark.parametrize("build", [case for case in operator_cases()
                                    if not case.id.startswith("1d-")])
 def test_pointer_solve_matches_f2py_tbsv_and_gbtrs_bitwise(build):
@@ -298,6 +345,43 @@ def test_crank_nicolson_within_rounding_bound_of_reference(heston_params, gx_sma
     assert np.abs(got - want).max() <= rounding_bound(50, y0)
 
 
+def reflect_crank_nicolson_run(op, initial, expiry, l):
+    """The CN/Rannacher loop as a fresh solve and a reflection 2 z - y per step,
+    with gbtrs solves: the bit-for-bit oracle of the in-place daxpy loop."""
+    lu = reference_gbtrf(operator_banded(op, 1.0, -0.5 * expiry / l))
+    y = np.ravel(initial)
+    for _ in range(4):
+        y = reference_gbtrs_solve(lu, y)
+    for _ in range(l - 2):
+        z = reference_gbtrs_solve(lu, y)
+        y = 2.0 * z - y
+    return y.reshape(op.shape)
+
+
+@pytest.mark.parametrize("l", [3, 4, 7, 50])
+@pytest.mark.parametrize("dim", [2, 1])
+def test_crank_nicolson_equals_the_reflection_loop_bitwise(dim, l, heston_params,
+                                                           gx_small, gv_small, bs_params):
+    """w = (-1)^k y_k and a final 0 - w at odd l give the same bits, zeros included.
+
+    The 41x21 CN matrix pivots at l <= 7, so both solve paths are covered.
+    """
+    if dim == 2:
+        op = assemble_heston(heston_params, gx_small, gv_small,
+                             UpwindPolicy.PARTIAL_FITTING)
+        y0 = payoff_eval(call(heston_params.strike), gx_small, gv_small)
+        expiry = heston_params.expiry
+    else:
+        grid = make_uniform(0.0, 150.0, 100)
+        op = assemble_bs(bs_params, grid, UpwindPolicy.PARTIAL_FITTING)
+        y0, expiry = payoff_eval(call(100.0), grid), bs_params.expiry
+    pivoted = banded_factor(operator_banded(op, 1.0, -0.5 * expiry / l)).upper is None
+    assert pivoted == (dim == 2 and l <= 7)
+    assert (y0 == 0.0).any()  # the payoff's zeros must come out +0.0 too
+    got = crank_nicolson_run(op, y0, expiry, l)
+    assert got.tobytes() == reflect_crank_nicolson_run(op, y0, expiry, l).tobytes()
+
+
 @pytest.mark.parametrize("grid", [cubic_grid(), make_uniform(0.0, 150.0, 100)],
                          ids=["cubic-401", "uniform-101"])
 def test_trbdf2_within_rounding_bound_of_reference(grid, bs_params):
@@ -315,9 +399,9 @@ def implicit_calls(monkeypatch):
     counts = {"solve": 0, "apply": 0}
     real_solve, real_apply = BandedLU.solve, stslab.operators.apply
 
-    def solve(self, rhs):
+    def solve(self, *args, **kwargs):
         counts["solve"] += 1
-        return real_solve(self, rhs)
+        return real_solve(self, *args, **kwargs)
 
     def counted_apply(*args, **kwargs):
         counts["apply"] += 1

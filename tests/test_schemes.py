@@ -1,6 +1,7 @@
 """Stage recurrences against closed-form polynomials, extents, stage selection."""
 
 import dataclasses
+import re
 from functools import lru_cache
 
 import numpy as np
@@ -353,6 +354,15 @@ def test_cold_run_builds_no_table_beyond_selection(family, monkeypatch):
                             rho=6100.0)
     assert log.s_per_step == [s]
     assert built == by_selection
+
+
+@pytest.mark.parametrize("family", [rkc(10.0), rkl(), rkg(2.0)], ids=lambda f: f.label)
+def test_select_stage_count_names_the_cap_it_exceeds(family):
+    label = re.escape(family.label)
+    with pytest.raises(InfeasibleStepError,
+                       match=rf"^stage count out of range: {label} needs more than "
+                             rf"10\*\*6 stages to cover dt\*rho = 2e\+15$"):
+        select_stage_count(family, 2.0, 1e15)
 
 
 def test_select_euler():
