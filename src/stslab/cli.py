@@ -13,13 +13,15 @@ reports with the config path, and the rules that span two keys.  Before it
 writes anything, `dispatch` checks the command against `_COMMANDS` (each
 command's model, default l, eigensolve and help, stated once) and builds the
 run once: the grids, the `prepare` setup, the rules that need them (a finite
-operator, the oscillation window) and the one dense eigensolve of `spectrum`
-and `bs-demo`, whose size guard refuses a large lattice.  So a config that
-passes runs and one that cannot fails before anything is written.  Data CSVs
-contain no timings, so identical configs produce byte-identical files; wall
-times go to the run log only.  JSON files are strict JSON: a non-finite
-number (an unscored field, an infinite margin, an exploded price) is written
-as null.
+operator, the oscillation window), the stage count of every run it makes
+(`schemes.plan_run`) and the one dense eigensolve of `spectrum` and
+`bs-demo`, whose size guard refuses a large lattice.  So a config that
+passes runs and one that cannot fails before anything is written; one that
+fails while stepping, or on its reference, leaves the config.json that
+replays it.  Data CSVs contain no timings, so identical configs produce
+byte-identical files; wall times go to the run log only.  JSON files are
+strict JSON: a non-finite number (an unscored field, an infinite margin, an
+exploded price) is written as null.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .experiments import (DEFAULT_L_REF, DEFAULT_LADDER, Payoff, PayoffKind, Set
                           run_delta_comparison, run_time_convergence)
 from .grids import GridSpec, StretchKind, make_grid
 from .operators import BsParams, HestonParams, UpwindPolicy
-from .schemes import FREE_PARAMETER, FamilyKind, InfeasibleStepError, SchemeFamily
+from .schemes import FREE_PARAMETER, FamilyKind, InfeasibleStepError, SchemeFamily, plan_run
 from .spectra import eigenvalues_dense, write_spectrum
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "dispatch", "main"]
@@ -447,6 +449,13 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
         raise ConfigError(f"grid.x: need >= 3 nodes in the payoff's oscillation "
                           f"window [{lo:g}, {hi:g}], got {held}")
     l = cfg.l or l_default
+    steps = () if cmd == "spectrum" else cfg.ladder if cmd == "converge" else (l,)
+    for i, fam in enumerate(cfg.schemes):  # refuse an unrunnable step before writing
+        try:
+            for n in steps:
+                plan_run(fam, cfg.params.expiry / n, setup.rho)
+        except InfeasibleStepError as exc:
+            raise ConfigError(f"schemes[{i}]: {exc}") from exc
     if eigensolves:
         setup = replace(setup, spectrum=_built("grid", eigenvalues_dense, setup.op.matrix,
                                                scale=cfg.params.expiry / l))
@@ -488,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"--config: {exc}") from exc
         cfg = parse_config(text)
         return dispatch(args.cmd, cfg, out_dir=args.out, strict=args.strict)
-    except (ConfigError, InfeasibleStepError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -50,9 +50,8 @@ __all__ = [
     "rkl",
     "rkg",
     "make_coefficients",
-    "stability_poly_eval",
-    "stability_extent",
     "select_stage_count",
+    "plan_run",
     "super_step",
     "run_integrator",
 ]
@@ -174,11 +173,9 @@ def make_coefficients(family: SchemeFamily, s: int) -> StageCoefficients:
     if family.kind is FamilyKind.EULER:
         if s != 1:
             raise ValueError(f"explicit Euler has exactly one stage, got s={s}")
-        one = np.array([0.0, 1.0])
-        zero = np.zeros(2)
-        return StageCoefficients(family, 1, 1.0, 1.0, a=np.zeros(2), b=np.ones(2),
-                                 mu=zero, nu=zero.copy(), mu_tilde=one,
-                                 gamma_tilde=zero.copy())
+        return StageCoefficients(family, 1, 1.0, 1.0, a=np.zeros(2), b=np.ones(2), mu=np.zeros(2),
+                                 nu=np.zeros(2), mu_tilde=np.array([0.0, 1.0]),
+                                 gamma_tilde=np.zeros(2))
     if s < 2:
         raise ValueError(f"stabilized families need s >= 2, got s={s}")
     A, B, w0 = _recurrence_multipliers(family, s)
@@ -230,11 +227,6 @@ def _poly_eval(coeffs: StageCoefficients, z):
     return ym1
 
 
-def stability_poly_eval(coeffs: StageCoefficients, z: float) -> float:
-    """P_s(z), the amplification factor of one unit step on y' = z y."""
-    return float(_poly_eval(coeffs, float(z)))
-
-
 def _q(A: list, B: list, w: float) -> float:
     """Q_s(w), s = len(A) - 1, by the plain-float three-term recurrence."""
     qm2, qm1 = 1.0, A[1] * w
@@ -245,7 +237,8 @@ def _q(A: list, B: list, w: float) -> float:
 
 @lru_cache(maxsize=None)
 def _certified(family: SchemeFamily, s: int) -> tuple[StageCoefficients, float]:
-    """The coefficient table of (family, s) and its stability extent."""
+    """The table of (family, s) and its stability extent, the largest beta with
+    |P_s(-x)| <= 1 + 1e-12 on [0, beta]; InfeasibleStepError if not certified."""
     # a table too large for doubles overflows on the way; the check below
     # reports it, so the intermediate warnings carry no information
     with np.errstate(over="ignore", invalid="ignore"):
@@ -283,17 +276,6 @@ def _certified(family: SchemeFamily, s: int) -> tuple[StageCoefficients, float]:
         else:
             hi = mid
     return coeffs, lo
-
-
-def stability_extent(coeffs: StageCoefficients) -> float:
-    """Largest beta with |P_s(-x)| <= 1 + 1e-12 on all of [0, beta].
-
-    The stretch up to 2 w0/w1, where the argument w0 + w1 z of Q_s reaches
-    -w0, is certified by one bound on the table's a_s, b_s and Q_s(w0); the
-    single crossing past it is bisected to 1e-9 relative.  Raises
-    InfeasibleStepError if the bound fails.  Cached per (family, s).
-    """
-    return _certified(coeffs.family, coeffs.s)[1]
 
 
 def _closed_extent(family: SchemeFamily, s: float) -> float:
@@ -353,6 +335,18 @@ def select_stage_count(family: SchemeFamily, dt: float, rho: float) -> int:
     s = _smallest_covering(max(2, math.ceil(guess)),
                            lambda k: SAFETY * _closed_extent(family, k) >= need)
     return _smallest_covering(s, lambda k: SAFETY * _certified(family, k)[1] >= need)
+
+
+@lru_cache(maxsize=None)
+def plan_run(family: SchemeFamily, dt: float, rho: float):
+    """(s, coeffs, extent, t_select) of a run at step dt against the bound rho, the
+    one place a stage count is chosen.  t_select times only select_stage_count, so
+    a cached plan keeps its cold time; a refusal raises and is not cached."""
+    t0 = time.perf_counter()
+    s = select_stage_count(family, dt, rho)
+    t_select = time.perf_counter() - t0
+    coeffs, extent = _certified(family, s)
+    return s, coeffs, extent, t_select
 
 
 def _stages(coeffs: StageCoefficients, op: StencilOperator, state: np.ndarray,
@@ -426,7 +420,7 @@ class RunLog:
     rho: float = 0.0
     need: float = 0.0  # dt * rho
     margin: float = math.inf  # 0.95 * extent(s) / need
-    t_select: float = 0.0
+    t_select: float = 0.0  # the cold selection time of the run's plan
     dt: float = 0.0
     stage_evals: int = 0  # stages run, the sum of s_per_step
     rms_error: float = math.nan
@@ -440,7 +434,8 @@ def run_integrator(family: SchemeFamily, op: StencilOperator, initial: np.ndarra
 
     Returns (field, RunLog).  On explosion the last finite field is returned
     and the log carries the step index; the caller decides how to report it.
-    The spectral-radius bound defaults to the Gershgorin estimate of op.
+    The spectral-radius bound defaults to the Gershgorin estimate of op; s and
+    t_select, the plan's cold selection time, come from plan_run.
     """
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")
@@ -451,12 +446,9 @@ def run_integrator(family: SchemeFamily, op: StencilOperator, initial: np.ndarra
 
         rho = gershgorin_radius(op)
     dt = expiry / l
-    t0 = time.perf_counter()
-    s = select_stage_count(family, dt, rho)
+    s, coeffs, extent, t_select = plan_run(family, dt, rho)
     log = RunLog(family=family.label, eps_or_g=family.eps_or_g, l=l,
-                 rho=float(rho), need=float(dt * rho),
-                 t_select=time.perf_counter() - t0, dt=float(dt))
-    coeffs, extent = _certified(family, s)
+                 rho=float(rho), need=float(dt * rho), t_select=t_select, dt=float(dt))
     if log.need > 0.0:
         log.margin = SAFETY * extent / log.need
     y = np.array(initial, dtype=float, copy=True)
@@ -466,9 +458,7 @@ def run_integrator(family: SchemeFamily, op: StencilOperator, initial: np.ndarra
         try:
             y = super_step(coeffs, op, y, dt)
         except ExplosionError as exc:
-            log.exploded = True
-            log.explosion_step = step
-            log.explosion_stage = exc.stage
+            log.exploded, log.explosion_step, log.explosion_stage = True, step, exc.stage
             break
     log.wall_time = time.perf_counter() - t0
     log.stage_evals = sum(log.s_per_step)

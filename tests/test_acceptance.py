@@ -30,10 +30,9 @@ from stslab.grids import make_grid
 from stslab.implicit import banded_factor, crank_nicolson_run, operator_banded
 from stslab.operators import (UpwindPolicy, assemble_bs, assemble_heston,
                               to_sparse)
-from stslab.schemes import (FamilyKind, InfeasibleStepError, explicit_euler,
-                            make_coefficients, rkc, rkg, rkl,
-                            run_integrator, select_stage_count,
-                            stability_extent, stability_poly_eval)
+from stslab.schemes import (FamilyKind, InfeasibleStepError, _certified, _poly_eval,
+                            explicit_euler, make_coefficients, rkc, rkg, rkl,
+                            run_integrator, select_stage_count)
 from stslab.spectra import eigenvalues_dense, gershgorin_radius
 
 
@@ -269,9 +268,9 @@ def test_a7_unit_oracles(stress, row_sum_check, capsys):
     # stability polynomials: stage recurrence against the classical forms
     worst_poly = 0.0
     for family, s in [(rkc(10.0), 21), (rkl(), 13), (rkg(2.0), 21)]:
-        coeffs = make_coefficients(family, s)
-        zs = np.linspace(-stability_extent(coeffs), 0.0, 17)
-        got = np.array([stability_poly_eval(coeffs, z) for z in zs])
+        coeffs, extent = _certified(family, s)
+        zs = np.linspace(-extent, 0.0, 17)
+        got = _poly_eval(coeffs, zs)
         want = _closed_form_poly(coeffs, zs)
         worst_poly = max(worst_poly, float(np.max(
             np.abs(got - want) / np.maximum(1.0, np.abs(want)))))
@@ -282,7 +281,7 @@ def test_a7_unit_oracles(stress, row_sum_check, capsys):
     h = 1e-2
     for family in (rkc(10.0), rkl(), rkg(2.0)):
         coeffs = make_coefficients(family, 12)
-        vals = np.array([stability_poly_eval(coeffs, k * h)
+        vals = np.array([_poly_eval(coeffs, k * h)
                          for k in range(-2, 3)])
         r0 = vals[2]
         r1 = (vals[0] - 8 * vals[1] + 8 * vals[3] - vals[4]) / (12 * h)

@@ -10,6 +10,7 @@ import pytest
 
 import stslab.experiments
 import stslab.grids
+import stslab.schemes
 import stslab.spectra
 from stslab.cli import ConfigError, dispatch, main, parse_config
 from stslab.experiments import (DEFAULT_LADDER, PayoffKind, bs_uniform_grid,
@@ -17,7 +18,7 @@ from stslab.experiments import (DEFAULT_LADDER, PayoffKind, bs_uniform_grid,
                                 foulon_spec_v, foulon_spec_x, prepare)
 from stslab.grids import StretchKind, make_grid
 from stslab.operators import BsParams, HestonParams, UpwindPolicy
-from stslab.schemes import FamilyKind, InfeasibleStepError
+from stslab.schemes import FamilyKind
 from stslab.spectra import eigenvalues_dense, write_spectrum
 
 # ------------------------------------------------------------------- parsing
@@ -424,17 +425,16 @@ def test_config_json_replays_the_run(cmd, tmp_path):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-# rkc(eps=1e5) overflows its coefficient table at the stage count l = 10 needs
-RKC_1E5 = {"grid": {"x": {"m": 60}, "v": {"m": 30}}, "policy": "foulon-region-fitting",
-           "schemes": [{"family": "rkc", "eps": 100000.0}], "l": 10}
+# CN at l_ref = 3 is far from CN at 6 on this grid
+L_REF_3 = {"grid": {"x": {"m": 20}, "v": {"m": 10}}, "ladder": [20], "reference": {"l_ref": 3}}
 
 
 def test_config_json_written_before_the_run(tmp_path):
-    # stage selection refuses rkc(eps=1e5) during the run, after the config
-    # was written
-    cfg = parse_config(json.dumps(RKC_1E5))
-    with pytest.raises(InfeasibleStepError):
-        dispatch("price", cfg, out_dir=str(tmp_path))
+    # the reference check fails only after the ladder has run, so the config
+    # written first is left to replay the run
+    cfg = parse_config(json.dumps(L_REF_3))
+    with pytest.raises(ConfigError, match="reference not self-converged"):
+        dispatch("converge", cfg, out_dir=str(tmp_path))
     assert parse_config((tmp_path / "config.json").read_text()) == \
         replace(cfg, out_dir=str(tmp_path))
 
@@ -472,22 +472,11 @@ def test_unreadable_config_path_is_a_config_error(tmp_path, capsys, kind, needle
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("error")  # the refusal is the one line; no overflow warnings
-def test_main_reports_uncertifiable_table(tmp_path, capsys):
-    cfg = tmp_path / "rkc1e5.json"
-    cfg.write_text(json.dumps(RKC_1E5))
-    assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: rkc(eps=100000) s=") and err.count("\n") == 1
-    assert "the coefficient table is not finite" in err
-
-
 def test_main_reports_an_unconverged_reference(tmp_path, capsys):
     # CN at l_ref = 3 is far from CN at 6: one line naming the key, and only
     # config.json is left, since the check runs after the ladder
     cfg = tmp_path / "l_ref3.json"
-    cfg.write_text(json.dumps({"grid": {"x": {"m": 20}, "v": {"m": 10}}, "ladder": [20],
-                               "reference": {"l_ref": 3}}))
+    cfg.write_text(json.dumps(L_REF_3))
     out = tmp_path / "out"
     assert main(["converge", "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -496,15 +485,20 @@ def test_main_reports_an_unconverged_reference(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == ["config.json"]
 
 
+R_1E150 = {"params": {"r": 1e150}, "grid": {"x": {"m": 20}, "v": {"m": 10}}}
+
+
 def test_main_names_the_stage_cap(tmp_path, capsys):
-    cfg = tmp_path / "r1e150.json"
-    cfg.write_text(json.dumps({"params": {"r": 1e150},
-                               "grid": {"x": {"m": 20}, "v": {"m": 10}}}))
-    assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: stage count out of range: rkc(eps=10) needs "
-                          "more than 10**6 stages to cover dt*rho = ")
-    assert err.count("\n") == 1
+    # dispatch plans the runs of every command that runs schemes, so the cap
+    # is refused before anything is written, naming the scheme's config path
+    cfg = write_config(tmp_path, R_1E150)
+    for cmd in ("price", "converge", "delta"):
+        out = tmp_path / cmd
+        assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: schemes[0]: stage count out of range: "
+                              "rkc(eps=10) needs more than 10**6 stages to cover dt*rho = ")
+        assert err.count("\n") == 1 and not out.exists()
 
 
 def unrunnable(payload, message, id, cmd="price"):
@@ -513,6 +507,14 @@ def unrunnable(payload, message, id, cmd="price"):
 
 R_1E308 = {"params": {"r": 1e308}, "grid": {"x": {"m": 20}, "v": {"m": 10}}}
 OVERFLOWS = "params: the operator overflows float64"
+# rkc(eps=1e5) overflows its coefficient table at the stage count l = 10 needs
+RKC_1E5 = {"grid": {"x": {"m": 60}, "v": {"m": 30}}, "policy": "foulon-region-fitting",
+           "schemes": [{"family": "rkc", "eps": 100000.0}], "l": 10}
+CAP = "stage count out of range: rkc(eps=10) needs more than 10**6 stages to cover dt*rho ="
+EULER_L10 = {"schemes": [{"family": "euler"}], "grid": {"x": {"m": 20}, "v": {"m": 10}},
+             "l": 10}
+EULER_232 = ("explicit Euler needs dt*rho <= 1.9, got 232.053; use at least 123x more "
+             "steps or a stabilized family")
 
 
 # Each was accepted by the parser and then failed inside a command, some only
@@ -566,6 +568,15 @@ UNRUNNABLE = [
     unrunnable({"params": {"v0": 9.0}},
                "params.v0: need a value inside grid.v [0, 5], got 9",
                id="heston-v0-off-grid"),
+    # stage selection refused the run after the config was written
+    unrunnable(RKC_1E5, "schemes[0]: rkc(eps=100000) s=664: the coefficient table is "
+               "not finite or b_s is not a normal float", id="rkc-eps-1e5"),
+    unrunnable(R_1E150, f"schemes[0]: {CAP} 6.08413e+149", id="heston-r-1e150"),
+    unrunnable(R_1E150, f"schemes[0]: {CAP} 6.08413e+150", id="converge-r-1e150",
+               cmd="converge"),
+    unrunnable(EULER_L10, f"schemes[0]: {EULER_232}", id="euler-l10"),
+    unrunnable(dict(EULER_L10, schemes=[{"family": "rkl"}, {"family": "euler"}]),
+               f"schemes[1]: {EULER_232}", id="rkl-then-euler-l10"),
 ]
 
 
@@ -577,6 +588,39 @@ def test_unrunnable_config_fails_before_any_file(tmp_path, capsys, payload, mess
     assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists() or not any(out.iterdir())
+
+
+SELECTED = {
+    "converge": dict(REPLAYED["converge"],
+                     schemes=[{"family": "rkc", "eps": 10.0}, {"family": "rkl"}]),
+    "bs-demo": dict(REPLAYED["bs-demo"], schemes=[{"family": "rkl"}, {"family": "rkg"}]),
+}
+
+
+@pytest.mark.parametrize("cmd", list(SELECTED))
+def test_dispatch_selects_each_run_once(cmd, tmp_path, monkeypatch):
+    """dispatch plans every (scheme, step count) before it writes, and each
+    run reads its plan: one selection per run, recorded with the plan's time."""
+    calls = []
+    real = stslab.schemes.select_stage_count
+
+    def counting(family, dt, rho):
+        calls.append((family, dt, (tmp_path / "config.json").exists()))
+        return real(family, dt, rho)
+
+    monkeypatch.setattr(stslab.schemes, "select_stage_count", counting)
+    stslab.schemes.plan_run.cache_clear()
+    cfg = parse_config(json.dumps(SELECTED[cmd]))
+    assert dispatch(cmd, cfg, out_dir=str(tmp_path)) == 0
+    steps = cfg.ladder if cmd == "converge" else (cfg.l,)
+    assert calls == [(fam, cfg.params.expiry / n, False)
+                     for fam in cfg.schemes for n in steps]
+    families = {fam.label: fam for fam in cfg.schemes}
+    records = [rec for rec in read_log(tmp_path) if rec["family"] in families]
+    for rec in records:
+        plan = stslab.schemes.plan_run(families[rec["family"]], rec["dt"], rec["rho"])
+        assert rec["s_per_step"][0] == plan[0] and rec["t_select"] == plan[3]
+    assert len(calls) == len(records)  # one record per selection; each plan was cached
 
 
 def test_each_grid_is_built_once(tmp_path, monkeypatch):

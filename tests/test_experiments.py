@@ -5,7 +5,7 @@ import math
 import threading
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -428,3 +428,30 @@ def test_run_and_score_explosion(dim, heston_params, bs_params, gx_small, gv_sma
     assert np.isnan(run.rms_error)  # only the convergence ladder scores rms
     assert osc_slice.shape == (op.gx.m + 1,) and np.isfinite(osc_slice).all()
     assert np.isfinite(fld).all() and fld.shape == y0.shape
+
+
+def strike_setup(strike: float, policy: UpwindPolicy) -> Setup:
+    """The default 41x21 call setup with strike and spot at `strike`; the
+    default grid recipes scale with the strike."""
+    params = replace(default_heston_params(), strike=strike, spot=strike)
+    return prepare(params, make_grid(foulon_spec_x(strike, m=40)),
+                   make_grid(foulon_spec_v(n=20)), policy, call(strike))
+
+
+@pytest.mark.parametrize("policy", [UpwindPolicy.PARTIAL_FITTING,
+                                    UpwindPolicy.FOULON_REGION], ids=lambda p: p.value)
+@pytest.mark.parametrize("family,l", [(rkc(10.0), 10), (rkc(10.0), 80), (rkl(), 40)],
+                         ids=["rkc10-l10", "rkc10-l80", "rkl-l40"])
+def test_doubling_strike_and_spot_doubles_the_field_exactly(policy, family, l):
+    # M reads x only through ratios like x^2/h^2, so a power-of-two scale of
+    # the lattice leaves it bitwise unchanged and the linear runs scale exactly;
+    # the region-fitting l = 10 run grows to ~4e5 and scales all the same
+    one, two = strike_setup(100.0, policy), strike_setup(200.0, policy)
+    assert np.array_equal(two.op.gx.nodes, 2.0 * one.op.gx.nodes)
+    assert two.op.matrix.data.tobytes() == one.op.matrix.data.tobytes()
+    assert np.array_equal(two.op.matrix.offsets, one.op.matrix.offsets)
+    f1, _, run1 = run_and_score(family, one, l)
+    f2, _, run2 = run_and_score(family, two, l)
+    assert np.array_equal(f2, 2.0 * f1)
+    assert run2.s_per_step == run1.s_per_step and run2.exploded == run1.exploded
+    assert run2.price_at_spot == 2.0 * run1.price_at_spot

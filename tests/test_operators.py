@@ -17,6 +17,7 @@ from stslab.operators import (BsParams, HestonParams, StencilOperator,
 ALL_POLICIES = list(UpwindPolicy)
 POLICIES_2D = ALL_POLICIES
 POLICIES_1D = [p for p in ALL_POLICIES if p is not UpwindPolicy.FOULON_REGION]
+CUBIC = cubic_grid()
 
 
 # ---------------------------------------------------------------- row sums
@@ -32,6 +33,19 @@ def test_row_sums_equal_minus_r_stress(policy, heston_params, gx_stress,
 def test_row_sums_equal_minus_r_bs(policy, bs_params, row_sum_check):
     op = assemble_bs(bs_params, make_uniform(0.0, 150.0, 100), policy)
     row_sum_check(op, bs_params.r)
+
+
+def assert_spot_column_exact(op, q):
+    """M x = -q x in every row, boundary rows included, for x the spot
+    coordinate: to 9 eps of each row's sum of |M_ij| times the largest |x_j|
+    it reads.  The diagonal is -r minus the off-diagonals, so it carries their
+    rounding even where the neighbour it cancels against sits at x = 0."""
+    x = np.repeat(op.gx.nodes, op.size // op.gx.nodes.size)  # C order, v fastest
+    mat = to_sparse(op).tocsr()
+    err = np.abs(mat @ x + q * x)
+    reach = abs(mat).sign().multiply(np.abs(x)[None, :]).max(axis=1).toarray().ravel()
+    bound = 9.0 * np.finfo(float).eps * np.asarray(abs(mat).sum(axis=1)).ravel() * reach
+    assert np.all(err <= bound), np.flatnonzero(err > bound)
 
 
 @given(m=st.integers(min_value=3, max_value=12),
@@ -52,6 +66,19 @@ def test_row_sums_property(m, n, r, q, rho, sigma, policy):
     sums = np.asarray(mat.sum(axis=1)).ravel()
     scale = np.asarray(abs(mat).sum(axis=1)).ravel()
     assert np.all(np.abs(sums + r) <= 1e-12 * np.maximum(1.0, scale))
+    assert_spot_column_exact(op, q)  # M 1 = -r 1 above, and M x = -q x
+
+
+@given(r=st.floats(min_value=-0.05, max_value=0.2),
+       q=st.floats(min_value=-0.05, max_value=0.2),
+       sigma=st.floats(min_value=0.01, max_value=1.0),
+       policy=st.sampled_from(POLICIES_1D),
+       grid=st.sampled_from(["uniform", "cubic"]))
+@settings(max_examples=50, deadline=None)
+def test_spot_column_exact_bs(r, q, sigma, policy, grid):
+    gx = make_uniform(0.0, 150.0, 100) if grid == "uniform" else CUBIC
+    op = assemble_bs(BsParams(sigma=sigma, r=r, q=q, spot=100.0, expiry=1.0), gx, policy)
+    assert_spot_column_exact(op, q)
 
 
 def test_two_node_variance_grid(heston_params, gx_small, row_sum_check):

@@ -21,11 +21,10 @@ from stslab.grids import Grid1D, make_grid
 from stslab.operators import (StencilOperator, UpwindPolicy, apply,
                               assemble_bs, assemble_heston)
 from stslab.schemes import (EXTENT_TOL, ExplosionError, FamilyKind,
-                            InfeasibleStepError, SchemeFamily, _poly_eval,
-                            _recurrence_multipliers, explicit_euler,
+                            InfeasibleStepError, SchemeFamily, _certified,
+                            _poly_eval, _recurrence_multipliers, explicit_euler,
                             make_coefficients, rkc, rkg, rkl, run_integrator,
-                            select_stage_count, stability_extent,
-                            stability_poly_eval, super_step)
+                            select_stage_count, super_step)
 from stslab.spectra import gershgorin_radius
 
 FAMILIES = [rkc(0.0), rkc(10.0), rkl(), rkg(2.0), rkg(0.7)]
@@ -65,7 +64,7 @@ def brute_force_extent(coeffs):
                 raise RuntimeError("no stability boundary found within 100 windows")
     while hi - lo_good > 1e-9 * max(hi, 1.0):
         mid = 0.5 * (hi + lo_good)
-        if abs(stability_poly_eval(coeffs, -mid)) > 1.0 + EXTENT_TOL:
+        if abs(_poly_eval(coeffs, -mid)) > 1.0 + EXTENT_TOL:
             hi = mid
         else:
             lo_good = mid
@@ -95,10 +94,9 @@ def closed_form(coeffs, z):
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
 @pytest.mark.parametrize("s", [2, 3, 5, 8, 13, 21, 32])
 def test_recurrence_matches_closed_form(family, s):
-    coeffs = make_coefficients(family, s)
-    beta = stability_extent(coeffs)
+    coeffs, beta = _certified(family, s)
     z = -beta * np.linspace(0.0, 1.0, 41)
-    got = np.array([stability_poly_eval(coeffs, zz) for zz in z])
+    got = _poly_eval(coeffs, z)
     want = closed_form(coeffs, z)
     assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
 
@@ -155,7 +153,7 @@ def test_rkl4_symbolic_expansion():
     for zz in [sp.Rational(-1, 2), sp.Rational(-3), sp.Rational(-17, 4),
                sp.Rational(-9)]:
         want = float(r_sym.subs(z, zz))
-        got = stability_poly_eval(coeffs, float(zz))
+        got = _poly_eval(coeffs, float(zz))
         assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
@@ -165,7 +163,7 @@ def test_order_conditions(family, s):
     """R(0) = R'(0) = R''(0) = 1 for every stabilized family, damped or not."""
     coeffs = make_coefficients(family, s)
     h = 1e-2
-    f = [stability_poly_eval(coeffs, k * h) for k in (-2, -1, 0, 1, 2)]
+    f = [_poly_eval(coeffs, k * h) for k in (-2, -1, 0, 1, 2)]
     assert f[2] == pytest.approx(1.0, abs=1e-14)
     d1 = (f[0] - 8 * f[1] + 8 * f[3] - f[4]) / (12 * h)
     d2 = (-f[0] + 16 * f[1] - 30 * f[2] + 16 * f[3] - f[4]) / (12 * h * h)
@@ -182,10 +180,10 @@ def test_two_stage_schemes_share_their_polynomial():
     for fam in [rkl(), rkg(0.5), rkg(1.0), rkg(2.0), rkg(5.0), rkc(0.0),
                 rkc(10.0)]:
         coeffs = make_coefficients(fam, 2)
-        got = np.array([stability_poly_eval(coeffs, zz) for zz in z])
+        got = _poly_eval(coeffs, z)
         assert np.max(np.abs(got - quad)) < 1e-13, fam.label
-    r3_l = stability_poly_eval(make_coefficients(rkl(), 3), -2.0)
-    r3_c = stability_poly_eval(make_coefficients(rkc(10.0), 3), -2.0)
+    r3_l = _poly_eval(make_coefficients(rkl(), 3), -2.0)
+    r3_c = _poly_eval(make_coefficients(rkc(10.0), 3), -2.0)
     assert abs(r3_l - r3_c) > 1e-3
 
 
@@ -193,29 +191,29 @@ def test_two_stage_schemes_share_their_polynomial():
 
 def test_extent_closed_forms_even_s():
     s = 10
-    assert stability_extent(make_coefficients(explicit_euler(), 1)) \
+    assert _certified(explicit_euler(), 1)[1] \
         == pytest.approx(2.0, rel=1e-6)
-    assert stability_extent(make_coefficients(rkc(0.0), s)) \
+    assert _certified(rkc(0.0), s)[1] \
         == pytest.approx(2.0 * (s * s - 1) / 3.0, rel=1e-6)
-    assert stability_extent(make_coefficients(rkl(), s)) \
+    assert _certified(rkl(), s)[1] \
         == pytest.approx((s * s + s - 2) / 2.0, rel=1e-6)
-    assert stability_extent(make_coefficients(rkg(2.0), s)) \
+    assert _certified(rkg(2.0), s)[1] \
         == pytest.approx(2.0 * (s + 5.0) * (s - 1.0) / 7.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("family", [rkc(0.0), rkc(10.0), rkl(), rkg(2.0)],
                          ids=lambda f: f.label)
 def test_extent_monotone_in_s(family):
-    exts = [stability_extent(make_coefficients(family, s))
+    exts = [_certified(family, s)[1]
             for s in (2, 4, 8, 16)]
     assert all(b > a for a, b in zip(exts, exts[1:]))
 
 
 @pytest.mark.parametrize("s", [8, 12, 20])
 def test_extent_ordering_chebyshev_legendre_gegenbauer(s):
-    e_c = stability_extent(make_coefficients(rkc(0.0), s))
-    e_l = stability_extent(make_coefficients(rkl(), s))
-    e_g = stability_extent(make_coefficients(rkg(2.0), s))
+    e_c = _certified(rkc(0.0), s)[1]
+    e_l = _certified(rkl(), s)[1]
+    e_g = _certified(rkg(2.0), s)[1]
     assert e_c > e_l > e_g
 
 
@@ -224,7 +222,7 @@ def test_extent_ordering_chebyshev_legendre_gegenbauer(s):
 def test_extent_matches_brute_force(family):
     for s in range(2, 61):
         want = oracle_extent(family, s)
-        got = stability_extent(make_coefficients(family, s))
+        got = _certified(family, s)[1]
         assert abs(got - want) <= 2e-9 * want, (s, got, want)
 
 
@@ -237,7 +235,7 @@ def test_extent_refuses_uncertified_table(monkeypatch):
     schemes._certified.cache_clear()
     monkeypatch.setattr(schemes, "make_coefficients", doubled_b)
     with pytest.raises(RuntimeError, match="cannot certify"):
-        stability_extent(make_coefficients(rkl(), 7))
+        _certified(rkl(), 7)
 
 
 @pytest.mark.parametrize("s, broken", [(596, "mu is nan"), (144, "b_s is 0")])
@@ -251,7 +249,7 @@ def test_extent_refuses_a_degenerate_table(s, broken):
         assert np.isnan(coeffs.mu).any() == (s == 596), broken
         schemes._certified.cache_clear()
         with pytest.raises(RuntimeError, match="not finite or b_s is not a normal"):
-            stability_extent(coeffs)
+            _certified(rkc(1e5), s)
 
 
 def test_selection_refuses_heavy_damping_it_cannot_certify():
@@ -264,20 +262,20 @@ def test_selection_refuses_heavy_damping_it_cannot_certify():
 
 
 def test_damping_interior():
-    coeffs = make_coefficients(rkc(10.0), 30)
-    beta = stability_extent(coeffs)
+    coeffs, beta = _certified(rkc(10.0), 30)
+    
     z = -np.linspace(0.02, 0.90, 2000) * beta
-    vals = np.array([abs(stability_poly_eval(coeffs, zz)) for zz in z])
+    vals = np.array([abs(_poly_eval(coeffs, zz)) for zz in z])
     assert vals.max() <= 0.999
 
 
 def test_undamped_touches_unity():
-    coeffs = make_coefficients(rkc(0.0), 16)
-    beta = stability_extent(coeffs)
+    coeffs, beta = _certified(rkc(0.0), 16)
+    
     z = np.linspace(-beta, 0.0, 20001)
-    vals = np.abs([stability_poly_eval(coeffs, zz) for zz in z])
+    vals = np.abs([_poly_eval(coeffs, zz) for zz in z])
     k = int(np.argmax(vals[:-100]))  # stay away from the trivial R(0) = 1
-    res = minimize_scalar(lambda t: -abs(stability_poly_eval(coeffs, t)),
+    res = minimize_scalar(lambda t: -abs(_poly_eval(coeffs, t)),
                           bounds=(z[max(k - 2, 0)], z[min(k + 2, len(z) - 1)]),
                           method="bounded")
     peak = -res.fun
@@ -293,9 +291,9 @@ def test_undamped_touches_unity():
 def test_select_stage_count_minimal(family, need):
     s = select_stage_count(family, 1.0, need)
     assert s >= 2
-    assert 0.95 * stability_extent(make_coefficients(family, s)) >= need
+    assert 0.95 * _certified(family, s)[1] >= need
     if s > 2:
-        assert 0.95 * stability_extent(make_coefficients(family, s - 1)) < need
+        assert 0.95 * _certified(family, s - 1)[1] < need
 
 
 @given(need=st.floats(min_value=0.1, max_value=1e4),
@@ -349,11 +347,36 @@ def test_cold_run_builds_no_table_beyond_selection(family, monkeypatch):
     s = select_stage_count(family, 0.1, 6100.0)
     by_selection = list(built)
     schemes._certified.cache_clear()
+    schemes.plan_run.cache_clear()
     built.clear()
     _, log = run_integrator(family, matrix_op(-np.eye(3)), np.ones(3), 0.1, 1,
                             rho=6100.0)
     assert log.s_per_step == [s]
     assert built == by_selection
+
+
+def test_plan_run_caches_a_plan_and_never_a_refusal(monkeypatch):
+    calls = []
+    real = schemes.select_stage_count
+
+    def counting(family, dt, rho):
+        calls.append(family)
+        return real(family, dt, rho)
+
+    monkeypatch.setattr(schemes, "select_stage_count", counting)
+    schemes.plan_run.cache_clear()
+    plan = schemes.plan_run(rkl(), 0.1, 6100.0)
+    s, coeffs, extent, t_select = plan
+    assert schemes.plan_run(rkl(), 0.1, 6100.0) is plan
+    assert schemes._certified(rkl(), s)[0] is coeffs and t_select > 0.0
+    assert schemes._certified(rkl(), s)[1] == extent
+    for _ in range(2):
+        with pytest.raises(InfeasibleStepError, match="explicit Euler needs"):
+            schemes.plan_run(explicit_euler(), 0.1, 38.0)
+    # a run at the planned step reads the plan, cold selection time included
+    _, log = run_integrator(rkl(), matrix_op(-np.eye(3)), np.ones(3), 0.1, 1, rho=6100.0)
+    assert log.s_per_step == [s] and log.t_select == t_select
+    assert calls == [rkl(), explicit_euler(), explicit_euler()]
 
 
 @pytest.mark.parametrize("family", [rkc(10.0), rkl(), rkg(2.0)], ids=lambda f: f.label)
@@ -403,7 +426,7 @@ def test_coefficients_finite_and_consistent(s, family):
                 coeffs.gamma_tilde):
         assert np.all(np.isfinite(arr))
     assert coeffs.w1 > 0.0
-    assert stability_poly_eval(coeffs, 0.0) == pytest.approx(1.0, abs=1e-13)
+    assert _poly_eval(coeffs, 0.0) == pytest.approx(1.0, abs=1e-13)
 
 
 def test_huge_stage_count_stays_finite():
@@ -426,7 +449,7 @@ def test_super_step_matches_polynomial_on_diagonal_system():
         y, log = run_integrator(fam, matrix_op(np.diag(lam)), np.ones(4), expiry,
                                 l, rho=rho)
         coeffs = make_coefficients(fam, log.s_per_step[0])
-        want = np.array([stability_poly_eval(coeffs, dt * li) for li in lam]) ** l
+        want = _poly_eval(coeffs, dt * lam) ** l
         assert np.allclose(y, want, rtol=1e-12, atol=1e-13), fam.label
         assert not log.exploded
         assert log.l == l and len(log.s_per_step) == l
@@ -663,8 +686,8 @@ def test_explosion_step_and_stage_match_reference(name):
 def test_poly_eval_complex_matches_real_block(family):
     # z = a + ib acts on (Re, Im) as the real block [[a, -b], [b, a]]
     s = 1 if family.kind is FamilyKind.EULER else 9
-    coeffs = make_coefficients(family, s)
-    zs = stability_extent(coeffs) * np.array(
+    coeffs, beta = _certified(family, s)
+    zs = beta * np.array(
         [-0.05 + 0.01j, -0.3 - 0.05j, -0.5 + 0.3j, -0.9 + 0.0j, -1.0 + 0.02j])
     got = _poly_eval(coeffs, zs)
     assert got.dtype == np.complex128
@@ -672,7 +695,7 @@ def test_poly_eval_complex_matches_real_block(family):
         block = np.array([[z.real, -z.imag], [z.imag, z.real]])
         re, im = super_step(coeffs, matrix_op(block), np.array([1.0, 0.0]), 1.0)
         assert abs(p - complex(re, im)) <= 1e-12 * max(1.0, abs(p)), z
-    assert isinstance(stability_poly_eval(coeffs, -0.5), float)
+    assert _poly_eval(coeffs, -0.5).dtype == np.float64
 
 
 def test_run_integrator_guards():
