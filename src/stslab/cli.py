@@ -451,11 +451,11 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
     l = cfg.l or l_default
     steps = () if cmd == "spectrum" else cfg.ladder if cmd == "converge" else (l,)
     for i, fam in enumerate(cfg.schemes):  # refuse an unrunnable step before writing
-        try:
-            for n in steps:
+        for n in steps:
+            try:
                 plan_run(fam, cfg.params.expiry / n, setup.rho)
-        except InfeasibleStepError as exc:
-            raise ConfigError(f"schemes[{i}]: {exc}") from exc
+            except InfeasibleStepError as exc:
+                raise ConfigError(f"schemes[{i}]: l = {n}: {exc}") from exc
     if eigensolves:
         setup = replace(setup, spectrum=_built("grid", eigenvalues_dense, setup.op.matrix,
                                                scale=cfg.params.expiry / l))

@@ -203,14 +203,10 @@ def delta_surface(f: np.ndarray, gx: Grid1D) -> np.ndarray:
     f = np.asarray(f, dtype=float)
     if gx.m < 2:
         raise ValueError("need at least 3 nodes for a delta surface")
-    h = gx.spacings
+    h = gx.spacings.reshape((-1,) + (1,) * (f.ndim - 1))  # broadcasts along axis 0
     out = np.empty_like(f)
-    if f.ndim == 1:
-        out[:-1] = np.diff(f) / h
-        out[-1] = out[-2]
-        return out
-    out[:-1, :] = np.diff(f, axis=0) / h[:, None]
-    out[-1, :] = out[-2, :]
+    out[:-1] = np.diff(f, axis=0) / h
+    out[-1] = out[-2]
     return out
 
 

@@ -1,11 +1,11 @@
 """Implicit reference solvers on banded LU factorizations.
 
-The vectorized operator is banded: under row-major vectorization with the v
-index innermost, x neighbors sit n+1 slots away and the cross terms extend the
-bandwidth to n+2 (1 for the tridiagonal 1-D case).  Systems (alpha I + beta M)
-are assembled directly in Fortran-ordered LAPACK band storage and factored
-once per run, in place: gbtrf overwrites the band array with its LU factors,
-so a factorization holds no second copy of it.
+The vectorized operator is banded, and its half-bandwidth is M's widest
+diagonal offset: the band array is sized from M itself, and the factorization
+reads the size back from the array.  Systems (alpha I + beta M) are assembled
+directly in Fortran-ordered LAPACK band storage and factored once per run, in
+place: gbtrf overwrites the band array with its LU factors, so a
+factorization holds no second copy of it.
 
 A factorization without row interchanges (gbtrf has not pivoted on the 2-D
 Heston CN systems at l >= 50; it does at l <= 7 on 41x21) keeps only its
@@ -50,7 +50,6 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs
 from .operators import StencilOperator
 
 __all__ = [
-    "BandedMatrix",
     "BandedLU",
     "operator_banded",
     "banded_factor",
@@ -89,20 +88,6 @@ def _tbsv_args(uplo: bytes, diag: bytes, a: np.ndarray) -> tuple:
     k, n = a.shape[0] - 1, a.shape[1]
     return (uplo, b"N", diag, byref(c_int(n)), byref(c_int(k)),
             a.ctypes.data_as(c_void_p), byref(c_int(k + 1)))
-
-
-@dataclass
-class BandedMatrix:
-    """alpha I + beta M in LAPACK general-band storage.
-
-    ab has shape (2 kl + ku + 1, n); entry (i, j) of the dense matrix lives at
-    ab[kl + ku + i - j, j].  The extra kl rows on top hold pivoting fill-in.
-    """
-
-    ab: np.ndarray
-    kl: int
-    ku: int
-    n: int
 
 
 @dataclass
@@ -160,45 +145,49 @@ class BandedLU:
         return out
 
 
-def operator_banded(op: StencilOperator, alpha: float, beta: float) -> BandedMatrix:
-    """Band storage of alpha I + beta M, Fortran-ordered for an in-place gbtrf.
+def operator_banded(op: StencilOperator, alpha: float, beta: float) -> np.ndarray:
+    """alpha I + beta M in LAPACK general-band storage, Fortran-ordered for an
+    in-place gbtrf.
 
-    Each diagonal of M (DIA form) fills one row of ab.  Only its nonzeros are
-    written, so ab holds +0.0 where M has no entry, never -0.0 from beta < 0.
+    kl = ku = M's widest diagonal offset.  The array has shape (3 kl + 1, n);
+    entry (i, j) of the dense matrix lives at ab[2 kl + i - j, j], and the kl
+    rows on top hold pivoting fill-in.  Each diagonal of M (DIA form) fills
+    one row.  Only its nonzeros are written, so ab holds +0.0 where M has no
+    entry, never -0.0 from beta < 0.
     """
-    kl = ku = 1 if op.is_1d else op.shape[1] + 1
-    n = op.size
-    if np.abs(op.matrix.offsets).max(initial=0) > kl:
-        raise ValueError(f"M has offsets {op.matrix.offsets} beyond the half-bandwidth {kl}")
-    ab = np.zeros((2 * kl + ku + 1, n), order="F")
+    kl, n = int(np.abs(op.matrix.offsets).max(initial=0)), op.size
+    ab = np.zeros((3 * kl + 1, n), order="F")
     for off, diag in zip(op.matrix.offsets.tolist(), op.matrix.data):
         lo, hi = max(0, off), min(n, n + off, diag.size)
-        np.multiply(diag[lo:hi], beta, out=ab[kl + ku - off, lo:hi],
+        np.multiply(diag[lo:hi], beta, out=ab[2 * kl - off, lo:hi],
                     where=diag[lo:hi] != 0.0)
-    ab[kl + ku, :] += alpha
-    return BandedMatrix(ab=ab, kl=kl, ku=ku, n=n)
+    ab[2 * kl, :] += alpha
+    return ab
 
 
-def banded_factor(bm: BandedMatrix) -> BandedLU:
+def banded_factor(ab: np.ndarray) -> BandedLU:
     """LU factorization with partial pivoting within the band.
 
-    Consumes bm: a Fortran-ordered bm.ab (as operator_banded builds it) is
-    factored in place.  It becomes the returned lu if gbtrf pivoted;
-    otherwise only the packed triangles are kept and lu is None.
+    ab is a band array as operator_banded builds it: kl = ku = (rows - 1) / 3
+    and n = its column count.  A Fortran-ordered ab is consumed, factored in
+    place.  It becomes the returned lu if gbtrf pivoted; otherwise only the
+    packed triangles are kept and lu is None.
     """
-    lu, ipiv, info = dgbtrf(bm.ab, bm.kl, bm.ku, overwrite_ab=1)
+    kl, n = (ab.shape[0] - 1) // 3, ab.shape[1]
+    if ab.shape[0] != 3 * kl + 1:
+        raise ValueError(f"band array: need 3 kl + 1 rows, got {ab.shape[0]}")
+    lu, ipiv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
     if info < 0:
         raise ValueError(f"gbtrf: illegal argument {-info}")
     if info > 0:
         raise np.linalg.LinAlgError(
             f"matrix singular to working precision (U[{info - 1},{info - 1}] = 0)")
-    kl, ku = bm.kl, bm.ku
     lower = upper = None
-    if np.array_equal(ipiv, np.arange(bm.n)):  # ipiv is 0-based: no interchange
-        lower = np.asfortranarray(lu[kl + ku:])
-        upper = np.asfortranarray(lu[kl:kl + ku + 1])
+    if np.array_equal(ipiv, np.arange(n)):  # ipiv is 0-based: no interchange
+        lower = np.asfortranarray(lu[2 * kl:])
+        upper = np.asfortranarray(lu[kl:2 * kl + 1])
         lu = None
-    return BandedLU(lu=lu, ipiv=ipiv, kl=kl, ku=ku, n=bm.n, lower=lower, upper=upper)
+    return BandedLU(lu=lu, ipiv=ipiv, kl=kl, ku=kl, n=n, lower=lower, upper=upper)
 
 
 def crank_nicolson_run(op: StencilOperator, initial: np.ndarray, expiry: float,
@@ -245,7 +234,7 @@ def trbdf2_run(op: StencilOperator, initial: np.ndarray, expiry: float,
     then a BDF2 stage over the remainder, gamma = 2 - sqrt(2); both stage
     matrices are factored once.  L-stability makes a start-up phase unnecessary.
     """
-    if not op.is_1d:
+    if op.gv is not None:
         raise ValueError("trbdf2_run supports the one-dimensional operator only")
     if l < 1:
         raise ValueError(f"need l >= 1, got {l}")

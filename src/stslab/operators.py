@@ -154,10 +154,6 @@ class StencilOperator:
             raise ValueError(f"matrix shape {self.matrix.shape} does not match "
                              f"the {self.size} lattice nodes")
 
-    @property
-    def is_1d(self) -> bool:
-        return self.gv is None
-
 
 def _backward_spacings(g: Grid1D) -> np.ndarray:
     """spacings with the first one repeated, one per node."""

@@ -1,16 +1,21 @@
 """Shared fixtures: stress-case parameters and grids reused across test modules.
 
 Also `cubic_grid`, the barrier study's cubic x grid; `band`, which reads one
-stencil coefficient array off the matrix M; and `operator_cases` and
-`csr_oracle`, which check the DIA form of M against its sorted CSR form.
+stencil coefficient array off the matrix M; `operator_cases` and
+`csr_oracle`, which check the DIA form of M against its sorted CSR form; and
+`parity_grids`, `parity_case` and `assert_parity`, the put-call parity
+check of the explicit and CN runs.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import strategies as st
 
-from stslab.experiments import (default_bs_params, default_heston_params,
-                                foulon_spec_v, foulon_spec_x)
+from stslab.experiments import (call, default_bs_params, default_heston_params,
+                                foulon_spec_v, foulon_spec_x, payoff_eval, put)
 from stslab.grids import Grid1D, GridSpec, StretchKind, make_grid, make_uniform
 from stslab.operators import (HestonParams, UpwindPolicy, assemble_bs,
                               assemble_heston, to_sparse)
@@ -125,6 +130,50 @@ def operator_cases():
         cases.append(pytest.param(lambda p=policy: _two_node_v_case(p),
                                   id=f"2-node-v-{policy.value}"))
     return cases
+
+
+def parity_grids():
+    """hypothesis strategy of (grid, policy) for the parity tests: every policy
+    on 41x21, and the three 1-D policies on the uniform and cubic x grids."""
+    return st.one_of(
+        st.tuples(st.just("41x21"), st.sampled_from(list(UpwindPolicy))),
+        st.tuples(st.sampled_from(["uniform-101", "cubic-401"]),
+                  st.sampled_from([p for p in UpwindPolicy
+                                   if p is not UpwindPolicy.FOULON_REGION])))
+
+
+def parity_case(grid, policy, r, q):
+    """(op, expiry, x, call payoff, put payoff) at strike 100 and rates r, q.
+
+    The default parameters of either model with r and q replaced; x is the
+    spot coordinate, shaped to broadcast over the lattice.
+    """
+    if grid == "41x21":
+        params = replace(default_heston_params(), r=r, q=q)
+        gx, gv = make_grid(foulon_spec_x(100.0, m=40)), make_grid(foulon_spec_v(n=20))
+        op, x = assemble_heston(params, gx, gv, policy), gx.nodes[:, None]
+    else:
+        params = replace(default_bs_params(), r=r, q=q)
+        gx = make_uniform(0.0, 150.0, 100) if grid == "uniform-101" else cubic_grid()
+        gv = None
+        op, x = assemble_bs(params, gx, policy), gx.nodes
+    return (op, params.expiry, x, payoff_eval(call(100.0), gx, gv),
+            payoff_eval(put(100.0), gx, gv))
+
+
+def assert_parity(op, got, want, bound):
+    """|got - want| <= bound at every node of op's lattice.
+
+    Put-call parity rests on M 1 = -r 1 and M x = -q x holding in every row,
+    so a failure names the rows that break it: interior, x-edge or v-edge.
+    """
+    err = np.abs(np.broadcast_to(np.subtract(got, want), op.shape)).reshape(op.gx.m + 1, -1)
+    bad = np.argwhere(err > bound)
+    m, n = err.shape[0] - 1, err.shape[1] - 1
+    kinds = sorted({"x-edge" if i in (0, m) else "v-edge" if n and j in (0, n)
+                    else "interior" for i, j in bad.tolist()})
+    assert not bad.size, (f"{len(bad)} nodes past {bound:.3g} (worst {err.max():.3g}) "
+                          f"in {kinds} rows; first (i, j): {bad[:5].tolist()}")
 
 
 def csr_oracle(op):

@@ -491,13 +491,15 @@ R_1E150 = {"params": {"r": 1e150}, "grid": {"x": {"m": 20}, "v": {"m": 10}}}
 def test_main_names_the_stage_cap(tmp_path, capsys):
     # dispatch plans the runs of every command that runs schemes, so the cap
     # is refused before anything is written, naming the scheme's config path
+    # and the step count: the default l, or converge's first rung
     cfg = write_config(tmp_path, R_1E150)
-    for cmd in ("price", "converge", "delta"):
+    for cmd, l in (("price", 100), ("converge", 10), ("delta", 10)):
         out = tmp_path / cmd
         assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: schemes[0]: stage count out of range: "
-                              "rkc(eps=10) needs more than 10**6 stages to cover dt*rho = ")
+        assert err.startswith(f"config error: schemes[0]: l = {l}: stage count out of "
+                              "range: rkc(eps=10) needs more than 10**6 stages to cover "
+                              "dt*rho = ")
         assert err.count("\n") == 1 and not out.exists()
 
 
@@ -513,6 +515,8 @@ RKC_1E5 = {"grid": {"x": {"m": 60}, "v": {"m": 30}}, "policy": "foulon-region-fi
 CAP = "stage count out of range: rkc(eps=10) needs more than 10**6 stages to cover dt*rho ="
 EULER_L10 = {"schemes": [{"family": "euler"}], "grid": {"x": {"m": 20}, "v": {"m": 10}},
              "l": 10}
+EULER_LADDER = {"schemes": [{"family": "euler"}], "grid": {"x": {"m": 20}, "v": {"m": 10}},
+                "ladder": [10, 5000]}
 EULER_232 = ("explicit Euler needs dt*rho <= 1.9, got 232.053; use at least 123x more "
              "steps or a stabilized family")
 
@@ -569,14 +573,17 @@ UNRUNNABLE = [
                "params.v0: need a value inside grid.v [0, 5], got 9",
                id="heston-v0-off-grid"),
     # stage selection refused the run after the config was written
-    unrunnable(RKC_1E5, "schemes[0]: rkc(eps=100000) s=664: the coefficient table is "
-               "not finite or b_s is not a normal float", id="rkc-eps-1e5"),
-    unrunnable(R_1E150, f"schemes[0]: {CAP} 6.08413e+149", id="heston-r-1e150"),
-    unrunnable(R_1E150, f"schemes[0]: {CAP} 6.08413e+150", id="converge-r-1e150",
+    unrunnable(RKC_1E5, "schemes[0]: l = 10: rkc(eps=100000) s=664: the coefficient "
+               "table is not finite or b_s is not a normal float", id="rkc-eps-1e5"),
+    unrunnable(R_1E150, f"schemes[0]: l = 100: {CAP} 6.08413e+149", id="heston-r-1e150"),
+    unrunnable(R_1E150, f"schemes[0]: l = 10: {CAP} 6.08413e+150", id="converge-r-1e150",
                cmd="converge"),
-    unrunnable(EULER_L10, f"schemes[0]: {EULER_232}", id="euler-l10"),
+    unrunnable(EULER_L10, f"schemes[0]: l = 10: {EULER_232}", id="euler-l10"),
     unrunnable(dict(EULER_L10, schemes=[{"family": "rkl"}, {"family": "euler"}]),
-               f"schemes[1]: {EULER_232}", id="rkl-then-euler-l10"),
+               f"schemes[1]: l = 10: {EULER_232}", id="rkl-then-euler-l10"),
+    # converge named the scheme but not the rung whose step it refused
+    unrunnable(EULER_LADDER, f"schemes[0]: l = 10: {EULER_232}",
+               id="converge-euler-ladder", cmd="converge"),
 ]
 
 

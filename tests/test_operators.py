@@ -517,7 +517,7 @@ def oracle_fields(op):
     f = rng.standard_normal(op.shape)
     x = op.gx.nodes
     step = np.where((x > 0.4 * x[-1]) & (x < 0.6 * x[-1]), 1.0, 0.0)
-    if not op.is_1d:
+    if op.gv is not None:
         step = np.repeat(step[:, None], op.shape[1], axis=1)
     return {"random": f, "huge": 1e300 * f, "zero": np.zeros(op.shape), "step": step}
 
