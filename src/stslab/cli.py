@@ -13,15 +13,15 @@ reports with the config path, and the rules that span two keys.  Before it
 writes anything, `dispatch` checks the command against `_COMMANDS` (each
 command's model, default l, eigensolve and help, stated once) and builds the
 run once: the grids, the `prepare` setup, the rules that need them (a finite
-operator, the oscillation window), the stage count of every run it makes
-(`schemes.plan_run`) and the one dense eigensolve of `spectrum` and
-`bs-demo`, whose size guard refuses a large lattice.  So a config that
-passes runs and one that cannot fails before anything is written; one that
-fails while stepping, or on its reference, leaves the config.json that
-replays it.  Data CSVs contain no timings, so identical configs produce
-byte-identical files; wall times go to the run log only.  JSON files are
-strict JSON: a non-finite number (an unscored field, an infinite margin, an
-exploded price) is written as null.
+operator, and the oscillation window of a command that runs schemes), the
+stage count of every run it makes (`schemes.plan_run`) and the one dense
+eigensolve of `spectrum` and `bs-demo`, whose size guard refuses a large
+lattice.  So a config that passes runs and one that cannot fails before
+anything is written; one that fails while stepping, or on its reference,
+leaves the config.json that replays it.  Data CSVs contain no timings, so
+identical configs produce byte-identical files; wall times go to the run log
+only.  JSON files are strict JSON: a non-finite number (an unscored field, an
+infinite margin, an exploded price) is written as null.
 """
 
 from __future__ import annotations
@@ -228,13 +228,15 @@ def parse_config(text: str) -> RunConfig:
     grid_raw = _mapping(raw.get("grid", {}), "grid")
     _check_keys(grid_raw, {"x", "v"}, "grid")
     grid_x = _parse_grid(grid_raw.get("x", {}), gx_default, "grid.x")
+    # every grid builder puts node 0 at a
+    if grid_x.a < 0.0:
+        raise ConfigError(f"grid.x.a: the price grid must start at x >= 0, got {grid_x.a:g}")
     if model == "bs":
         if "v" in grid_raw:
             raise ConfigError("grid.v: not meaningful for the 1-D model")
         grid_v = None
     else:
         grid_v = _parse_grid(grid_raw.get("v", {}), gv_default, "grid.v")
-        # every grid builder puts node 0 at a
         if grid_v.a < 0.0:
             raise ConfigError(f"grid.v.a: the variance grid must start at v >= 0, "
                               f"got {grid_v.a:g}")
@@ -443,13 +445,13 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
             setup = None
     if setup is None or not math.isfinite(setup.rho):
         raise ConfigError("params: the operator overflows float64")
+    l = cfg.l or l_default
+    steps = () if cmd == "spectrum" else cfg.ladder if cmd == "converge" else (l,)
     held = np.count_nonzero(setup.window)
-    if held < 3:  # the oscillation metric needs a slice of 3 nodes
+    if steps and held < 3:  # the oscillation metric of a run needs a slice of 3 nodes
         lo, hi = cfg.payoff.window
         raise ConfigError(f"grid.x: need >= 3 nodes in the payoff's oscillation "
                           f"window [{lo:g}, {hi:g}], got {held}")
-    l = cfg.l or l_default
-    steps = () if cmd == "spectrum" else cfg.ladder if cmd == "converge" else (l,)
     for i, fam in enumerate(cfg.schemes):  # refuse an unrunnable step before writing
         for n in steps:
             try:
@@ -460,7 +462,10 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
         setup = replace(setup, spectrum=_built("grid", eigenvalues_dense, setup.op.matrix,
                                                scale=cfg.params.expiry / l))
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in its place, or no permission
+        raise ConfigError(f"{'out_dir' if out_dir is None else '--out'}: {exc}") from exc
     # written first, so a run that fails still leaves the config that replays it
     (out / "config.json").write_text(replace(cfg, out_dir=str(out)).to_json() + "\n")
     if eigensolves:

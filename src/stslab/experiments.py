@@ -2,8 +2,8 @@
 
 Every run starts from the `Setup` that `prepare` returns: the operator with
 the payoff values, the spectral bound stage selection runs against and the
-window the oscillation metric reads.  Every scheme is then run and scored on
-it by `run_and_score`.  Three studies take a setup and build on these steps:
+window the oscillation metric reads.  Every run on it is scored by `score`.
+Three studies take a setup and build on these steps:
 
 * a time-convergence ladder for the stochastic-volatility model: each family
   in turn runs the ladder against one Crank-Nicolson/Rannacher reference,
@@ -53,6 +53,7 @@ __all__ = [
     "oscillation_metric",
     "clean_threshold",
     "price_at_spot",
+    "score",
     "run_and_score",
     "Setup",
     "prepare",
@@ -283,17 +284,15 @@ class Setup:
     spectrum: Spectrum | None = None
 
 
-def run_and_score(family: SchemeFamily, setup: Setup, l: int):
-    """Run one family on the setup and score it; the one scoring path of every study.
+def score(setup: Setup, fld: np.ndarray, log: RunLog) -> np.ndarray:
+    """Fill log's osc_metric and price_at_spot from fld; returns the osc slice.
 
-    The oscillation slice is the curve itself in 1-D and the delta at the
-    lowest variance row in 2-D; the metric reads its `window` entries.  An
-    exploded run scores osc = inf and price = nan.  The rms error stays nan:
-    only `run_time_convergence` has a reference to score it against.  Returns
-    (field, osc_slice, RunLog) with the score filled into the RunLog.
+    The one scorer of every run.  The slice is the field itself in 1-D and the
+    delta at the lowest variance row in 2-D; the metric reads its `window`
+    entries.  An exploded run scores osc = inf and price = nan.  The rms error
+    stays nan: only `run_time_convergence` has a reference to score it against.
     """
     op, params = setup.op, setup.params
-    fld, log = run_integrator(family, op, setup.y0, params.expiry, l, rho=setup.rho)
     osc_slice = fld if op.gv is None else delta_surface(fld, op.gx)[:, 0]
     if log.exploded:
         log.osc_metric = math.inf
@@ -301,7 +300,13 @@ def run_and_score(family: SchemeFamily, setup: Setup, l: int):
         log.osc_metric = oscillation_metric(osc_slice[setup.window])
         log.price_at_spot = price_at_spot(fld, op.gx, params.spot, op.gv,
                                           getattr(params, "v0", None))
-    return fld, osc_slice, log
+    return osc_slice
+
+
+def run_and_score(family: SchemeFamily, setup: Setup, l: int):
+    """Run one family on the setup and `score` it; returns (field, osc_slice, RunLog)."""
+    fld, log = run_integrator(family, setup.op, setup.y0, setup.params.expiry, l, rho=setup.rho)
+    return fld, score(setup, fld, log), log
 
 
 def prepare(params: HestonParams | BsParams, gx: Grid1D, gv: Grid1D | None,
@@ -401,12 +406,8 @@ def run_time_convergence(setup: Setup, families: tuple[SchemeFamily, ...],
 
 
 def run_delta_comparison(setup: Setup, families: tuple[SchemeFamily, ...], l: int):
-    """Delta slices nearest v = 0 for each family; returns label -> (delta, RunLog).
-
-    The oscillation metric is evaluated on the forward-difference delta at the
-    lowest variance row of the 2-D setup, inside the x window around the
-    payoff level.
-    """
+    """Delta slices nearest v = 0 for each family, the slices `score` reads;
+    returns label -> (delta, RunLog)."""
     return {fam.label: run_and_score(fam, setup, l)[1:] for fam in families}
 
 
@@ -428,17 +429,13 @@ def run_bs_study(setup: Setup, families: tuple[SchemeFamily, ...],
     operator (the uniform grid with policy none) both carry its oscillation,
     the threshold lands above every family, and no family can be judged
     oscillating by it; compare such a scenario against a fitted one instead.
-    It runs no eigensolve: `cli.dispatch` adds the spectrum to the setup.
     """
-    op, params = setup.op, setup.params
     t0 = time.perf_counter()
-    f_ref = trbdf2_run(op, setup.y0, params.expiry, l)
-    curves = {"trbdf2": f_ref}
-    runs = [RunLog(family="trbdf2", eps_or_g=None, l=l,
-                   dt=float(params.expiry / l),
-                   wall_time=time.perf_counter() - t0,
-                   osc_metric=oscillation_metric(f_ref[setup.window]),
-                   price_at_spot=price_at_spot(f_ref, op.gx, params.spot))]
+    f_ref = trbdf2_run(setup.op, setup.y0, setup.params.expiry, l)
+    log = RunLog(family="trbdf2", eps_or_g=None, l=l, dt=float(setup.params.expiry / l),
+                 wall_time=time.perf_counter() - t0)
+    score(setup, f_ref, log)
+    curves, runs = {"trbdf2": f_ref}, [log]
 
     for fam in families:
         fld, _, run = run_and_score(fam, setup, l)

@@ -92,18 +92,16 @@ def _tbsv_args(uplo: bytes, diag: bytes, a: np.ndarray) -> tuple:
 
 @dataclass
 class BandedLU:
-    """Factored band matrix; solve() is reusable and read-only.
+    """Factored band matrix of order n = ipiv.size; solve() is reusable and read-only.
 
     lower/upper: L and U of an unpivoted factorization in Fortran-ordered
-    BLAS band storage (n columns), None when gbtrf pivoted.  lu: the gbtrf
-    factors that gbtrs solves with when it pivoted, None otherwise.
+    BLAS band storage (k + 1 rows for k off-diagonals), None when gbtrf
+    pivoted.  lu: the gbtrf factors that gbtrs solves with when it pivoted
+    (3 kl + 1 rows), None otherwise.
     """
 
     lu: np.ndarray | None
     ipiv: np.ndarray
-    kl: int
-    ku: int
-    n: int
     lower: np.ndarray | None = None
     upper: np.ndarray | None = None
 
@@ -118,15 +116,15 @@ class BandedLU:
         does not overlap rhs; rhs is only read.
         """
         b = np.ascontiguousarray(rhs, dtype=float)
-        if b.shape != (self.n,):
-            raise ValueError(f"rhs length: need shape ({self.n},), got {np.shape(rhs)}")
+        if b.shape != self.ipiv.shape:
+            raise ValueError(f"rhs length: need shape {self.ipiv.shape}, got {np.shape(rhs)}")
         if out is None:
-            out = np.empty(self.n)
+            out = np.empty(b.shape)
         elif not (isinstance(out, np.ndarray) and out.shape == b.shape
                   and out.dtype == b.dtype and out.flags.c_contiguous
                   and out.flags.writeable):
             raise ValueError(f"out: need a writeable C-contiguous float64 array "
-                             f"of shape ({self.n},)")
+                             f"of shape {b.shape}")
         elif np.may_share_memory(out, rhs):
             raise ValueError("out: must not overlap rhs")
         # the memoryview copy and from_buffer keep the GIL and are quick: a
@@ -134,7 +132,8 @@ class BandedLU:
         # microseconds an array
         memoryview(out)[:] = memoryview(b)
         if self._tbsv is None:
-            _, info = dgbtrs(self.lu, self.kl, self.ku, out, self.ipiv, overwrite_b=1)
+            kl = (self.lu.shape[0] - 1) // 3
+            _, info = dgbtrs(self.lu, kl, kl, out, self.ipiv, overwrite_b=1)
             if info != 0:
                 raise np.linalg.LinAlgError(f"gbtrs failed with info={info}")
             return out
@@ -173,7 +172,7 @@ def banded_factor(ab: np.ndarray) -> BandedLU:
     place.  It becomes the returned lu if gbtrf pivoted; otherwise only the
     packed triangles are kept and lu is None.
     """
-    kl, n = (ab.shape[0] - 1) // 3, ab.shape[1]
+    kl = (ab.shape[0] - 1) // 3
     if ab.shape[0] != 3 * kl + 1:
         raise ValueError(f"band array: need 3 kl + 1 rows, got {ab.shape[0]}")
     lu, ipiv, info = dgbtrf(ab, kl, kl, overwrite_ab=1)
@@ -183,11 +182,11 @@ def banded_factor(ab: np.ndarray) -> BandedLU:
         raise np.linalg.LinAlgError(
             f"matrix singular to working precision (U[{info - 1},{info - 1}] = 0)")
     lower = upper = None
-    if np.array_equal(ipiv, np.arange(n)):  # ipiv is 0-based: no interchange
+    if np.array_equal(ipiv, np.arange(ipiv.size)):  # ipiv is 0-based: no interchange
         lower = np.asfortranarray(lu[2 * kl:])
         upper = np.asfortranarray(lu[kl:2 * kl + 1])
         lu = None
-    return BandedLU(lu=lu, ipiv=ipiv, kl=kl, ku=kl, n=n, lower=lower, upper=upper)
+    return BandedLU(lu, ipiv, lower, upper)
 
 
 def crank_nicolson_run(op: StencilOperator, initial: np.ndarray, expiry: float,

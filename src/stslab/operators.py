@@ -263,6 +263,8 @@ def _x_stencil(params, gx: Grid1D, var, fit_x, onesided: bool):
     same x stencil.  The x-edge rows, where the value is linear in x, keep
     only one-sided advection and the discount.
     """
+    if gx.nodes[0] < 0.0:
+        raise ValueError(f"price grid must start at x >= 0, got {gx.nodes[0]:g}")
     col = (slice(None),) if np.ndim(var) == 0 else (slice(None), None)
     x, h = gx.nodes[col], gx.spacings[col]
     m, mu, r = gx.m, params.mu, params.r

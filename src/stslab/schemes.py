@@ -406,7 +406,7 @@ class RunLog:
     """The record of one run: its cost, outcome and, once scored, its score.
 
     run_integrator fills the cost fields; the three score fields stay nan
-    until the run is scored (see experiments.run_and_score).
+    until the run is scored (see experiments.score).
     """
 
     family: str

@@ -472,6 +472,40 @@ def test_unreadable_config_path_is_a_config_error(tmp_path, capsys, kind, needle
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", [True, False], ids=["--out", "out_dir"])
+def test_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys, flag):
+    # mkdir raised FileExistsError: a traceback with exit status 1
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    cfg = write_config(tmp_path, dict(TINY_HESTON, out_dir=str(taken)))
+    argv = ["price", "--config", str(cfg)] + (["--out", str(taken)] if flag else [])
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    where = "--out" if flag else "out_dir"
+    assert err.startswith(f"config error: {where}: [Errno 17] File exists: ")
+    assert err.count("\n") == 1
+    assert taken.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
+# 4 x nodes on the default [0, 800] sinh grid: one lies in the window [50, 150]
+WINDOWLESS = {"grid": {"x": {"m": 3}, "v": {"m": 3}}}
+
+
+def test_spectrum_needs_no_oscillation_window(tmp_path, capsys):
+    """spectrum scores nothing, so only the commands that run schemes need
+    three nodes in the payoff's window."""
+    cfg = write_config(tmp_path, WINDOWLESS)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
+    data = np.loadtxt(tmp_path / "s" / "spectrum.csv", delimiter=",", skiprows=1)
+    assert data.shape == (16, 2)
+    assert capsys.readouterr().err == ""
+    assert main(["price", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err == ("config error: grid.x: need >= 3 nodes in the "
+                                       "payoff's oscillation window [50, 150], got 1\n")
+    assert not (tmp_path / "p").exists()
+
+
 def test_main_reports_an_unconverged_reference(tmp_path, capsys):
     # CN at l_ref = 3 is far from CN at 6: one line naming the key, and only
     # config.json is left, since the check runs after the ladder
@@ -537,7 +571,14 @@ UNRUNNABLE = [
     unrunnable({"grid": {"v": {"kind": "uniform", "m": 1}}},
                "grid.v.m: a one-cell variance grid needs kappa*(theta - v_min) = 0",
                id="heston-v-one-cell"),
-    unrunnable({"grid": {"x": {"kind": "uniform", "a": -100.0, "m": 16}}},
+    # the price was computed on a lattice reaching below x = 0
+    unrunnable({"grid": {"x": {"a": -50.0, "m": 20}, "v": {"m": 10}}, "l": 40},
+               "grid.x.a: the price grid must start at x >= 0, got -50",
+               id="heston-x-below-0"),
+    unrunnable({"model": "bs", "grid": {"x": {"a": -50.0}}},
+               "grid.x.a: the price grid must start at x >= 0, got -50", id="bs-x-below-0"),
+    # uniform on [0, 800]: only the nodes 53.3 and 106.7 lie in [50, 150]
+    unrunnable({"grid": {"x": {"kind": "uniform", "m": 15}}},
                "grid.x: need >= 3 nodes in the payoff's oscillation window "
                "[50, 150], got 2", id="heston-window-2-nodes"),
     unrunnable({"model": "bs", "grid": {"x": {"m": 1}}},

@@ -1,5 +1,6 @@
 """Banded solves and the implicit reference integrators."""
 
+import dataclasses
 import gc
 import sys
 import tracemalloc
@@ -61,8 +62,8 @@ def reference_gbtrs_solve(ref, rhs: np.ndarray) -> np.ndarray:
 
 def reference_tbsv_solve(lu, rhs: np.ndarray) -> np.ndarray:
     """The f2py `dtbsv` pair on the packed triangles: the oracle of the pointer call."""
-    x = dtbsv(lu.kl, lu.lower, np.array(rhs, dtype=float), lower=1, diag=1)
-    return dtbsv(lu.ku, lu.upper, x)
+    x = dtbsv(lu.lower.shape[0] - 1, lu.lower, np.array(rhs, dtype=float), lower=1, diag=1)
+    return dtbsv(lu.upper.shape[0] - 1, lu.upper, x)
 
 
 def reference_crank_nicolson_run(op, initial, expiry, l):
@@ -137,7 +138,11 @@ def test_band_width_read_from_m_is_the_grid_rule(build):
     ab = operator_banded(op, 1.0, -0.01)
     assert ab.shape == (3 * kl + 1, op.size)
     lu = banded_factor(ab)
-    assert (lu.kl, lu.ku, lu.n) == (kl, kl, op.size)
+    # the factorization keeps no size of its own: its arrays carry it
+    assert [f.name for f in dataclasses.fields(lu)] == ["lu", "ipiv", "lower", "upper"]
+    shapes = [a.shape for a in (lu.lu, lu.lower, lu.upper) if a is not None]
+    assert shapes in ([(3 * kl + 1, op.size)], [(kl + 1, op.size)] * 2)
+    assert lu.ipiv.shape == (op.size,)
 
 
 def test_band_storage_layout(heston_params, gx_small, gv_small):
@@ -212,7 +217,7 @@ def test_band_read_from_m_holds_an_offset_past_the_grid_rule():
     ab = operator_banded(op, 1.0, -0.5)
     assert ab.shape == (10, 5)
     lu = banded_factor(ab)
-    assert lu.kl == lu.ku == 3
+    assert lu.lower.shape == lu.upper.shape == (4, 5)  # kl = ku = 3
     rhs = np.arange(5.0)
     want = np.linalg.solve(np.eye(5) - 0.5 * mat, rhs)
     assert np.allclose(want, [2 / 3, 14 / 9, 4 / 3, 2, 8 / 3])
@@ -254,11 +259,12 @@ def test_solve_matches_gbtrs_bitwise(build, pivoted):
     ab = build()
     ref = reference_gbtrf(ab)  # before banded_factor consumes ab
     lu = banded_factor(ab)
-    assert (not np.array_equal(lu.ipiv, np.arange(lu.n))) == pivoted
+    n = lu.ipiv.size
+    assert (not np.array_equal(lu.ipiv, np.arange(n))) == pivoted
     assert (lu.upper is None) == pivoted
     assert (lu.lu is None) == (not pivoted)
     rng = np.random.default_rng(11)
-    for rhs in (rng.standard_normal(lu.n), np.linspace(0.0, 50.0, lu.n)):
+    for rhs in (rng.standard_normal(n), np.linspace(0.0, 50.0, n)):
         before = rhs.copy()
         got = lu.solve(rhs)
         assert got.tobytes() == reference_gbtrs_solve(ref, rhs).tobytes()
@@ -275,13 +281,14 @@ def test_solve_into_out_matches_a_fresh_solve_bitwise(build):
     """Both paths, tbsv and gbtrs, write into out and return it; rhs is only read."""
     lu = banded_factor(build())
     rng = np.random.default_rng(3)
-    big = rng.standard_normal(2 * lu.n)
-    read_only = big[lu.n:].copy()
+    n = lu.ipiv.size
+    big = rng.standard_normal(2 * n)
+    read_only = big[n:].copy()
     read_only.flags.writeable = False
-    for rhs in (big[:lu.n], big[::2], big[::-2], big[:lu.n].astype(np.float32), read_only):
+    for rhs in (big[:n], big[::2], big[::-2], big[:n].astype(np.float32), read_only):
         want = lu.solve(np.array(rhs, dtype=float)).tobytes()
         before = rhs.copy()
-        out = np.full(lu.n, np.nan)
+        out = np.full(n, np.nan)
         assert lu.solve(rhs, out=out) is out
         assert out.tobytes() == want
         assert lu.solve(rhs).tobytes() == want
@@ -291,7 +298,7 @@ def test_solve_into_out_matches_a_fresh_solve_bitwise(build):
 @pytest.mark.parametrize("pivoted", [False, True], ids=["tbsv", "gbtrs"])
 def test_solve_rejects_an_unusable_out(pivoted):
     lu = banded_factor(tiny_diagonal_matrix() if pivoted else cn_heston_matrix())
-    n = lu.n
+    n = lu.ipiv.size
     rhs = np.linspace(0.0, 1.0, n)
     buf = np.zeros(n + 1)
     bad = {

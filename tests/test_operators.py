@@ -648,6 +648,15 @@ def test_assembly_guards(heston_params, gx_small, bs_params):
                     UpwindPolicy.FOULON_REGION)
 
 
+def test_assembly_refuses_a_price_grid_below_zero(heston_params, bs_params, gv_small):
+    # both models build their x stencil in one place, which holds the guard
+    gx_neg = make_uniform(-50.0, 150.0, 20)
+    with pytest.raises(ValueError, match="price grid must start at x >= 0, got -50"):
+        assemble_heston(heston_params, gx_neg, gv_small, UpwindPolicy.NONE)
+    with pytest.raises(ValueError, match="price grid must start at x >= 0, got -50"):
+        assemble_bs(bs_params, gx_neg, UpwindPolicy.NONE)
+
+
 def test_matrix_must_match_the_lattice():
     g = make_uniform(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="does not match the 5 lattice nodes"):
