@@ -40,7 +40,7 @@ from .experiments import (DEFAULT_L_REF, DEFAULT_LADDER, Payoff, PayoffKind, Set
                           digital_range, foulon_spec_v, foulon_spec_x, prepare, put,
                           UnconvergedReferenceError, run_and_score, run_bs_study,
                           run_delta_comparison, run_time_convergence)
-from .grids import GridSpec, StretchKind, make_grid
+from .grids import KIND_FIELDS, GridSpec, StretchKind, make_grid
 from .operators import BsParams, HestonParams, UpwindPolicy
 from .schemes import FREE_PARAMETER, FamilyKind, InfeasibleStepError, SchemeFamily, plan_run
 from .spectra import eigenvalues_dense, write_spectrum
@@ -107,11 +107,11 @@ def _choice(d: dict, key: str, enum, default, where: str):
 
 def _parse_grid(d: dict, defaults: GridSpec, path: str) -> GridSpec:
     d = _mapping(d, path)
-    _check_keys(d, {f.name for f in fields(GridSpec)}, path)
     kind = _choice(d, "kind", StretchKind, defaults.kind, f"{path}.kind")
-    return _built(path, GridSpec, kind, m=_int(d, "m", defaults.m, path),
-                  **{key: _num(d, key, getattr(defaults, key), path)
-                     for key in ("a", "b", "center", "lam", "alpha")})
+    _check_keys(d, {"kind", *KIND_FIELDS[kind]}, path)
+    return _built(path, GridSpec, kind, **{
+        key: (_int if key == "m" else _num)(d, key, getattr(defaults, key), path)
+        for key in KIND_FIELDS[kind]})
 
 
 def _parse_scheme(d, path: str) -> SchemeFamily:
@@ -160,7 +160,6 @@ class RunConfig:
     validate_reference: bool
     payoff: Payoff
     l: int | None
-    out_dir: str
 
     def to_json(self) -> str:
         cfg = {
@@ -173,7 +172,6 @@ class RunConfig:
             "reference": {"l_ref": self.l_ref, "validate": self.validate_reference},
             "payoff": _payoff_dict(self.payoff),
             "l": self.l,
-            "out_dir": self.out_dir,
         }
         if self.grid_v is not None:
             cfg["grid"]["v"] = _grid_dict(self.grid_v)
@@ -181,7 +179,7 @@ class RunConfig:
 
 
 def _grid_dict(spec: GridSpec) -> dict:
-    return dict(asdict(spec), kind=spec.kind.value)
+    return {"kind": spec.kind.value, **{key: getattr(spec, key) for key in KIND_FIELDS[spec.kind]}}
 
 
 def _payoff_dict(p: Payoff) -> dict:
@@ -191,7 +189,7 @@ def _payoff_dict(p: Payoff) -> dict:
 
 
 _TOP_KEYS = {"model", "params", "grid", "policy", "schemes", "ladder",
-             "reference", "payoff", "l", "out_dir"}
+             "reference", "payoff", "l"}
 
 
 def _parse_params(d: dict, base):
@@ -287,14 +285,9 @@ def parse_config(text: str) -> RunConfig:
     if l is not None and (isinstance(l, bool) or not isinstance(l, int) or l < 1):
         raise ConfigError(f"l: expected an integer >= 1, got {l!r}")
 
-    out_dir = raw.get("out_dir", "out")
-    if not isinstance(out_dir, str) or not out_dir:
-        raise ConfigError(f"out_dir: expected a non-empty string, got {out_dir!r}")
-
     return RunConfig(model=model, params=params, grid_x=grid_x, grid_v=grid_v,
                      policy=policy, schemes=schemes, ladder=ladder, l_ref=l_ref,
-                     validate_reference=validate, payoff=payoff, l=l,
-                     out_dir=out_dir)
+                     validate_reference=validate, payoff=payoff, l=l)
 
 
 def _fmt(v) -> str:
@@ -426,8 +419,7 @@ _COMMANDS = {
 }
 
 
-def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
-             strict: bool = False) -> int:
+def dispatch(cmd: str, cfg: RunConfig, out_dir: str, strict: bool = False) -> int:
     """Run one subcommand; returns the process exit status."""
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}; "
@@ -461,13 +453,13 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str | None = None,
     if eigensolves:
         setup = replace(setup, spectrum=_built("grid", eigenvalues_dense, setup.op.matrix,
                                                scale=cfg.params.expiry / l))
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
+        # written first, so a run that fails still leaves the config that replays it
+        (out / "config.json").write_text(cfg.to_json() + "\n")
     except OSError as exc:  # a file in its place, or no permission
-        raise ConfigError(f"{'out_dir' if out_dir is None else '--out'}: {exc}") from exc
-    # written first, so a run that fails still leaves the config that replays it
-    (out / "config.json").write_text(replace(cfg, out_dir=str(out)).to_json() + "\n")
+        raise ConfigError(f"--out: {exc}") from exc
     if eigensolves:
         write_spectrum(setup.spectrum, out / "spectrum.csv")
     records = run(cfg, setup, out, l)
@@ -489,8 +481,8 @@ def main(argv: list[str] | None = None) -> int:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", type=Path, default=None,
                        help="JSON config path (defaults apply if omitted)")
-        p.add_argument("--out", type=str, default=None,
-                       help="output directory (overrides config out_dir)")
+        p.add_argument("--out", type=str, default="out",
+                       help="output directory (default: %(default)s)")
         p.add_argument("--strict", action="store_true",
                        help="exit nonzero if any run explodes")
     args = parser.parse_args(argv)

@@ -377,8 +377,11 @@ def run_time_convergence(setup: Setup, families: tuple[SchemeFamily, ...],
     """Run each family's ladder on a 2-D setup against one CN/Rannacher reference.
 
     The reference is computed once on the shared operator, whatever the
-    number of families, and with validate_reference its self-convergence
-    against 2 * l_ref is checked once too.  The CN runs take turns on one
+    number of families.  With validate_reference CN also runs at 2 * l_ref:
+    its distance from CN(l_ref) is the self-convergence check, and the ladder
+    is scored against the Richardson extrapolation
+    (4 CN(2 l_ref) - CN(l_ref)) / 3, which cancels CN's k**2 error term;
+    without it, against CN(l_ref).  The CN runs take turns on one
     worker thread while this one runs the ladder (their solves release the
     GIL), so a reference that fails the check raises UnconvergedReferenceError
     after the ladder, and a ladder that raises cancels the reference not yet
@@ -394,8 +397,11 @@ def run_time_convergence(setup: Setup, families: tuple[SchemeFamily, ...],
         except BaseException:  # drop the queued reference; exit waits for the running one
             pool.shutdown(cancel_futures=True)
             raise
-        ref = next(refs)
-        ref_check = rms_error(ref, next(refs), roi) if validate_reference else None
+        ref, ref_check = next(refs), None
+        if validate_reference:
+            fine = next(refs)
+            ref_check = rms_error(ref, fine, roi)
+            ref = (4.0 * fine - ref) / 3.0
     if validate_reference and not ref_check < 1e-4:
         raise UnconvergedReferenceError(
             f"reference not self-converged: rms(l={l_ref}, "

@@ -9,6 +9,7 @@ import numpy as np
 
 __all__ = [
     "StretchKind",
+    "KIND_FIELDS",
     "GridSpec",
     "Grid1D",
     "make_uniform",
@@ -22,6 +23,12 @@ class StretchKind(Enum):
     UNIFORM = "uniform"
     SINH = "sinh"
     CUBIC = "cubic"
+
+
+# the GridSpec fields each kind's builder reads; the others keep their defaults
+KIND_FIELDS = {StretchKind.UNIFORM: ("a", "b", "m"),
+               StretchKind.SINH: ("a", "b", "m", "center", "lam"),
+               StretchKind.CUBIC: ("a", "b", "m", "center", "alpha")}
 
 
 @dataclass(frozen=True)

@@ -286,7 +286,7 @@ def assemble_heston(params: HestonParams, gx: Grid1D, gv: Grid1D, policy: Upwind
     x, v = gx.nodes, gv.nodes
     m, n = gx.m, gv.m
     if v[0] < 0.0:
-        raise ValueError(f"variance grid must start at v >= 0, got {v[0]!r}")
+        raise ValueError(f"variance grid must start at v >= 0, got {v[0]:g}")
     w = gv.spacings
     px, pv = peclet(params, gx, gv)
     fit_x, fit_v = _policy_masks(policy, px, pv, v)

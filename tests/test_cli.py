@@ -2,7 +2,6 @@
 
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,7 @@ def test_empty_config_gives_heston_defaults():
     assert cfg.ladder == DEFAULT_LADDER
     assert cfg.l_ref == 4000 and cfg.validate_reference
     assert cfg.payoff.kind is PayoffKind.CALL and cfg.payoff.strike == 100.0
-    assert cfg.l is None and cfg.out_dir == "out"
+    assert cfg.l is None
 
 
 def test_bs_defaults():
@@ -81,7 +80,6 @@ def test_roundtrip_with_overrides():
         "reference": {"l_ref": 100, "validate": False},
         "payoff": {"kind": "put", "strike": 95.0},
         "l": 7,
-        "out_dir": "elsewhere",
     })
     cfg = parse_config(text)
     assert cfg.params.rho == -0.3 and cfg.params.expiry == 2.0
@@ -96,6 +94,21 @@ def test_roundtrip_with_overrides():
         {"family": "rkc", "eps": 3.5}]
     assert cfg.payoff.kind is PayoffKind.PUT and cfg.payoff.strike == 95.0
     assert cfg.l == 7 and not cfg.validate_reference
+    assert parse_config(cfg.to_json()) == cfg
+
+
+GRID_KINDS = {
+    "uniform": {"kind": "uniform", "a": 0.0, "b": 400.0, "m": 30},
+    "sinh": {"kind": "sinh", "a": 0.0, "b": 400.0, "m": 30, "center": 90.0, "lam": 15.0},
+    "cubic": {"kind": "cubic", "a": 0.0, "b": 400.0, "m": 30, "center": 90.0, "alpha": 0.5},
+}
+
+
+@pytest.mark.parametrize("kind", list(GRID_KINDS))
+def test_grid_recipe_roundtrips_with_only_its_kinds_keys(kind):
+    """config.json writes the keys the kind's builder reads, and no other."""
+    cfg = parse_config(json.dumps({"grid": {"x": GRID_KINDS[kind]}}))
+    assert json.loads(cfg.to_json())["grid"]["x"] == GRID_KINDS[kind]
     assert parse_config(cfg.to_json()) == cfg
 
 
@@ -144,7 +157,6 @@ def test_roundtrip_with_overrides():
     ('{"payoff": {"kind": "digital-range", "low": 5, "high": 50, "strike": 100}}',
      "payoff.strike: only valid for kind 'call' or 'put'"),
     ('{"l": 0}', "l: expected an integer >= 1"),
-    ('{"out_dir": ""}', "out_dir: expected a non-empty string"),
 ])
 def test_config_rejections(text, needle):
     with pytest.raises(ConfigError, match=None) as err:
@@ -152,9 +164,10 @@ def test_config_rejections(text, needle):
     assert needle in str(err.value)
 
 
-def test_dispatch_rejects_unknown_command():
+def test_dispatch_rejects_unknown_command(tmp_path):
     with pytest.raises(ConfigError, match="unknown command"):
-        dispatch("render", parse_config("{}"))
+        dispatch("render", parse_config("{}"), out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_model_command_mismatches(tmp_path):
@@ -415,14 +428,23 @@ def test_config_json_replays_the_run(cmd, tmp_path):
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     cfg = parse_config(json.dumps(REPLAYED[cmd]))
     assert dispatch(cmd, cfg, out_dir=str(out1)) == 0
-    assert parse_config((out1 / "config.json").read_text()) == \
-        replace(cfg, out_dir=str(out1))
+    assert parse_config((out1 / "config.json").read_text()) == cfg
     assert main([cmd, "--config", str(out1 / "config.json"), "--out", str(out2)]) == 0
     names = sorted(p.name for p in out1.iterdir())
     assert names == sorted(p.name for p in out2.iterdir())
     for name in names:
-        if name not in ("config.json", "run_log.jsonl"):
+        if name != "run_log.jsonl":  # its wall times differ
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_config_json_does_not_depend_on_the_output_directory(tmp_path):
+    cfg = parse_config(json.dumps(dict(TINY_HESTON, grid={"x": GRID_KINDS["cubic"],
+                                                          "v": {"m": 8}})))
+    for name in ("one", "two"):
+        assert dispatch("price", cfg, out_dir=str(tmp_path / name)) == 0
+    text = (tmp_path / "one" / "config.json").read_bytes()
+    assert text == (tmp_path / "two" / "config.json").read_bytes()
+    assert b"out_dir" not in text
 
 
 # CN at l_ref = 3 is far from CN at 6 on this grid
@@ -435,8 +457,7 @@ def test_config_json_written_before_the_run(tmp_path):
     cfg = parse_config(json.dumps(L_REF_3))
     with pytest.raises(ConfigError, match="reference not self-converged"):
         dispatch("converge", cfg, out_dir=str(tmp_path))
-    assert parse_config((tmp_path / "config.json").read_text()) == \
-        replace(cfg, out_dir=str(tmp_path))
+    assert parse_config((tmp_path / "config.json").read_text()) == cfg
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
@@ -452,7 +473,7 @@ def unreadable_config(tmp_path: Path, kind: str) -> Path:
     if kind == "directory":
         return tmp_path
     path = tmp_path / "latin1.json"
-    path.write_bytes('{"out_dir": "caf\u00e9"}'.encode("latin-1"))
+    path.write_bytes('{"model": "caf\u00e9"}'.encode("latin-1"))
     return path
 
 
@@ -472,20 +493,30 @@ def test_unreadable_config_path_is_a_config_error(tmp_path, capsys, kind, needle
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", [True, False], ids=["--out", "out_dir"])
-def test_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys, flag):
+def test_output_path_that_is_a_file_is_a_config_error(tmp_path, capsys):
     # mkdir raised FileExistsError: a traceback with exit status 1
     taken = tmp_path / "taken"
     taken.write_text("kept\n")
-    cfg = write_config(tmp_path, dict(TINY_HESTON, out_dir=str(taken)))
-    argv = ["price", "--config", str(cfg)] + (["--out", str(taken)] if flag else [])
-    assert main(argv) == 2
+    cfg = write_config(tmp_path, TINY_HESTON)
+    assert main(["price", "--config", str(cfg), "--out", str(taken)]) == 2
     err = capsys.readouterr().err
-    where = "--out" if flag else "out_dir"
-    assert err.startswith(f"config error: {where}: [Errno 17] File exists: ")
+    assert err.startswith("config error: --out: [Errno 17] File exists: ")
     assert err.count("\n") == 1
     assert taken.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+
+def test_config_json_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    # writing config.json raised IsADirectoryError: a traceback with exit status 1
+    out = tmp_path / "out"
+    (out / "config.json").mkdir(parents=True)
+    cfg = write_config(tmp_path, TINY_HESTON)
+    assert main(["price", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: [Errno 21] Is a directory: ")
+    assert err.count("\n") == 1
+    assert [p.name for p in out.iterdir()] == ["config.json"]
+    assert not any((out / "config.json").iterdir())
 
 
 # 4 x nodes on the default [0, 800] sinh grid: one lies in the window [50, 150]
@@ -565,6 +596,16 @@ UNRUNNABLE = [
                "grid.x: center 900.0 outside [0.0, 150.0]", id="bs-cubic-center"),
     unrunnable({"grid": {"v": {"m": 1}}}, "grid.v: need m >= 2, got 1",
                id="heston-sinh-v-m1"),
+    # keys the grid's kind never reads, and the output directory, which only
+    # --out sets: each was accepted and changed nothing
+    unrunnable({"grid": {"x": {"kind": "uniform", "lam": 5.0}}},
+               "grid.x: unknown key(s) lam", id="uniform-lam"),
+    unrunnable({"grid": {"x": {"alpha": 0.5}}}, "grid.x: unknown key(s) alpha",
+               id="sinh-alpha"),
+    unrunnable({"model": "bs", "grid": {"x": {"kind": "cubic", "center": 100.0,
+                                              "lam": 5.0}}},
+               "grid.x: unknown key(s) lam", id="cubic-lam"),
+    unrunnable({"out_dir": "x"}, "config: unknown key(s) out_dir", id="out_dir"),
     unrunnable({"grid": {"v": {"kind": "uniform", "a": -1.0}}},
                "grid.v.a: the variance grid must start at v >= 0, got -1",
                id="heston-v-below-0"),

@@ -12,6 +12,7 @@ import pytest
 from conftest import cubic_grid
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import expm_multiply
 from scipy.stats import norm
 
 from stslab.experiments import (bs_closed_form, bs_uniform_grid,
@@ -294,15 +295,17 @@ def test_time_convergence_small(heston_params, gx_small, heston_setup):
 
 
 def serial_time_convergence(setup, payoff, families, ladder, l_ref):
-    """The serial driver: both CN runs first, then each rung scored against ref
-    (an exploded rung has no field to score and reads inf)."""
+    """The serial driver: both CN runs first, then each rung scored against
+    their Richardson extrapolation (an exploded rung has no field to score and
+    reads inf)."""
     op, y0, expiry = setup.op, setup.y0, setup.params.expiry
     roi = roi_mask(op.gx, 0.5 * payoff.level, 1.5 * payoff.level, op.gv, 0.0, 1.0)
     ref = crank_nicolson_run(op, y0, expiry, l_ref)
     ref2 = crank_nicolson_run(op, y0, expiry, 2 * l_ref)
+    richardson = (4.0 * ref2 - ref) / 3.0
     scored = [run_and_score(fam, setup, l) for fam in families for l in ladder]
     for fld, _, log in scored:
-        log.rms_error = float("inf") if log.exploded else rms_error(fld, ref, roi)
+        log.rms_error = float("inf") if log.exploded else rms_error(fld, richardson, roi)
     return scored, rms_error(ref, ref2, roi)
 
 
@@ -344,6 +347,38 @@ def test_time_convergence_matches_serial_oracle_bitwise(rho_scale, exploded, hes
         assert [r.rms_error for r in res.runs if r.exploded] == [float("inf")]
     assert [scored_record(r) for r in res.runs] == [scored_record(w[2]) for w in want]
     assert [f.tobytes() for f in fields] == [w[0].tobytes() for w in want]
+
+
+def test_time_convergence_scores_against_the_exact_solution(heston_setup, monkeypatch):
+    """With validate_reference every rung's rms against the Richardson
+    reference matches its rms against expm(T M) y0 to 1e-3 relative (bound
+    stated before measuring; measured at most 1.2e-5, at the top rung).
+    Against CN(l_ref) alone, the fallback without validation, the top rungs
+    read their own error no longer: 45% and 5.4x off for rkl at l = 320 and
+    640 here."""
+    op, expiry = heston_setup.op, heston_setup.params.expiry
+    exact = expm_multiply(expiry * op.matrix.tocsr(), heston_setup.y0.ravel()).reshape(op.shape)
+    roi = heston_setup.window[:, None] & (op.gv.nodes <= 1.0)[None, :]
+    fields = []
+    real_score = stslab.experiments.run_and_score
+
+    def recording(*a, **kw):
+        out = real_score(*a, **kw)
+        fields.append(out[0])
+        return out
+
+    monkeypatch.setattr(stslab.experiments, "run_and_score", recording)
+    for validate in (True, False):
+        fields.clear()
+        res = run_time_convergence(heston_setup, (rkc(10.0), rkl()),
+                                   ladder=(20, 40, 80, 160, 320, 640), l_ref=400,
+                                   validate_reference=validate)
+        errs = [abs(r.rms_error / rms_error(f, exact, roi) - 1.0)
+                for f, r in zip(fields, res.runs)]
+        if validate:
+            assert max(errs) <= 1e-3, errs
+        else:
+            assert all(errs[i] > 0.1 for i in (4, 5, 10, 11)), errs
 
 
 def test_time_convergence_unconverged_reference_raises(heston_setup):

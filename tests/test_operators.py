@@ -657,6 +657,14 @@ def test_assembly_refuses_a_price_grid_below_zero(heston_params, bs_params, gv_s
         assemble_bs(bs_params, gx_neg, UpwindPolicy.NONE)
 
 
+def test_assembly_refuses_a_variance_grid_below_zero(heston_params, gx_small):
+    # the message printed the value as np.float64(-0.1)
+    with pytest.raises(ValueError) as err:
+        assemble_heston(heston_params, gx_small, make_uniform(-0.1, 1.0, 11),
+                        UpwindPolicy.NONE)
+    assert str(err.value) == "variance grid must start at v >= 0, got -0.1"
+
+
 def test_matrix_must_match_the_lattice():
     g = make_uniform(0.0, 1.0, 4)
     with pytest.raises(ValueError, match="does not match the 5 lattice nodes"):
