@@ -10,13 +10,13 @@ and a silently ignored typo would fake a finding.  The parser reads values:
 the JSON shape (known keys, types, finite numbers, named choices), the
 parameters, grid recipes, schemes and payoff, whose own bound checks it
 reports with the config path, and the rules that span two keys.  Before it
-writes anything, `dispatch` checks the command against `_COMMANDS` (each
-command's model, default l, eigensolve and help, stated once) and builds the
-run once: the grids, the `prepare` setup, the rules that need them (a finite
-operator, and the oscillation window of a command that runs schemes), the
-stage count of every run it makes (`schemes.plan_run`) and the one dense
-eigensolve of `spectrum` and `bs-demo`, whose size guard refuses a large
-lattice.  So a config that passes runs and one that cannot fails before
+writes anything, `dispatch` reads the command's `_COMMANDS` row (its model,
+keys, default l and eigensolve), refuses a key the command does not read and
+builds the run once: the grids, the `prepare` setup, the rules that need them
+(a finite operator, and the oscillation window of a command that runs
+schemes), the stage count of every run it makes (`schemes.plan_run`) and the
+one dense eigensolve of `spectrum` and `bs-demo`, whose size guard refuses a
+large lattice.  So a config that passes runs and one that cannot fails before
 anything is written; one that fails while stepping, or on its reference,
 leaves the config.json that replays it.  Data CSVs contain no timings, so
 identical configs produce byte-identical files; wall times go to the run log
@@ -30,7 +30,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +147,7 @@ def _parse_payoff(d, default: Payoff, path: str) -> Payoff:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated experiment configuration."""
+    """Validated experiment configuration; given is the top-level keys the text named."""
 
     model: str
     params: HestonParams | BsParams
@@ -160,12 +160,15 @@ class RunConfig:
     validate_reference: bool
     payoff: Payoff
     l: int | None
+    given: frozenset[str] = field(default=frozenset(), compare=False)
 
-    def to_json(self) -> str:
+    def to_json(self, keys=None) -> str:
+        """The config with the top-level keys in keys (default all), resolved."""
         cfg = {
             "model": self.model,
             "params": asdict(self.params),
-            "grid": {"x": _grid_dict(self.grid_x)},
+            "grid": {axis: _grid_dict(spec) for axis, spec in
+                     (("x", self.grid_x), ("v", self.grid_v)) if spec is not None},
             "policy": self.policy.value,
             "schemes": [{"family": s.kind.value, **s.free} for s in self.schemes],
             "ladder": list(self.ladder),
@@ -173,9 +176,7 @@ class RunConfig:
             "payoff": _payoff_dict(self.payoff),
             "l": self.l,
         }
-        if self.grid_v is not None:
-            cfg["grid"]["v"] = _grid_dict(self.grid_v)
-        return json.dumps(cfg, indent=2, sort_keys=True)
+        return json.dumps({key: cfg[key] for key in keys or cfg}, indent=2, sort_keys=True)
 
 
 def _grid_dict(spec: GridSpec) -> dict:
@@ -186,10 +187,6 @@ def _payoff_dict(p: Payoff) -> dict:
     if p.kind is PayoffKind.DIGITAL_RANGE:
         return {"kind": p.kind.value, "low": p.low, "high": p.high}
     return {"kind": p.kind.value, "strike": p.strike}
-
-
-_TOP_KEYS = {"model", "params", "grid", "policy", "schemes", "ladder",
-             "reference", "payoff", "l"}
 
 
 def _parse_params(d: dict, base):
@@ -287,7 +284,7 @@ def parse_config(text: str) -> RunConfig:
 
     return RunConfig(model=model, params=params, grid_x=grid_x, grid_v=grid_v,
                      policy=policy, schemes=schemes, ladder=ladder, l_ref=l_ref,
-                     validate_reference=validate, payoff=payoff, l=l)
+                     validate_reference=validate, payoff=payoff, l=l, given=frozenset(raw))
 
 
 def _fmt(v) -> str:
@@ -403,20 +400,22 @@ def _cmd_bs_demo(cfg: RunConfig, setup: Setup, out: Path, l: int) -> list[dict]:
     return [asdict(r) for r in result.runs]
 
 
+_RUN_KEYS = frozenset({"model", "params", "grid", "policy", "schemes", "payoff"})
 # name: (handler, the model it drives or None for either, the l it runs at
 # when the config gives none, whether dispatch adds the spectrum to the setup,
-# help); converge takes its steps from the ladder
+# the top-level keys it reads, help); converge takes its steps from the ladder
 _COMMANDS = {
-    "price": (_cmd_price, None, 100, False,
+    "price": (_cmd_price, None, 100, False, _RUN_KEYS | {"l"},
               "integrate the payoff and write price slices"),
-    "converge": (_cmd_converge, "heston", None, False,
+    "converge": (_cmd_converge, "heston", None, False, _RUN_KEYS | {"ladder", "reference"},
                  "time-convergence ladder against the implicit reference"),
-    "spectrum": (_cmd_spectrum, None, 16, True,
+    "spectrum": (_cmd_spectrum, None, 16, True, {"model", "params", "grid", "policy", "l"},
                  "dense eigenvalues of the scaled operator"),
-    "delta": (_cmd_delta, "heston", 10, False,
+    "delta": (_cmd_delta, "heston", 10, False, _RUN_KEYS | {"l"},
               "delta slices near v=0 for each configured scheme"),
-    "bs-demo": (_cmd_bs_demo, "bs", 100, True, "flat-volatility barrier study"),
+    "bs-demo": (_cmd_bs_demo, "bs", 100, True, _RUN_KEYS | {"l"}, "flat-volatility barrier study"),
 }
+_TOP_KEYS = frozenset().union(*(row[4] for row in _COMMANDS.values()))
 
 
 def dispatch(cmd: str, cfg: RunConfig, out_dir: str, strict: bool = False) -> int:
@@ -424,7 +423,9 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str, strict: bool = False) -> in
     if cmd not in _COMMANDS:
         raise ConfigError(f"unknown command {cmd!r}; "
                           f"expected one of {sorted(_COMMANDS)}")
-    run, model, l_default, eigensolves, _ = _COMMANDS[cmd]
+    run, model, l_default, eigensolves, keys, _ = _COMMANDS[cmd]
+    if unread := sorted(cfg.given - keys):
+        raise ConfigError(f"{cmd} does not read key(s) {', '.join(unread)}")
     if model is not None and cfg.model != model:
         dim = "2-D" if model == "heston" else "1-D"
         raise ConfigError(f"{cmd} drives the {dim} model; set model={model!r}")
@@ -438,7 +439,7 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str, strict: bool = False) -> in
     if setup is None or not math.isfinite(setup.rho):
         raise ConfigError("params: the operator overflows float64")
     l = cfg.l or l_default
-    steps = () if cmd == "spectrum" else cfg.ladder if cmd == "converge" else (l,)
+    steps = cfg.ladder if "ladder" in keys else (l,) if "schemes" in keys else ()
     held = np.count_nonzero(setup.window)
     if steps and held < 3:  # the oscillation metric of a run needs a slice of 3 nodes
         lo, hi = cfg.payoff.window
@@ -457,7 +458,7 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str, strict: bool = False) -> in
     try:
         out.mkdir(parents=True, exist_ok=True)
         # written first, so a run that fails still leaves the config that replays it
-        (out / "config.json").write_text(cfg.to_json() + "\n")
+        (out / "config.json").write_text(cfg.to_json(keys) + "\n")
     except OSError as exc:  # a file in its place, or no permission
         raise ConfigError(f"--out: {exc}") from exc
     if eigensolves:

@@ -50,10 +50,9 @@ class GridSpec:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ValueError(f"need lam > 0, got {self.lam!r}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"need alpha > 0, got {self.alpha!r}")
+        for key in {"lam", "alpha"}.intersection(KIND_FIELDS[self.kind]):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"need {key} > 0, got {getattr(self, key)!r}")
         if not self.a < self.b:
             raise ValueError(f"need a < b, got a={self.a!r}, b={self.b!r}")
         least = {StretchKind.UNIFORM: 1, StretchKind.SINH: 2, StretchKind.CUBIC: 4}[self.kind]

@@ -412,22 +412,31 @@ def test_strict_flag_fails_on_explosion(tmp_path):
 
 REPLAYED = {
     "price": TINY_HESTON,
-    "converge": dict(TINY_HESTON, ladder=[5, 10],
-                     reference={"l_ref": 60, "validate": False}),
-    "spectrum": dict(TINY_HESTON, grid={"x": {"m": 10}, "v": {"m": 5}}),
+    "converge": {"model": "heston", "grid": {"x": {"m": 16}, "v": {"m": 8}},
+                 "schemes": [{"family": "rkc", "eps": 10.0}], "ladder": [5, 10],
+                 "reference": {"l_ref": 60, "validate": False}},
+    "spectrum": {"model": "heston", "grid": {"x": {"m": 10}, "v": {"m": 5}}, "l": 5},
     "delta": TINY_HESTON,
     "bs-demo": {"model": "bs", "grid": {"x": {"m": 30}},
                 "schemes": [{"family": "rkl"}], "l": 10},
 }
+# the top-level keys each command reads
+SPACE = {"model", "params", "grid", "policy"}
+READS = {"price": SPACE | {"schemes", "payoff", "l"},
+         "converge": SPACE | {"schemes", "payoff", "ladder", "reference"},
+         "spectrum": SPACE | {"l"},
+         "delta": SPACE | {"schemes", "payoff", "l"},
+         "bs-demo": SPACE | {"schemes", "payoff", "l"}}
 
 
 @pytest.mark.parametrize("cmd", list(REPLAYED))
 def test_config_json_replays_the_run(cmd, tmp_path):
-    """Each run writes its resolved config, and running that config again
-    writes the same data files."""
+    """Each run writes its resolved config, with exactly the keys its command
+    reads, and running that config again writes the same data files."""
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
     cfg = parse_config(json.dumps(REPLAYED[cmd]))
     assert dispatch(cmd, cfg, out_dir=str(out1)) == 0
+    assert set(json.loads((out1 / "config.json").read_text())) == READS[cmd]
     assert parse_config((out1 / "config.json").read_text()) == cfg
     assert main([cmd, "--config", str(out1 / "config.json"), "--out", str(out2)]) == 0
     names = sorted(p.name for p in out1.iterdir())
@@ -435,6 +444,32 @@ def test_config_json_replays_the_run(cmd, tmp_path):
     for name in names:
         if name != "run_log.jsonl":  # its wall times differ
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# a valid value for every top-level key
+EVERY_KEY = {"model": "heston", "params": {"rho": -0.5}, "grid": {"x": {"m": 16}},
+             "policy": "none", "schemes": [{"family": "rkl"}], "ladder": [5, 10],
+             "reference": {"l_ref": 60}, "payoff": {"kind": "put", "strike": 90.0}, "l": 5}
+
+
+@pytest.mark.parametrize("cmd,key", [(cmd, key) for cmd in READS
+                                     for key in sorted(set(EVERY_KEY) - READS[cmd])])
+def test_a_key_the_command_does_not_read_is_refused(cmd, key, tmp_path, capsys):
+    """A key that changes nothing, such as ladder on price or schemes on
+    spectrum, would fake a finding: it is refused before anything is written."""
+    cfg = write_config(tmp_path, dict(REPLAYED[cmd], **{key: EVERY_KEY[key]}))
+    out = tmp_path / "out"
+    assert main([cmd, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {cmd} does not read key(s) {key}\n"
+    assert not out.exists()
+
+
+def test_every_unread_key_is_named_in_one_line(tmp_path, capsys):
+    cfg = write_config(tmp_path, EVERY_KEY)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("config error: spectrum does not read key(s) "
+                                       "ladder, payoff, reference, schemes\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_json_does_not_depend_on_the_output_directory(tmp_path):

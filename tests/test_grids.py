@@ -1,11 +1,13 @@
 """Mesh construction: endpoints, monotonicity, and clustering behavior."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stslab.grids import (Grid1D, GridSpec, StretchKind, make_cubic,
+from stslab.grids import (KIND_FIELDS, Grid1D, GridSpec, StretchKind, make_cubic,
                           make_grid, make_sinh, make_uniform)
 
 KINDS = [
@@ -110,6 +112,17 @@ def test_builder_validation():
         GridSpec(cubic, 0.0, 1.0, 10, center=0.5, alpha=0.0)
     with pytest.raises(ValueError, match="outside"):
         make_cubic(GridSpec(cubic, 0.0, 1.0, 10, center=2.0))
+
+
+@pytest.mark.parametrize("spec", KINDS, ids=lambda s: s.kind.value)
+def test_bounds_are_checked_only_on_the_fields_the_kind_reads(spec):
+    # a uniform mesh reads neither lam nor alpha, and was refused for lam = 0
+    unread = {key: 0.0 for key in ("lam", "alpha") if key not in KIND_FIELDS[spec.kind]}
+    same = replace(spec, **unread)
+    assert make_grid(same).nodes.tobytes() == make_grid(spec).nodes.tobytes()
+    for key in {"lam", "alpha"} - set(unread):
+        with pytest.raises(ValueError, match=f"need {key} > 0, got 0.0"):
+            replace(spec, **{key: 0.0})
 
 
 def test_spacings_are_backward_differences():
