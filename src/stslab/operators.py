@@ -26,7 +26,9 @@ cross on the lattice,
 the one place that places a coefficient at its lattice neighbor; an
 out-of-lattice neighbor's coefficient vanishes by construction.  The operator
 keeps only its grids and M, in diagonal (DIA) form: nine diagonals (three in
-1-D) with ascending offsets.
+1-D) with ascending offsets.  `matvec` is the one DIA kernel: `apply` checks
+its arguments and runs it, and the stage loop, which checks its buffers once
+per step, calls it at every later stage.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ __all__ = [
     "assemble_heston",
     "assemble_bs",
     "apply",
+    "matvec",
     "to_sparse",
 ]
 
@@ -337,21 +340,34 @@ def assemble_bs(params: BsParams, gx: Grid1D, policy: UpwindPolicy) -> StencilOp
     return StencilOperator(_lattice_matrix(a, b, c), gx, None)
 
 
+def matvec(mat: scipy.sparse.dia_matrix, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = M x for M = mat in DIA form, with no checks; returns out.
+
+    x and out are flat float64 rows of M's size and out is C-contiguous and
+    does not overlap x: the matvec reads x while it writes out.  out is zeroed
+    and the DIA matvec adds each diagonal into it, with no temporary.  Offsets
+    ascend, so each row sums its products from +0.0 in column order, and DIA's
+    extra zeros add only +-0: for finite x the result is bitwise M x in sorted
+    CSR form.
+    """
+    out.fill(0.0)
+    dia_matvec(out.size, x.size, len(mat.offsets), mat.data.shape[1],
+               mat.offsets, mat.data, x, out)
+    return out
+
+
 def apply(op: StencilOperator, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Evaluate M f on the lattice; with out given, write it there and return out.
 
-    out is zeroed and the DIA matvec of `op.matrix @ f.ravel()` adds each
-    diagonal into it, with no temporary.  Offsets ascend, so each row sums its
-    products from +0.0 in column order, and DIA's extra zeros add only +-0:
-    for finite f the result is bitwise M f in sorted CSR form.  out must be a
-    C-contiguous float64 array of the operator's shape and must not overlap
-    f: the matvec reads f while it writes out.
+    Checks f and out on every call, then runs `matvec`; the stage loop makes
+    one such call per step.  out must be a C-contiguous float64 array of the
+    operator's shape and must not overlap f.
     """
     f = np.asarray(f)
     if f.shape != op.shape:
         raise ValueError(f"field shape {f.shape} does not match operator {op.shape}")
     if out is None:
-        out = np.zeros(op.shape)
+        out = np.empty(op.shape)
     else:
         if (out.shape != op.shape or out.dtype != np.float64
                 or not out.flags.c_contiguous):
@@ -359,10 +375,7 @@ def apply(op: StencilOperator, f: np.ndarray, out: np.ndarray | None = None) -> 
                              f"operator shape {op.shape}")
         if np.may_share_memory(out, f):
             raise ValueError("out must not share memory with the field")
-        out.fill(0.0)
-    mat = op.matrix
-    dia_matvec(op.size, op.size, len(mat.offsets), mat.data.shape[1],
-               mat.offsets, mat.data, f.ravel(), out.reshape(-1))
+    matvec(op.matrix, f.ravel(), out.reshape(-1))
     return out
 
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .operators import StencilOperator, apply as apply_operator
+from .operators import StencilOperator, apply as apply_operator, matvec
 
 __all__ = [
     "FamilyKind",
@@ -354,31 +354,39 @@ def _stages(coeffs: StageCoefficients, op: StencilOperator, state: np.ndarray,
     """Y_s of the stage recurrence from Y_0 = state with F = M, in preallocated buffers.
 
     Stage j >= 2 is one gemv w_j B over the rows Y_{j-1}, Y_{j-2}, Y_0,
-    F(Y_{j-1}), F(Y_0) of B, with w_j = (mu, nu, 1 - mu - nu, dt mt, dt gt).
-    BLAS sums in its own order, so Y_s agrees with the written-order formula
-    to s^2 eps |y|, not bitwise; it does not depend on check_each.  With
-    check_each, raises ExplosionError at the first stage value that is not
-    finite.  F is the module global apply_operator, looked up at every stage,
-    so rebinding it reaches every stage.
+    F(Y_{j-1}), F(Y_0) of a (5, n) buffer B, with w_j = (mu, nu, 1 - mu - nu,
+    dt mt, dt gt).  Two such buffers take turns: stage j writes Y_j into row 0
+    of the other one and copies Y_{j-1} into its row 1.  BLAS sums in its own
+    order, so Y_s agrees with the written-order formula to s^2 eps |y|, not
+    bitwise; it does not depend on check_each.  With check_each, raises
+    ExplosionError at the first stage value that is not finite.  The buffers
+    are checked once per step: F(Y_0) goes through apply_operator, and every
+    later F is the unchecked kernel matvec, looked up as a module global at
+    every stage.  Y_s is returned as a copy that owns its memory.
     """
     mu, nu = coeffs.mu[2:], coeffs.nu[2:]
     W = np.column_stack((mu, nu, 1.0 - mu - nu, dt * coeffs.mu_tilde[2:],
                          dt * coeffs.gamma_tilde[2:]))
-    B = np.empty((5,) + op.shape)  # C order, as apply writes it
-    B[0] = B[2] = state
-    f0 = apply_operator(op, B[2], B[4])
-    y = np.add(B[2], np.multiply(f0, coeffs.mu_tilde[1] * dt, B[3]), np.empty(op.shape))
-    if check_each and not np.isfinite(y).all():
+    bufs = np.empty((2, 5, op.size))
+    bufs[:, 2] = np.reshape(state, -1)
+    first = bufs[0]
+    first[1] = first[2]
+    apply_operator(op, first[2].reshape(op.shape), first[4].reshape(op.shape))
+    bufs[1, 4] = first[4]
+    np.add(first[2], np.multiply(first[4], coeffs.mu_tilde[1] * dt, first[3]), first[0])
+    if check_each and not np.isfinite(first[0]).all():
         raise ExplosionError(stage=1)
-    rows, y_flat = B.reshape(5, -1), y.reshape(-1)
+    # each buffer with views of its rows 0, 1 and 3: a stage indexes no array
+    mat, (cur, nxt) = op.matrix, [(b, b[0], b[1], b[3]) for b in bufs]
     for j, w in enumerate(W, 2):
-        B[1] = B[0]
-        B[0] = y
-        apply_operator(op, B[0], B[3])
-        np.dot(w, rows, out=y_flat)
-        if check_each and not np.isfinite(y).all():
+        B, y, _, f = cur
+        matvec(mat, y, f)
+        np.dot(w, B, out=nxt[1])
+        if check_each and not np.isfinite(nxt[1]).all():
             raise ExplosionError(stage=j)
-    return y
+        nxt[2][...] = y
+        cur, nxt = nxt, cur
+    return cur[1].reshape(op.shape).copy()
 
 
 def super_step(coeffs: StageCoefficients, op: StencilOperator, state: np.ndarray,

@@ -643,6 +643,55 @@ def test_super_step_within_rounding_bound_of_reference(family, case, step_cases)
         y = got
 
 
+def one_buffer_stages(coeffs, op, state, dt):
+    """The stage loop as it ran on one (5, n) buffer B, kept as its oracle.
+
+    Each stage copies Y_{j-2} and Y_{j-1} into rows 1 and 0, applies M into
+    row 3 through `apply` and writes Y_j with np.dot(w_j, B); the two-buffer
+    loop keeps the row order and the weights, so it must match bit for bit.
+    """
+    mu, nu = coeffs.mu[2:], coeffs.nu[2:]
+    W = np.column_stack((mu, nu, 1.0 - mu - nu, dt * coeffs.mu_tilde[2:],
+                         dt * coeffs.gamma_tilde[2:]))
+    B = np.empty((5,) + op.shape)
+    B[0] = B[2] = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        f0 = apply(op, B[2], B[4])
+        y = np.add(B[2], np.multiply(f0, coeffs.mu_tilde[1] * dt, B[3]), np.empty(op.shape))
+        rows, y_flat = B.reshape(5, -1), y.reshape(-1)
+        for w in W:
+            B[1] = B[0]
+            B[0] = y
+            apply(op, B[0], B[3])
+            np.dot(w, rows, out=y_flat)
+    return y
+
+
+@pytest.mark.parametrize("case", ["cubic-1d", "partial-2d", "callable"])
+@pytest.mark.parametrize("s", [2, 3, 4, None], ids=lambda s: f"s={s or 'selected'}")
+@pytest.mark.parametrize("family", [rkc(10.0), rkl(), rkg(2.0)], ids=lambda f: f.label)
+def test_super_step_bit_identical_to_one_buffer_loop(family, s, case, step_cases):
+    """Both stage buffers and check_each give the one-buffer loop's bits.
+
+    s = 2, 3 and 4 end the step in either buffer's turn; the selected s is a
+    full-length step.  Every returned field owns its memory and shares none
+    with the state or with an earlier step's field.
+    """
+    op, rho, y = step_cases[case]
+    dt = 300.0 / rho
+    coeffs = make_coefficients(family, s or select_stage_count(family, dt, rho))
+    seen = [y]
+    for _ in range(3):
+        want = one_buffer_stages(coeffs, op, y, dt)
+        got = super_step(coeffs, op, y, dt)
+        checked = schemes._stages(coeffs, op, y, dt, check_each=True)
+        assert got.tobytes() == want.tobytes() == checked.tobytes()
+        assert got.flags.owndata
+        assert not any(np.shares_memory(got, f) for f in seen)
+        seen.append(got)
+        y = got
+
+
 def test_super_step_accepts_any_field_layout(step_cases):
     """apply writes C-ordered buffers; a Fortran-ordered field gives the same bits."""
     op, rho, y = step_cases["partial-2d"]
@@ -688,7 +737,18 @@ EXPLODING_RUNS = {
                               1.0, 2, 1.0),
     "region-rkl": lambda: _region_fitting_case(rkl()),
     "region-rkc0": lambda: _region_fitting_case(rkc(0.0)),
+    # a fast mode under a spectral bound 1e38 too small: stage 8 of 15 overflows
+    "late-grow-callable": lambda: (rkl(), matrix_op(-1e40 * np.eye(2)), np.ones(2),
+                                   1.0, 1, 100.0),
 }
+
+
+def test_exploding_runs_cover_both_stage_parities():
+    """Stage j writes Y_j into the stage buffer of j's parity: the runs above
+    must first go non-finite at an even stage past 2 and at an odd one."""
+    stages = {reference_run(*make())[2] for make in EXPLODING_RUNS.values()}
+    assert any(j > 2 and j % 2 == 0 for j in stages)
+    assert any(j % 2 == 1 for j in stages)
 
 
 @pytest.mark.parametrize("name", list(EXPLODING_RUNS))
