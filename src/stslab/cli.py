@@ -445,6 +445,8 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str, strict: bool = False) -> in
         lo, hi = cfg.payoff.window
         raise ConfigError(f"grid.x: need >= 3 nodes in the payoff's oscillation "
                           f"window [{lo:g}, {hi:g}], got {held}")
+    if "ladder" in keys and not setup.rms_region.any():
+        raise ConfigError("grid.v: no node at v <= 1, where converge takes the rms error")
     for i, fam in enumerate(cfg.schemes):  # refuse an unrunnable step before writing
         for n in steps:
             try:

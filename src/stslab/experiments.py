@@ -283,6 +283,11 @@ class Setup:
     window: np.ndarray
     spectrum: Spectrum | None = None
 
+    @property
+    def rms_region(self) -> np.ndarray:
+        """The nodes `run_time_convergence` takes the rms error over: window at v <= 1."""
+        return self.window[:, None] & (self.op.gv.nodes <= 1.0)[None, :]  # every v is >= 0
+
 
 def score(setup: Setup, fld: np.ndarray, log: RunLog) -> np.ndarray:
     """Fill log's osc_metric and price_at_spot from fld; returns the osc slice.
@@ -385,10 +390,9 @@ def run_time_convergence(setup: Setup, families: tuple[SchemeFamily, ...],
     worker thread while this one runs the ladder (their solves release the
     GIL), so a reference that fails the check raises UnconvergedReferenceError
     after the ladder, and a ladder that raises cancels the reference not yet
-    started.  The rms error is taken over the oscillation window at v <= 1.
+    started.  The rms error is taken over `Setup.rms_region`.
     """
     op, y0, t = setup.op, setup.y0, setup.params.expiry
-    roi = setup.window[:, None] & (op.gv.nodes <= 1.0)[None, :]  # every v node is >= 0
     steps = (l_ref, 2 * l_ref) if validate_reference else (l_ref,)
     with ThreadPoolExecutor(max_workers=1) as pool:
         refs = pool.map(crank_nicolson_run, repeat(op), repeat(y0), repeat(t), steps)
@@ -400,14 +404,14 @@ def run_time_convergence(setup: Setup, families: tuple[SchemeFamily, ...],
         ref, ref_check = next(refs), None
         if validate_reference:
             fine = next(refs)
-            ref_check = rms_error(ref, fine, roi)
+            ref_check = rms_error(ref, fine, setup.rms_region)
             ref = (4.0 * fine - ref) / 3.0
     if validate_reference and not ref_check < 1e-4:
         raise UnconvergedReferenceError(
             f"reference not self-converged: rms(l={l_ref}, "
             f"l={2 * l_ref}) = {ref_check:.3e}, need < 1e-4")
     for fld, _, log in scored:
-        log.rms_error = math.inf if log.exploded else rms_error(fld, ref, roi)
+        log.rms_error = math.inf if log.exploded else rms_error(fld, ref, setup.rms_region)
     return ConvergenceResult([log for _, _, log in scored], ref_check)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -111,44 +112,25 @@ def make_sinh(spec: GridSpec) -> Grid1D:
     return Grid1D(nodes)
 
 
-def _solve_depressed_cubic(alpha: float, target: float) -> float:
-    """Bisect u^3 + alpha*u = target; the map is strictly increasing for alpha > 0."""
-    g = lambda u: u * (u * u + alpha)
-    lo, hi = 0.0, 1.0
-    if target < 0.0:
-        lo, hi = -1.0, 0.0
-        while g(lo) > target:
-            lo *= 2.0
-    else:
-        while g(hi) < target:
-            hi *= 2.0
-    while hi - lo > 1e-14 * max(1.0, abs(lo), abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if g(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def _cubic_root(alpha: float, t: float) -> float:
+    """The real root of u^3 + alpha*u = t, alpha > 0: with r = sqrt(alpha/3) and
+    u = 2r*sinh(theta) the cubic reads 2r^3*sinh(3*theta) = t."""
+    r = math.sqrt(alpha / 3.0)
+    if not abs(t) < 2.0 * r * r * r * 1e308:  # else t / (2r^3) overflows
+        return float(np.cbrt(t))  # alpha*u is then far below the rounding of u^3
+    return 2.0 * r * math.sinh(math.asinh(t / (2.0 * r * r * r)) / 3.0)
 
 
 def make_cubic(spec: GridSpec) -> Grid1D:
-    """Mesh with nodes x(u) = center + lam_c*(u^3 + alpha*u), u uniform.
+    """Mesh with nodes x(u) = center + u^3 + alpha*u, u uniform on [u_a, u_b].
 
-    The endpoints u_a, u_b solve the endpoint cubics so x(u_a) = a and
-    x(u_b) = b, and lam_c normalizes the image to [a, b] exactly.  Spacing is
-    smallest near spec.center and grows cubically away from it.
-    """
-    a, b, m = spec.a, spec.b, spec.m
-    ua = _solve_depressed_cubic(spec.alpha, a - spec.center)
-    ub = _solve_depressed_cubic(spec.alpha, b - spec.center)
-    ga = ua * (ua * ua + spec.alpha)
-    gb = ub * (ub * ub + spec.alpha)
-    # 1 up to the bisection error of ua, ub, which this factor cancels.
-    lam_c = (b - a) / (gb - ga)
-    u = np.linspace(ua, ub, m + 1)
-    nodes = spec.center + lam_c * (u**3 + spec.alpha * u)
-    nodes[0] = a
-    nodes[-1] = b
+    u_a and u_b solve x(u_a) = a and x(u_b) = b in closed form, and the end
+    nodes are set to a and b.  Spacing is smallest near spec.center and grows
+    cubically away from it."""
+    u = np.linspace(_cubic_root(spec.alpha, spec.a - spec.center),
+                    _cubic_root(spec.alpha, spec.b - spec.center), spec.m + 1)
+    nodes = spec.center + (u**3 + spec.alpha * u)
+    nodes[0], nodes[-1] = spec.a, spec.b
     return Grid1D(nodes)
 
 

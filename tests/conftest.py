@@ -4,7 +4,8 @@ Also `cubic_grid`, the barrier study's cubic x grid; `band`, which reads one
 stencil coefficient array off the matrix M; `operator_cases` and
 `csr_oracle`, which check the DIA form of M against its sorted CSR form; and
 `parity_grids`, `parity_case` and `assert_parity`, the put-call parity
-check of the explicit and CN runs.
+check of the explicit and CN runs; and `closed_form_poly`, the stability
+polynomial of a coefficient table by scipy's classical polynomials.
 """
 
 from dataclasses import replace
@@ -13,12 +14,14 @@ import numpy as np
 import pytest
 import scipy.sparse
 from hypothesis import strategies as st
+from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
 from stslab.experiments import (call, default_bs_params, default_heston_params,
                                 foulon_spec_v, foulon_spec_x, payoff_eval, put)
 from stslab.grids import Grid1D, GridSpec, StretchKind, make_grid, make_uniform
 from stslab.operators import (HestonParams, UpwindPolicy, assemble_bs,
                               assemble_heston, to_sparse)
+from stslab.schemes import FamilyKind
 
 
 def cubic_grid(m: int = 400, alpha: float = 0.01) -> Grid1D:
@@ -182,3 +185,18 @@ def csr_oracle(op):
     No DIA kernel runs on it: products with it use the CSR kernels.
     """
     return scipy.sparse.csr_matrix(op.matrix.toarray())
+
+
+def closed_form_poly(coeffs, z):
+    """a_s + b_s Q_s(w0 + w1 z) with Q evaluated by scipy's polynomials."""
+    fam = coeffs.family
+    arg = coeffs.w0 + coeffs.w1 * np.asarray(z, dtype=float)
+    if fam.kind is FamilyKind.RKC:
+        q = eval_chebyt(coeffs.s, arg)
+    elif fam.kind is FamilyKind.RKL:
+        q = eval_legendre(coeffs.s, arg)
+    elif fam.kind is FamilyKind.RKG:
+        q = eval_gegenbauer(coeffs.s, fam.g, arg)
+    else:
+        raise AssertionError(fam)
+    return coeffs.a[coeffs.s] + coeffs.b[coeffs.s] * q

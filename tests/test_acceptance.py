@@ -19,8 +19,7 @@ from time import perf_counter
 import numpy as np
 import pytest
 import scipy.linalg
-from conftest import cubic_grid
-from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
+from conftest import closed_form_poly, cubic_grid
 
 from stslab.experiments import (DEFAULT_LADDER, BsStudyResult, bs_closed_form,
                                 bs_uniform_grid, call, default_bs_params,
@@ -33,9 +32,9 @@ from stslab.grids import make_grid
 from stslab.implicit import banded_factor, crank_nicolson_run, operator_banded
 from stslab.operators import (UpwindPolicy, assemble_bs, assemble_heston,
                               to_sparse)
-from stslab.schemes import (FamilyKind, InfeasibleStepError, _certified, _poly_eval,
-                            explicit_euler, make_coefficients, rkc, rkg, rkl,
-                            run_integrator, select_stage_count)
+from stslab.schemes import (InfeasibleStepError, _certified, _poly_eval, explicit_euler,
+                            make_coefficients, rkc, rkg, rkl, run_integrator,
+                            select_stage_count)
 from stslab.spectra import eigenvalues_dense, gershgorin_radius
 
 
@@ -303,18 +302,6 @@ def test_a6_attribution_rkl_oscillation_is_temporal(bs_results, capsys):
     assert temporal, (exact, osc)
 
 
-def _closed_form_poly(coeffs, z):
-    fam = coeffs.family
-    arg = coeffs.w0 + coeffs.w1 * np.asarray(z, dtype=float)
-    if fam.kind is FamilyKind.RKC:
-        q = eval_chebyt(coeffs.s, arg)
-    elif fam.kind is FamilyKind.RKL:
-        q = eval_legendre(coeffs.s, arg)
-    else:
-        q = eval_gegenbauer(coeffs.s, fam.g, arg)
-    return coeffs.a[coeffs.s] + coeffs.b[coeffs.s] * q
-
-
 def test_a7_unit_oracles(stress, row_sum_check, capsys):
     # stability polynomials: stage recurrence against the classical forms
     worst_poly = 0.0
@@ -322,7 +309,7 @@ def test_a7_unit_oracles(stress, row_sum_check, capsys):
         coeffs, extent = _certified(family, s)
         zs = np.linspace(-extent, 0.0, 17)
         got = _poly_eval(coeffs, zs)
-        want = _closed_form_poly(coeffs, zs)
+        want = closed_form_poly(coeffs, zs)
         worst_poly = max(worst_poly, float(np.max(
             np.abs(got - want) / np.maximum(1.0, np.abs(want)))))
     poly_ok = worst_poly < 1e-11

@@ -701,6 +701,12 @@ UNRUNNABLE = [
     # converge named the scheme but not the rung whose step it refused
     unrunnable(EULER_LADDER, f"schemes[0]: l = 10: {EULER_232}",
                id="converge-euler-ladder", cmd="converge"),
+    # converge ran the ladder and both CN references, then raised on scoring
+    # them over an empty region: no variance node at v <= 1
+    unrunnable({"grid": {"x": {"m": 20}, "v": {"a": 1.2, "b": 5.0, "m": 10}},
+                "params": {"v0": 2.0}, "ladder": [40], "reference": {"l_ref": 60}},
+               "grid.v: no node at v <= 1, where converge takes the rms error",
+               id="converge-empty-rms-region", cmd="converge"),
 ]
 
 

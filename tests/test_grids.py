@@ -2,13 +2,15 @@
 
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stslab.grids import (KIND_FIELDS, Grid1D, GridSpec, StretchKind, make_cubic,
-                          make_grid, make_sinh, make_uniform)
+from conftest import cubic_grid
+from stslab.grids import (KIND_FIELDS, Grid1D, GridSpec, StretchKind, _cubic_root,
+                          make_cubic, make_grid, make_sinh, make_uniform)
 
 KINDS = [
     GridSpec(StretchKind.UNIFORM, 0.0, 800.0, 64),
@@ -81,6 +83,63 @@ def test_cubic_large_alpha_is_nearly_uniform():
     g = make_cubic(GridSpec(StretchKind.CUBIC, 0.0, 150.0, 30, center=50.0, alpha=1e8))
     u = make_uniform(0.0, 150.0, 30)
     assert np.allclose(g.nodes, u.nodes, atol=1e-5)
+
+
+def mp_cubic_root(alpha, t):
+    """The real root of u^3 + alpha*u = t by Newton in mpmath, at the working precision.
+
+    min(t/alpha, t^(1/3)) bounds the root from above and the cubic is convex
+    there, so Newton descends to it without overshooting (t > 0; odd in t).
+    """
+    alpha, t = mpmath.mpf(alpha), mpmath.mpf(t)
+    start = min(abs(t) / alpha, mpmath.cbrt(abs(t)))
+    root = mpmath.findroot(lambda u: u**3 + alpha * u - abs(t), start, solver="newton")
+    return mpmath.sign(t) * root
+
+
+@given(alpha_exp=st.floats(min_value=-6.0, max_value=8.0),
+       t_exp=st.floats(min_value=-12.0, max_value=6.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+@settings(max_examples=200, deadline=None)
+def test_cubic_root_matches_mpmath(alpha_exp, t_exp, sign):
+    alpha, t = 10.0**alpha_exp, sign * 10.0**t_exp
+    u = _cubic_root(alpha, t)
+    with mpmath.workdps(50):
+        want = mp_cubic_root(alpha, t)
+        assert abs((u - want) / want) <= 1e-14, (alpha, t, u, want)
+    assert _cubic_root(alpha, -t) == -u  # exactly odd in t
+    assert _cubic_root(alpha, 0.0) == 0.0
+
+
+def test_cubic_a6_nodes_match_the_map_in_mpmath():
+    """The A6 grid pins its ends and puts every interior node on x(u_k) = 100 +
+    u_k^3 + 0.01 u_k, u_k uniform between the roots of x = 0 and x = 150."""
+    nodes = cubic_grid().nodes
+    assert nodes[0] == 0.0 and nodes[-1] == 150.0
+    with mpmath.workdps(50):
+        alpha = mpmath.mpf("0.01")
+        ua, ub = mp_cubic_root(alpha, -100), mp_cubic_root(alpha, 50)
+        want = [100 + u**3 + alpha * u for u in (ua + (ub - ua) * k / 400 for k in range(1, 400))]
+        worst = max(abs((x - w) / w) for x, w in zip(nodes[1:-1], want))
+    assert worst <= 1e-13, worst
+
+
+def test_cubic_root_of_a_vanishing_alpha_is_the_cube_root():
+    # t / (2r^3) overflows for alpha = 1e-250; alpha*u is then ~1e-250 of u^3
+    assert _cubic_root(1e-250, 100.0) == float(np.cbrt(100.0))
+    assert _cubic_root(1e-250, -50.0) == float(np.cbrt(-50.0))
+    assert _cubic_root(5e-324, 0.0) == 0.0
+    g = make_cubic(GridSpec(StretchKind.CUBIC, 0.0, 150.0, 40, center=100.0, alpha=1e-250))
+    u = np.linspace(np.cbrt(-100.0), np.cbrt(50.0), 41)
+    assert np.array_equal(g.nodes[1:-1], (100.0 + u**3)[1:-1])
+
+
+@pytest.mark.parametrize("alpha", [1e12, 1e100, 1e200])
+def test_cubic_huge_alpha_is_uniform_to_rounding(alpha):
+    # u^3 is below the rounding of alpha*u here; the bracket-and-bisect search
+    # was 1e-3 off a uniform mesh at alpha = 1e12 and collapsed from 1e17 on
+    g = make_cubic(GridSpec(StretchKind.CUBIC, 0.0, 150.0, 30, center=50.0, alpha=alpha))
+    assert np.abs(g.nodes - make_uniform(0.0, 150.0, 30).nodes).max() <= 1e-12
 
 
 def test_grid1d_validation():

@@ -12,8 +12,8 @@ import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
-from conftest import assert_parity, cubic_grid, parity_case, parity_grids
-from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
+from conftest import (assert_parity, closed_form_poly, cubic_grid, parity_case,
+                      parity_grids)
 
 import stslab.schemes as schemes
 from stslab.experiments import (call, default_bs_params, default_heston_params,
@@ -77,28 +77,13 @@ def oracle_extent(family, s):
     return brute_force_extent(make_coefficients(family, s))
 
 
-def closed_form(coeffs, z):
-    """a_s + b_s Q_s(w0 + w1 z) with Q evaluated by scipy's polynomials."""
-    fam = coeffs.family
-    arg = coeffs.w0 + coeffs.w1 * np.asarray(z, dtype=float)
-    if fam.kind is FamilyKind.RKC:
-        q = eval_chebyt(coeffs.s, arg)
-    elif fam.kind is FamilyKind.RKL:
-        q = eval_legendre(coeffs.s, arg)
-    elif fam.kind is FamilyKind.RKG:
-        q = eval_gegenbauer(coeffs.s, fam.g, arg)
-    else:
-        raise AssertionError(fam)
-    return coeffs.a[coeffs.s] + coeffs.b[coeffs.s] * q
-
-
 @pytest.mark.parametrize("family", FAMILIES, ids=lambda f: f.label)
 @pytest.mark.parametrize("s", [2, 3, 5, 8, 13, 21, 32])
 def test_recurrence_matches_closed_form(family, s):
     coeffs, beta = _certified(family, s)
     z = -beta * np.linspace(0.0, 1.0, 41)
     got = _poly_eval(coeffs, z)
-    want = closed_form(coeffs, z)
+    want = closed_form_poly(coeffs, z)
     assert np.all(np.abs(got - want) <= 1e-11 * np.maximum(1.0, np.abs(want)))
 
 
