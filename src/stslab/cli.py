@@ -35,12 +35,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .experiments import (DEFAULT_L_REF, DEFAULT_LADDER, Payoff, PayoffKind, Setup,
+from .experiments import (DEFAULT_L_REF, DEFAULT_LADDER, PAYOFF_FIELDS, Payoff, Setup,
                           bs_uniform_spec, call, default_bs_params, default_heston_params,
-                          digital_range, foulon_spec_v, foulon_spec_x, prepare, put,
+                          digital_range, foulon_spec_v, foulon_spec_x, prepare,
                           UnconvergedReferenceError, run_and_score, run_bs_study,
                           run_delta_comparison, run_time_convergence)
-from .grids import KIND_FIELDS, GridSpec, StretchKind, make_grid
+from .grids import KIND_FIELDS, GridSpec, make_grid
 from .operators import BsParams, HestonParams, UpwindPolicy
 from .schemes import FREE_PARAMETER, FamilyKind, InfeasibleStepError, SchemeFamily, plan_run
 from .spectra import eigenvalues_dense, write_spectrum
@@ -105,13 +105,15 @@ def _choice(d: dict, key: str, enum, default, where: str):
     return enum(val)
 
 
-def _parse_grid(d: dict, defaults: GridSpec, path: str) -> GridSpec:
+def _parse_recipe(d, default, fields, path: str):
+    """A recipe of default's type: its kind (default's unless d names one) and
+    that kind's fields in fields, each default's unless d gives it."""
     d = _mapping(d, path)
-    kind = _choice(d, "kind", StretchKind, defaults.kind, f"{path}.kind")
-    _check_keys(d, {"kind", *KIND_FIELDS[kind]}, path)
-    return _built(path, GridSpec, kind, **{
-        key: (_int if key == "m" else _num)(d, key, getattr(defaults, key), path)
-        for key in KIND_FIELDS[kind]})
+    kind = _choice(d, "kind", type(default.kind), default.kind, f"{path}.kind")
+    _check_keys(d, {"kind", *fields[kind]}, path)
+    return _built(path, type(default), kind, **{
+        key: (_int if key == "m" else _num)(d, key, getattr(default, key), path)
+        for key in fields[kind]})
 
 
 def _parse_scheme(d, path: str) -> SchemeFamily:
@@ -124,25 +126,6 @@ def _parse_scheme(d, path: str) -> SchemeFamily:
     # only the keys given, so SchemeFamily states the defaults
     return _built(path, SchemeFamily, kind,
                   **{key: _num(d, key, None, path) for key in d if key != "family"})
-
-
-def _parse_payoff(d, default: Payoff, path: str) -> Payoff:
-    if d is None:
-        return default
-    d = _mapping(d, path)
-    _check_keys(d, {"kind", "strike", "low", "high"}, path)
-    kind = _choice(d, "kind", PayoffKind, default.kind, f"{path}.kind")
-    if kind is PayoffKind.DIGITAL_RANGE:
-        if "strike" in d:
-            raise ConfigError(f"{path}.strike: only valid for kind 'call' or 'put'")
-        low = _num(d, "low", default.low, path)
-        high = _num(d, "high", default.high if default.high > 0 else low + 1.0, path)
-        return _built(path, digital_range, low, high)
-    for key in ("low", "high"):
-        if key in d:
-            raise ConfigError(f"{path}.{key}: only valid for kind 'digital-range'")
-    strike = _num(d, "strike", default.strike if default.strike > 0 else 100.0, path)
-    return _built(path, call if kind is PayoffKind.CALL else put, strike)
 
 
 @dataclass(frozen=True)
@@ -167,26 +150,20 @@ class RunConfig:
         cfg = {
             "model": self.model,
             "params": asdict(self.params),
-            "grid": {axis: _grid_dict(spec) for axis, spec in
+            "grid": {axis: _recipe_dict(spec, KIND_FIELDS) for axis, spec in
                      (("x", self.grid_x), ("v", self.grid_v)) if spec is not None},
             "policy": self.policy.value,
             "schemes": [{"family": s.kind.value, **s.free} for s in self.schemes],
             "ladder": list(self.ladder),
             "reference": {"l_ref": self.l_ref, "validate": self.validate_reference},
-            "payoff": _payoff_dict(self.payoff),
+            "payoff": _recipe_dict(self.payoff, PAYOFF_FIELDS),
             "l": self.l,
         }
         return json.dumps({key: cfg[key] for key in keys or cfg}, indent=2, sort_keys=True)
 
 
-def _grid_dict(spec: GridSpec) -> dict:
-    return {"kind": spec.kind.value, **{key: getattr(spec, key) for key in KIND_FIELDS[spec.kind]}}
-
-
-def _payoff_dict(p: Payoff) -> dict:
-    if p.kind is PayoffKind.DIGITAL_RANGE:
-        return {"kind": p.kind.value, "low": p.low, "high": p.high}
-    return {"kind": p.kind.value, "strike": p.strike}
+def _recipe_dict(recipe, fields) -> dict:
+    return {"kind": recipe.kind.value, **{key: getattr(recipe, key) for key in fields[recipe.kind]}}
 
 
 def _parse_params(d: dict, base):
@@ -222,7 +199,7 @@ def parse_config(text: str) -> RunConfig:
 
     grid_raw = _mapping(raw.get("grid", {}), "grid")
     _check_keys(grid_raw, {"x", "v"}, "grid")
-    grid_x = _parse_grid(grid_raw.get("x", {}), gx_default, "grid.x")
+    grid_x = _parse_recipe(grid_raw.get("x", {}), gx_default, KIND_FIELDS, "grid.x")
     # every grid builder puts node 0 at a
     if grid_x.a < 0.0:
         raise ConfigError(f"grid.x.a: the price grid must start at x >= 0, got {grid_x.a:g}")
@@ -231,7 +208,7 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError("grid.v: not meaningful for the 1-D model")
         grid_v = None
     else:
-        grid_v = _parse_grid(grid_raw.get("v", {}), gv_default, "grid.v")
+        grid_v = _parse_recipe(grid_raw.get("v", {}), gv_default, KIND_FIELDS, "grid.v")
         if grid_v.a < 0.0:
             raise ConfigError(f"grid.v.a: the variance grid must start at v >= 0, "
                               f"got {grid_v.a:g}")
@@ -276,7 +253,7 @@ def parse_config(text: str) -> RunConfig:
     if not isinstance(validate, bool):
         raise ConfigError(f"reference.validate: expected a boolean, got {validate!r}")
 
-    payoff = _parse_payoff(raw.get("payoff"), payoff_default, "payoff")
+    payoff = _parse_recipe(raw.get("payoff", {}), payoff_default, PAYOFF_FIELDS, "payoff")
 
     l = raw.get("l")
     if l is not None and (isinstance(l, bool) or not isinstance(l, int) or l < 1):
@@ -431,7 +408,7 @@ def dispatch(cmd: str, cfg: RunConfig, out_dir: str, strict: bool = False) -> in
         raise ConfigError(f"{cmd} drives the {dim} model; set model={model!r}")
     gx = _built("grid.x", make_grid, cfg.grid_x)
     gv = None if cfg.grid_v is None else _built("grid.v", make_grid, cfg.grid_v)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below, in one line
+    with np.errstate(all="ignore"):  # refused below, in one line
         try:
             setup = prepare(cfg.params, gx, gv, cfg.policy, cfg.payoff)
         except OverflowError:  # a Python float power, such as sigma**2

@@ -42,6 +42,7 @@ from .spectra import Spectrum, gershgorin_radius
 __all__ = [
     "Payoff",
     "PayoffKind",
+    "PAYOFF_FIELDS",
     "call",
     "put",
     "digital_range",
@@ -78,6 +79,11 @@ class PayoffKind(Enum):
     CALL = "call"
     PUT = "put"
     DIGITAL_RANGE = "digital-range"
+
+
+# the Payoff fields each kind reads; the others keep their defaults
+PAYOFF_FIELDS = {PayoffKind.CALL: ("strike",), PayoffKind.PUT: ("strike",),
+                 PayoffKind.DIGITAL_RANGE: ("low", "high")}
 
 
 @dataclass(frozen=True)

@@ -116,9 +116,12 @@ def _cubic_root(alpha: float, t: float) -> float:
     """The real root of u^3 + alpha*u = t, alpha > 0: with r = sqrt(alpha/3) and
     u = 2r*sinh(theta) the cubic reads 2r^3*sinh(3*theta) = t."""
     r = math.sqrt(alpha / 3.0)
-    if not abs(t) < 2.0 * r * r * r * 1e308:  # else t / (2r^3) overflows
+    two_r3 = 2.0 * r * r * r
+    if not math.isfinite(two_r3):  # u^3 is then far below the rounding of alpha*u
+        return t / alpha
+    if not abs(t) < two_r3 * 1e308:  # else t / (2r^3) overflows
         return float(np.cbrt(t))  # alpha*u is then far below the rounding of u^3
-    return 2.0 * r * math.sinh(math.asinh(t / (2.0 * r * r * r)) / 3.0)
+    return 2.0 * r * math.sinh(math.asinh(t / two_r3) / 3.0)
 
 
 def make_cubic(spec: GridSpec) -> Grid1D:

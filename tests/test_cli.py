@@ -112,6 +112,22 @@ def test_grid_recipe_roundtrips_with_only_its_kinds_keys(kind):
     assert parse_config(cfg.to_json()) == cfg
 
 
+PAYOFF_KINDS = {
+    "call": {"kind": "call", "strike": 90.0},
+    "put": {"kind": "put", "strike": 110.0},
+    "digital-range": {"kind": "digital-range", "low": 20.0, "high": 120.0},
+}
+
+
+@pytest.mark.parametrize("model", ["heston", "bs"])
+@pytest.mark.parametrize("kind", list(PAYOFF_KINDS))
+def test_payoff_recipe_roundtrips_with_only_its_kinds_keys(kind, model):
+    """As for a grid: config.json writes the keys the payoff's kind reads."""
+    cfg = parse_config(json.dumps({"model": model, "payoff": PAYOFF_KINDS[kind]}))
+    assert json.loads(cfg.to_json())["payoff"] == PAYOFF_KINDS[kind]
+    assert parse_config(cfg.to_json()) == cfg
+
+
 @pytest.mark.parametrize("text,needle", [
     ("not json", "not valid JSON"),
     ("[1, 2]", "config: expected an object"),
@@ -152,10 +168,15 @@ def test_grid_recipe_roundtrips_with_only_its_kinds_keys(kind):
     ('{"payoff": {"kind": ["call"]}}', "payoff.kind: expected one of"),
     ('{"payoff": {"kind": "digital-range", "low": 9, "high": 2}}',
      "payoff: need 0 <= low < high, got (9.0, 2.0)"),
-    ('{"payoff": {"kind": "call", "low": 5}}',
-     "payoff.low: only valid for kind 'digital-range'"),
+    # a key the payoff's kind does not read is refused as for a grid
+    ('{"payoff": {"kind": "call", "low": 5}}', "payoff: unknown key(s) low"),
     ('{"payoff": {"kind": "digital-range", "low": 5, "high": 50, "strike": 100}}',
-     "payoff.strike: only valid for kind 'call' or 'put'"),
+     "payoff: unknown key(s) strike"),
+    # a payoff of another kind than the model's default gives its own fields
+    ('{"model": "bs", "payoff": {"kind": "call"}}', "payoff: need strike > 0, got 0.0"),
+    ('{"payoff": {"kind": "digital-range", "low": 50}}',
+     "payoff: need 0 <= low < high, got (50.0, 0.0)"),
+    ('{"payoff": null}', "payoff: expected an object, got NoneType"),
     ('{"l": 0}', "l: expected an integer >= 1"),
 ])
 def test_config_rejections(text, needle):
@@ -707,6 +728,10 @@ UNRUNNABLE = [
                 "params": {"v0": 2.0}, "ladder": [40], "reference": {"l_ref": 60}},
                "grid.v: no node at v <= 1, where converge takes the rms error",
                id="converge-empty-rms-region", cmd="converge"),
+    # spacings below 1e-300 underflow when squared: numpy printed six divide
+    # warnings from the assembly before the refusal
+    unrunnable({"grid": {"x": {"m": 20}, "v": {"a": 0.0, "b": 1e-300, "m": 10}},
+                "params": {"v0": 0.0}, "l": 40}, OVERFLOWS, id="heston-v-spacing-underflow"),
 ]
 
 

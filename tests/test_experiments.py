@@ -24,7 +24,7 @@ from stslab.experiments import (bs_closed_form, bs_uniform_grid,
                                 run_and_score, run_bs_study,
                                 run_delta_comparison, run_time_convergence,
                                 UnconvergedReferenceError)
-from stslab.grids import Grid1D, make_grid, make_uniform
+from stslab.grids import Grid1D, GridSpec, StretchKind, make_grid, make_uniform
 from stslab.implicit import crank_nicolson_run
 from stslab.operators import BsParams, UpwindPolicy, assemble_bs, assemble_heston
 import stslab.experiments
@@ -465,23 +465,21 @@ def test_run_and_score_explosion(dim, heston_params, bs_params, gx_small, gv_sma
     assert np.isfinite(fld).all() and fld.shape == y0.shape
 
 
-def strike_setup(strike: float, policy: UpwindPolicy) -> Setup:
-    """The default 41x21 call setup with strike and spot at `strike`; the
-    default grid recipes scale with the strike."""
+def strike_setup(strike: float, policy: UpwindPolicy,
+                 x_recipe=lambda k: foulon_spec_x(k, m=40), n: int = 20) -> Setup:
+    """The call setup with strike and spot at `strike` on the grids of the
+    recipes, which scale with the strike: x_recipe(strike), by default the
+    41-node foulon_spec_x, and the (n+1)-node foulon_spec_v."""
     params = replace(default_heston_params(), strike=strike, spot=strike)
-    return prepare(params, make_grid(foulon_spec_x(strike, m=40)),
-                   make_grid(foulon_spec_v(n=20)), policy, call(strike))
+    return prepare(params, make_grid(x_recipe(strike)), make_grid(foulon_spec_v(n=n)),
+                   policy, call(strike))
 
 
-@pytest.mark.parametrize("policy", [UpwindPolicy.PARTIAL_FITTING,
-                                    UpwindPolicy.FOULON_REGION], ids=lambda p: p.value)
-@pytest.mark.parametrize("family,l", [(rkc(10.0), 10), (rkc(10.0), 80), (rkl(), 40)],
-                         ids=["rkc10-l10", "rkc10-l80", "rkl-l40"])
-def test_doubling_strike_and_spot_doubles_the_field_exactly(policy, family, l):
+def check_doubling(policy, family, l, strike=100.0, **recipes):
     # M reads x only through ratios like x^2/h^2, so a power-of-two scale of
-    # the lattice leaves it bitwise unchanged and the linear runs scale exactly;
-    # the region-fitting l = 10 run grows to ~4e5 and scales all the same
-    one, two = strike_setup(100.0, policy), strike_setup(200.0, policy)
+    # the lattice leaves it bitwise unchanged and the linear runs scale exactly
+    one = strike_setup(strike, policy, **recipes)
+    two = strike_setup(2.0 * strike, policy, **recipes)
     assert np.array_equal(two.op.gx.nodes, 2.0 * one.op.gx.nodes)
     assert two.op.matrix.data.tobytes() == one.op.matrix.data.tobytes()
     assert np.array_equal(two.op.matrix.offsets, one.op.matrix.offsets)
@@ -490,3 +488,28 @@ def test_doubling_strike_and_spot_doubles_the_field_exactly(policy, family, l):
     assert np.array_equal(f2, 2.0 * f1)
     assert run2.s_per_step == run1.s_per_step and run2.exploded == run1.exploded
     assert run2.price_at_spot == 2.0 * run1.price_at_spot
+
+
+@pytest.mark.parametrize("policy", [UpwindPolicy.PARTIAL_FITTING,
+                                    UpwindPolicy.FOULON_REGION], ids=lambda p: p.value)
+@pytest.mark.parametrize("family,l", [(rkc(10.0), 10), (rkc(10.0), 80), (rkl(), 40)],
+                         ids=["rkc10-l10", "rkc10-l80", "rkl-l40"])
+def test_doubling_strike_and_spot_doubles_the_field_exactly(policy, family, l):
+    # the region-fitting l = 10 run grows to ~4e5 and scales all the same
+    check_doubling(policy, family, l)
+
+
+@settings(max_examples=100, deadline=None)  # ~3 s; an example takes 5 to 90 ms
+@given(policy=st.sampled_from(list(UpwindPolicy)),
+       family=st.one_of(st.floats(0.0, 20.0).map(rkc), st.just(rkl()),
+                        st.floats(0.25, 8.0).map(rkg)),
+       l=st.integers(4, 120), strike=st.floats(20.0, 500.0),
+       kind=st.sampled_from([StretchKind.UNIFORM, StretchKind.SINH]),
+       m=st.integers(24, 48), n=st.integers(4, 24), lam=st.floats(0.02, 2.0))
+def test_doubling_strike_and_spot_doubles_any_run_exactly(policy, family, l, strike,
+                                                          kind, m, n, lam):
+    """Every policy, stabilized family and l, on an x grid on [0, 8K] that is
+    uniform or clusters at K with width lam*K."""
+    def x_recipe(k):
+        return GridSpec(kind, 0.0, 8.0 * k, m, center=k, lam=lam * k)
+    check_doubling(policy, family, l, strike, x_recipe=x_recipe, n=n)

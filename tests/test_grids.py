@@ -134,10 +134,11 @@ def test_cubic_root_of_a_vanishing_alpha_is_the_cube_root():
     assert np.array_equal(g.nodes[1:-1], (100.0 + u**3)[1:-1])
 
 
-@pytest.mark.parametrize("alpha", [1e12, 1e100, 1e200])
+@pytest.mark.parametrize("alpha", [1e12, 1e100, 1e200, 1e206, 1e300, np.finfo(float).max])
 def test_cubic_huge_alpha_is_uniform_to_rounding(alpha):
     # u^3 is below the rounding of alpha*u here; the bracket-and-bisect search
-    # was 1e-3 off a uniform mesh at alpha = 1e12 and collapsed from 1e17 on
+    # was 1e-3 off a uniform mesh at alpha = 1e12 and collapsed from 1e17 on,
+    # and the closed form collapsed from 1e206 on, where 2r^3 overflows
     g = make_cubic(GridSpec(StretchKind.CUBIC, 0.0, 150.0, 30, center=50.0, alpha=alpha))
     assert np.abs(g.nodes - make_uniform(0.0, 150.0, 30).nodes).max() <= 1e-12
 
